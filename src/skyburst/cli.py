@@ -19,7 +19,7 @@ from .moments import toeplitz_det_closed, toeplitz_det_direct
 from .recurrences import DEFAULT_OMEGA_GRID, genfun_compare, run_identity_suite
 from .scalarfield import Omega, as_omega, parse_rational
 from .skypoly import construct
-from .zeros import _tag_root, find_zeros, trace
+from .zeros import _tag_root, trace, zeros_of
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -116,18 +116,23 @@ def cmd_verify(config: RunConfig) -> int:
         if not r.identity_id.endswith("_rejected") and abs(r.residual_norm) > fam["max_residual"]:
             fam["max_residual"] = abs(r.residual_norm)
     all_ok = all(r.passed for r in reports)
+    payload = [
+        {
+            "identity": r.identity_id,
+            "n": r.params[0],
+            "omega": str(r.params[1]),
+            "residual": str(r.residual_norm),
+            "passed": r.passed,
+        }
+        for r in reports
+    ]
     if config.output_format == "json":
-        payload = [
-            {
-                "identity": r.identity_id,
-                "n": r.params[0],
-                "omega": str(r.params[1]),
-                "residual": str(r.residual_norm),
-                "passed": r.passed,
-            }
-            for r in reports
-        ]
         _emit(json.dumps(payload, indent=2) + "\n", config)
+    elif config.output_format == "csv":
+        lines = ["identity,n,omega,residual,passed"]
+        for e in payload:
+            lines.append(f"{e['identity']},{e['n']},{e['omega']},{e['residual']},{json.dumps(e['passed'])}")
+        _emit("\n".join(lines) + "\n", config)
     else:
         lines = []
         for name, fam in families.items():
@@ -145,12 +150,9 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_zeros(config: RunConfig) -> int:
     om = _parse_omega(config)
-    p = construct(config.n, om).to_inexact()
-    zs = find_zeros(p, tol=config.tolerance, omega=om.as_float())
-    rows = []
-    for idx, (z, tag) in enumerate(zs.roots):
-        residual = abs(p(z))
-        rows.append((idx, z, tag, residual))
+    zs = zeros_of(config.n, om, tol=config.tolerance)
+    p = construct(config.n, Fraction(om.value)).to_inexact()  # the member zeros_of solved
+    rows = [(idx, z, tag, abs(p(z))) for idx, (z, tag) in enumerate(zs.roots)]
     if config.output_format == "json":
         payload = {
             "n": config.n,
@@ -244,10 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, omega=True):
+    def add_common(p, omega=True, tol=False):
         p.add_argument("--format", choices=("json", "csv"), default=None, dest="output_format")
         p.add_argument("--out", default=None, dest="output_path", metavar="PATH")
-        p.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
         if omega:
             p.add_argument("--omega", required=True, help='parameter, "p/q" or decimal')
             p.add_argument("--exact", action="store_true", help="require exact rational arithmetic")
@@ -268,13 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="swap the faulty printed recurrence forms into the sweep (must then fail)",
     )
-    p.add_argument("--format", choices=("json", "csv"), default=None, dest="output_format")
-    p.add_argument("--out", default=None, dest="output_path", metavar="PATH")
-    p.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
+    add_common(p, omega=False)
 
     p = sub.add_parser("zeros", help="roots of S_n^omega with tags and residuals")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, tol=True)
 
     p = sub.add_parser("trajectory", help="zero paths over an omega range")
     p.add_argument("--n", type=int, required=True)
@@ -282,13 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-end", type=float, required=True)
     p.add_argument("--step", type=float, default=0.02)
     p.add_argument("--match-threshold", type=float, default=0.1, dest="match_threshold")
-    p.add_argument("--format", choices=("json", "csv"), default=None, dest="output_format")
-    p.add_argument("--out", default=None, dest="output_path", metavar="PATH")
-    p.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
+    add_common(p, omega=False, tol=True)
 
     p = sub.add_parser("detn", help="moment determinant, direct vs closed form")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, tol=True)
 
     p = sub.add_parser("genfun", help="generating-function partial-sum residual")
     p.add_argument("--z", type=complex, default=0j)

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,7 +362,6 @@ def run_identity_suite(
     n_max: int = 8,
     omegas=DEFAULT_OMEGA_GRID,
     printed_variants: bool = False,
-    max_workers: int | None = None,
 ) -> list:
     """Run the exact identity sweep; returns IdentityReports in deterministic order.
 
@@ -372,20 +369,10 @@ def run_identity_suite(
     variants produce a nonzero residual.  ``printed_variants=True`` swaps the
     faulty forms into the main families (so the sweep must then fail).
     """
-    tasks = list(_suite_tasks(n_max, omegas, printed_variants))
-    if max_workers is None:
-        env = os.environ.get("SKYBURST_THREADS")
-        max_workers = max(1, min(int(env), os.cpu_count() or 1)) if env else 1
-    def run_one(task):
-        identity_id, n, w, fn = task
+    reports = []
+    for identity_id, n, w, fn in _suite_tasks(n_max, omegas, printed_variants):
         residual, ok = fn()
-        return IdentityReport(identity_id, (n, w), residual, ok)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(run_one, tasks))
-    else:
-        reports = [run_one(t) for t in tasks]
+        reports.append(IdentityReport(identity_id, (n, w), residual, ok))
     for identity_id, n, w, fn in _FALSIFIED:
         residual, reproduced = fn()
         reports.append(IdentityReport(identity_id, (n, w), residual, not reproduced))

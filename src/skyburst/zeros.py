@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import ConvergenceError, DomainError, TrackingError
 from .scalarfield import Omega, as_omega
@@ -278,8 +277,9 @@ class TrajectoryBundle:
     paths[i][k] is the position of path i at omega_grid[k]; burst_events lists
     the integers crossed.  Within an integer-free stretch consecutive path
     positions differ by less than the match threshold used to build the
-    bundle; across a burst the assignment is best-effort (matching through a
-    burst is ill-posed, the event marks it).
+    bundle; across a burst the assignment is the minimum total distance over
+    raw positions at a crossing (matching through a burst is ill-posed, the
+    event marks it).
 
     Segment ends sit INTEGER_OFFSET (or the requested start) away from the
     integer j they approach, where the k = n-j roots that collapse onto the
@@ -343,71 +343,74 @@ def _symmetrize(values) -> _Config:
     return _Config(reals=tuple(sorted(reals)), uppers=tuple(sorted(paired, key=lambda z: (z.real, z.imag))))
 
 
-def _min_assignment(xs, ys):
-    """Exhaustive minimal-total-distance bijection for small lists (<= 8)."""
-    if len(xs) != len(ys):
-        raise ValueError("assignment needs equal sizes")
-    if not xs:
-        return (), 0.0
-    if len(xs) > 8:
-        return _greedy_assignment(xs, ys)
-    best = None
-    best_cost = math.inf
-    for perm in permutations(range(len(ys))):
-        cost = sum(abs(x - ys[j]) for x, j in zip(xs, perm))
-        if cost < best_cost:
-            best_cost = cost
-            best = perm
-    return best, best_cost
+def _assign(xs, ys) -> list:
+    """Bijection i -> perm[i] minimising sum |xs[i] - ys[perm[i]]|.
 
-
-def _greedy_assignment(xs, ys):
-    used = set()
-    perm = []
-    for x in xs:
-        j = min((j for j in range(len(ys)) if j not in used), key=lambda j: abs(x - ys[j]))
-        used.add(j)
-        perm.append(j)
-    return tuple(perm), sum(abs(x - ys[j]) for x, j in zip(xs, perm))
-
-
-def _match_within_segment(src: _Config, tgt: _Config):
-    """Permutation of flat indices src -> tgt, preserving the mirror structure.
-
-    Real roots are matched in sorted order (optimal in one dimension); upper
-    representatives by exhaustive minimal-cost assignment; lowers mirror their
-    uppers.  Only valid when both configurations have the same real count.
+    Hungarian method in O(k^3): rows are added one at a time, each by a
+    shortest augmenting path over reduced costs, with row and column potentials
+    kept feasible throughout (Kuhn-Munkres, Jonker-Volgenant form).  Ties go to
+    the lowest column index, so the result is deterministic.
     """
-    r = len(src.reals)
-    perm = [0] * (r + 2 * len(src.uppers))
-    for i in range(r):
-        perm[i] = i
-    sigma, _ = _min_assignment(list(src.uppers), list(tgt.uppers))
-    for j, tj in enumerate(sigma):
-        perm[r + 2 * j] = r + 2 * tj
-        perm[r + 2 * j + 1] = r + 2 * tj + 1
-    src_flat, tgt_flat = src.flat(), tgt.flat()
-    disp = max(abs(src_flat[i] - tgt_flat[perm[i]]) for i in range(len(perm))) if perm else 0.0
-    return perm, disp
-
-
-def _match_best_effort(src: _Config, tgt: _Config):
-    """Deterministic nearest-neighbor bijection on raw positions (burst crossings)."""
-    src_flat, tgt_flat = src.flat(), tgt.flat()
-    used = set()
-    perm = [0] * len(src_flat)
-    for i, z in enumerate(src_flat):
-        j = min((j for j in range(len(tgt_flat)) if j not in used), key=lambda j: abs(z - tgt_flat[j]))
-        used.add(j)
-        perm[i] = j
-    disp = max(abs(src_flat[i] - tgt_flat[perm[i]]) for i in range(len(perm))) if perm else 0.0
-    return perm, disp
+    k = len(xs)
+    if len(ys) != k:
+        raise ValueError("assignment needs equal sizes")
+    # 1-based arrays; column 0 is a virtual start whose owner is the row being added
+    u = [0.0] * (k + 1)
+    v = [0.0] * (k + 1)
+    owner = [0] * (k + 1)
+    way = [0] * (k + 1)
+    for i in range(1, k + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [math.inf] * (k + 1)
+        used = [False] * (k + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    cur = abs(xs[i0 - 1] - ys[j - 1]) - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    perm = [0] * k
+    for j in range(1, k + 1):
+        perm[owner[j] - 1] = j - 1
+    return perm
 
 
 def _match(src: _Config, tgt: _Config, crossing: bool):
-    if not crossing and len(src.reals) == len(tgt.reals):
-        return _match_within_segment(src, tgt)
-    return _match_best_effort(src, tgt)
+    """Permutation of flat indices src -> tgt, and the largest displacement.
+
+    Within a segment, reals are matched in sorted order (optimal in one
+    dimension), upper representatives by minimum total distance, and lowers
+    mirror their uppers, so conjugate paths stay partners.  At a burst
+    crossing, or when the real count changed, the minimum-total-distance
+    assignment runs on the raw flat positions.
+    """
+    src_flat, tgt_flat = src.flat(), tgt.flat()
+    r = len(src.reals)
+    if crossing or r != len(tgt.reals):
+        perm = _assign(src_flat, tgt_flat)
+    else:
+        perm = list(range(r)) + [0] * (2 * len(src.uppers))
+        for j, tj in enumerate(_assign(src.uppers, tgt.uppers)):
+            perm[r + 2 * j] = r + 2 * tj
+            perm[r + 2 * j + 1] = r + 2 * tj + 1
+    disp = max((abs(z - tgt_flat[j]) for z, j in zip(src_flat, perm)), default=0.0)
+    return perm, disp
 
 
 def _clamp_away(w: float, upward: bool) -> float:
@@ -429,7 +432,8 @@ def trace(
 
     The grid keeps a fixed offset from every integer (the family degenerates
     there); integer crossings hop from m - offset to m + offset, are matched
-    best-effort, and are recorded as burst events.  Within a segment the local
+    by the minimum total distance over raw positions at a crossing, and are
+    recorded as burst events.  Within a segment the local
     step is halved until consecutive root sets match within match_threshold;
     underflow of the step below 1e-6 raises TrackingError.
 

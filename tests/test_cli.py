@@ -3,6 +3,7 @@ import json
 import pytest
 
 from skyburst.cli import main
+from skyburst.zeros import zeros_of
 
 
 def run(capsys, *argv):
@@ -60,6 +61,11 @@ class TestCoeffs:
         assert code == 2
         assert "rational" in err
 
+    def test_tol_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--n", "2", "--omega", "1/2", "--tol", "1e-3"])
+        assert exc.value.code == 2
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "1", "--omega", "1/2", "--exact", "--format", "csv")
         assert out.splitlines() == ["pow,num,den", "0,1,3", "1,1,1"]
@@ -94,6 +100,17 @@ class TestVerify:
         assert all(entry["passed"] for entry in payload)
         assert {e["identity"] for e in payload} >= {"orthogonality", "ode"}
 
+    def test_csv_rows_match_json(self, capsys):
+        _, out, _ = run(capsys, "verify", "--n-max", "1", "--format", "json")
+        payload = json.loads(out)
+        code, out, _ = run(capsys, "verify", "--n-max", "1", "--format", "csv")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == "identity,n,omega,residual,passed"
+        assert len(lines) - 1 == len(payload)
+        first = payload[0]
+        assert lines[1] == f"{first['identity']},{first['n']},{first['omega']},{first['residual']},true"
+
     def test_omega_grid_override(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1", "--omega-grid", "1/5,3/2")
         assert code == 0
@@ -121,6 +138,14 @@ class TestZeros:
         assert code == 0
         assert len(payload["roots"]) == 2
         assert float(payload["residual_max"]) <= 1e-10
+
+
+    @pytest.mark.parametrize("n, omega", [(20, "0.3"), (40, "2.7")])
+    def test_decimal_omega_roots_equal_library(self, capsys, n, omega):
+        _, out, _ = run(capsys, "zeros", "--n", str(n), "--omega", omega, "--format", "json")
+        rows = json.loads(out)["roots"]
+        got = [complex(float(r["re"]), float(r["im"])) for r in rows]
+        assert got == [z for z, _ in zeros_of(n, float(omega)).roots]
 
 
 class TestTrajectory:

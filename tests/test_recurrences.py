@@ -222,8 +222,3 @@ class TestIdentitySuite:
         for r in run_identity_suite(n_max=1):
             if r.identity_id.endswith("_rejected"):
                 assert r.passed and r.residual_norm != 0
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SKYBURST_THREADS", "2")
-        reports = run_identity_suite(n_max=1)
-        assert all(r.passed for r in reports)

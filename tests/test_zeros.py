@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,9 @@ from skyburst.zeros import (
     simplicity_margin,
     trace,
     zeros_of,
+    _Config,
+    _assign,
+    _match,
     _tag_root,
 )
 
@@ -198,6 +203,61 @@ class TestSimplicity:
             assert simplicity_margin(zeros_of(n, w)) > SIMPLICITY_THRESHOLD
 
 
+def assert_step_bound(bundle):
+    for lo, hi in bundle.segment_slices():
+        for path in bundle.paths:
+            for k in range(lo, hi):
+                assert abs(path[k + 1] - path[k]) < bundle.match_threshold
+
+
+def assert_neg_unit_schedule(bundle):
+    # m+1 roots in (-1, 0) at the middle of each segment (m, m+1)
+    for lo, hi in bundle.segment_slices():
+        mid = (lo + hi) // 2
+        m = math.floor(bundle.omega_grid[mid])
+        neg = sum(1 for path in bundle.paths if _tag_root(path[mid]) is ZeroTag.NEG_UNIT)
+        assert neg == m + 1
+
+
+def assert_conjugate_partners(bundle):
+    for lo, hi in bundle.segment_slices():
+        for i, path in enumerate(bundle.paths):
+            seg = [path[k] for k in range(lo, hi + 1)]
+            if not any(abs(z.imag) > AXIS_TOL * (1 + abs(z)) for z in seg):
+                continue
+            partner_best = min(
+                max(abs(other[k] - path[k].conjugate()) for k in range(lo, hi + 1))
+                for j, other in enumerate(bundle.paths)
+                if j != i
+            )
+            assert partner_best <= 1e-9
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("k", range(8))
+    def test_matches_permutation_oracle(self, k):
+        rng = random.Random(k)
+        for _ in range(20):
+            xs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(k)]
+            ys = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(k)]
+            perm = _assign(xs, ys)
+            assert sorted(perm) == list(range(k))
+            cost = sum(abs(x - ys[j]) for x, j in zip(xs, perm))
+            best = min(
+                sum(abs(x - ys[j]) for x, j in zip(xs, p)) for p in itertools.permutations(range(k))
+            )
+            assert cost == pytest.approx(best, abs=1e-12)
+
+    def test_nine_uppers_take_the_optimal_pairing(self):
+        # nearest-first would send 1+i to 1.6+i and leave 2+i a jump of 2
+        far = [10 * k + 1j for k in range(1, 8)]
+        src = _Config(reals=(), uppers=tuple([1 + 1j, 2 + 1j] + far))
+        tgt = _Config(reals=(), uppers=tuple([0 + 1j, 1.6 + 1j] + far))
+        perm, disp = _match(src, tgt, crossing=False)
+        assert disp == pytest.approx(1.0, abs=1e-12)
+        assert perm[:4] == [0, 1, 2, 3]
+
+
 class TestTrace:
     def test_single_root_drifts_toward_minus_one(self):
         bundle = trace(1, 0.1, 5.0, 0.05, 0.1)
@@ -229,24 +289,12 @@ class TestTrace:
             assert abs(w - round(w)) > 5e-4
 
     def test_step_bound_within_segments(self):
-        bundle = trace(3, 0.05, 2.95, 0.05, 0.1)
-        for lo, hi in bundle.segment_slices():
-            for path in bundle.paths:
-                for k in range(lo, hi):
-                    assert abs(path[k + 1] - path[k]) < bundle.match_threshold
+        assert_step_bound(trace(3, 0.05, 2.95, 0.05, 0.1))
 
     def test_path_count_and_interval_population(self):
         bundle = trace(9, 0.05, 3.5, 0.02, 0.1)
         assert len(bundle.paths) == 9
-        for lo, hi in bundle.segment_slices():
-            mid = (lo + hi) // 2
-            m = math.floor(bundle.omega_grid[mid])
-            neg = sum(
-                1
-                for path in bundle.paths
-                if _tag_root(path[mid]) is ZeroTag.NEG_UNIT
-            )
-            assert neg == m + 1
+        assert_neg_unit_schedule(bundle)
 
     def test_loop_closure_late_segment(self):
         # by segment (3, 4) the returning cluster is genuinely inside |z| < 0.1
@@ -259,18 +307,15 @@ class TestTrace:
                 assert abs(seg[-1]) < 0.1
 
     def test_conjugate_pairing_within_segments(self):
-        bundle = trace(9, 0.05, 2.5, 0.02, 0.1)
-        for lo, hi in bundle.segment_slices():
-            for i, path in enumerate(bundle.paths):
-                seg = [path[k] for k in range(lo, hi + 1)]
-                if not any(abs(z.imag) > AXIS_TOL * (1 + abs(z)) for z in seg):
-                    continue
-                partner_best = min(
-                    max(abs(other[k] - path[k].conjugate()) for k in range(lo, hi + 1))
-                    for j, other in enumerate(bundle.paths)
-                    if j != i
-                )
-                assert partner_best <= 1e-9
+        assert_conjugate_partners(trace(9, 0.05, 2.5, 0.02, 0.1))
+
+    def test_eight_upper_pairs(self):
+        # n = 17 on (0, 1) has 8 conjugate pairs, then 7 past the burst
+        bundle = trace(17, 0.5, 1.375)
+        assert len(bundle.paths) == 17 and bundle.burst_events == (1,)
+        assert_step_bound(bundle)
+        assert_conjugate_partners(bundle)
+        assert_neg_unit_schedule(bundle)
 
     def test_tracking_error_on_unreachable_threshold(self):
         with pytest.raises(TrackingError):
