@@ -168,24 +168,24 @@ def toeplitz_det_closed(n: int, omega):
     """Closed product form of the reduced determinant.
 
     (1/omega)^n * prod_{l<n} l!^2 / prod_{k=1}^{n-1} (k^2 - omega^2)^(n-k);
-    poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.
+    poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.  A float omega is an
+    exact binary rational: the product is formed exactly and rounded once, so
+    the factorials cannot overflow.
     """
     om = as_omega(omega)
-    w = om.value
-    if n == 0:
-        return Fraction(1) if om.exact_mode else 1.0
-    if w == 0:
+    w = Fraction(om.value)
+    if n > 0 and w == 0:
         raise PoleError("closed determinant pole at omega = 0")
-    num = Fraction(1) if om.exact_mode else 1.0
+    num = Fraction(1)
     for ell in range(n):
         num = num * math.factorial(ell) ** 2
-    den = (Fraction(w) ** n) if om.exact_mode else float(w) ** n
+    den = w ** n
     for k in range(1, n):
         factor = k * k - w * w
         if factor == 0:
             raise PoleError(f"closed determinant pole at omega = +-{k}")
         den = den * factor ** (n - k)
-    return num / den
+    return num / den if om.exact_mode else float(num / den)
 
 
 def _solve_exact(a: list, b: list) -> list:

@@ -100,6 +100,8 @@ class Omega:
     @classmethod
     def inexact(cls, value: float, *, integer: bool = False) -> "Omega":
         value = float(value)
+        if not math.isfinite(value):
+            raise DomainError(f"omega must be finite, got {value}")
         if integer and value != int(value):
             raise DomainError(f"cannot assert integrality of {value}")
         return cls(value=value, is_integer=integer, is_zero=value == 0.0)

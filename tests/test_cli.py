@@ -66,6 +66,12 @@ class TestCoeffs:
             main(["coeffs", "--n", "2", "--omega", "1/2", "--tol", "1e-3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_non_finite_omega_exit_code(self, capsys, omega):
+        code, out, err = run(capsys, "coeffs", "--n", "3", "--omega", omega)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "1", "--omega", "1/2", "--exact", "--format", "csv")
         assert out.splitlines() == ["pow,num,den", "0,1,3", "1,1,1"]
@@ -114,6 +120,12 @@ class TestVerify:
     def test_omega_grid_override(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1", "--omega-grid", "1/5,3/2")
         assert code == 0
+
+    def test_omega_grid_must_be_rational(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "1", "--omega-grid", "0.5"])
+        assert exc.value.code == 2
+        assert "not a rational literal" in capsys.readouterr().err
 
 
 class TestZeros:
@@ -210,9 +222,19 @@ class TestDetn:
         assert code == 0
         assert out.endswith("verdict: EQUAL\n")
 
+    def test_float_mode_large_n(self, capsys):
+        code, out, _ = run(capsys, "detn", "--n", "40", "--omega", "0.37")
+        assert code == 0
+        assert out.endswith("verdict: EQUAL\n")
+
     def test_pole_exit(self, capsys):
         code, _, err = run(capsys, "detn", "--n", "3", "--omega", "1", "--exact")
         assert code == 2
+
+    def test_format_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detn", "--n", "2", "--omega", "1/2", "--format", "json"])
+        assert exc.value.code == 2
 
 
 class TestGenfun:
@@ -231,3 +253,8 @@ class TestGenfun:
     def test_domain_error_exit(self, capsys):
         code, _, err = run(capsys, "genfun", "--omega", "1/2", "--z", "0", "--t", "1.5")
         assert code == 2
+
+    def test_format_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["genfun", "--omega", "1/3", "--z", "0.4+0.2j", "--t", "0.5", "--format", "csv"])
+        assert exc.value.code == 2

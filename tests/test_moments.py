@@ -149,6 +149,13 @@ class TestDeterminants:
         assert toeplitz_det_direct(0, F(1, 2)) == 1
         assert toeplitz_det_closed(0, F(1, 2)) == 1
 
+    @pytest.mark.parametrize("n", [6, 21, 22, 40])
+    def test_float_closed_is_exact_product_rounded_once(self, n):
+        # the float product of l!^2 overflowed to inf at n = 21 and nan from n = 22
+        closed = toeplitz_det_closed(n, 0.37)
+        assert closed == float(toeplitz_det_closed(n, F(0.37)))
+        assert abs(closed - toeplitz_det_direct(n, 0.37)) <= 1e-12 * abs(closed)
+
 
 class TestDeterminantalRoute:
     def test_degree_one(self):

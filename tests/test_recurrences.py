@@ -222,3 +222,17 @@ class TestIdentitySuite:
         for r in run_identity_suite(n_max=1):
             if r.identity_id.endswith("_rejected"):
                 assert r.passed and r.residual_norm != 0
+
+    def test_report_order(self):
+        # the verify byte stream follows this order
+        reports = run_identity_suite(n_max=1, omegas=(F(1, 2),))
+        assert [(r.identity_id, r.params[0]) for r in reports] == [
+            ("orthogonality", 0), ("cauchy_determinant", 0), ("lifting", 0), ("lowering", 0),
+            ("ode", 0), ("negative_reflection", 0), ("boundary_values", 0),
+            ("orthogonality", 1), ("cauchy_determinant", 1), ("mixed_step", 1), ("omega_shift", 1),
+            ("derivative_recurrence", 1), ("lifting", 1), ("lowering", 1), ("ode", 1),
+            ("negative_reflection", 1), ("boundary_values", 1),
+            ("degree_symmetry", 1), ("omega_shift_printed_rejected", 1), ("lifting_printed_rejected", 1),
+        ]
+        rejected = [(r.params, r.residual_norm, r.passed) for r in reports[-2:]]
+        assert rejected == [((1, F(1, 2)), F(4, 15), True), ((1, F(1, 2)), F(3, 5), True)]

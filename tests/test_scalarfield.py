@@ -131,6 +131,11 @@ class TestOmega:
         with pytest.raises(DomainError):
             Omega.inexact(2.5, integer=True)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(DomainError):
+            Omega.inexact(value)
+
     def test_as_omega(self):
         assert as_omega(Fraction(1, 3)).exact_mode
         assert not as_omega(0.25).exact_mode
