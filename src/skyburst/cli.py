@@ -140,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_zeros(args: argparse.Namespace) -> int:
     om = _parse_omega(args)
     zs = zeros_of(args.n, om, tol=args.tolerance)
-    p = construct(args.n, Fraction(om.value)).to_inexact()  # the member zeros_of solved
+    p = construct(args.n, om.as_fraction()).to_inexact()  # the member zeros_of solved
     rows = [(idx, z, tag, abs(p(z))) for idx, (z, tag) in enumerate(zs.roots)]
     if args.output_format == "json":
         payload = {
@@ -199,14 +199,10 @@ def cmd_detn(args: argparse.Namespace) -> int:
     om = _parse_omega(args)
     direct = toeplitz_det_direct(args.n, om)
     closed = toeplitz_det_closed(args.n, om)
-    if om.exact_mode:
-        equal = direct == closed
-        direct_s, closed_s = str(direct), str(closed)
-    else:
-        equal = abs(direct - closed) <= args.tolerance * (1 + abs(direct))
-        direct_s, closed_s = _fmt(direct), _fmt(closed)
-    verdict = "EQUAL" if equal else "DIFFER"
-    _emit(f"direct: {direct_s}\nclosed: {closed_s}\nverdict: {verdict}\n", args)
+    # both are exact values, rounded once in float mode, so they compare exactly
+    fmt = str if om.exact_mode else _fmt
+    verdict = "EQUAL" if direct == closed else "DIFFER"
+    _emit(f"direct: {fmt(direct)}\nclosed: {fmt(closed)}\nverdict: {verdict}\n", args)
     return EXIT_OK
 
 
@@ -269,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detn", help="moment determinant, direct vs closed form")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, cmd_detn, tol=True)
+    add_common(p, cmd_detn)
 
     p = sub.add_parser("genfun", help="generating-function partial-sum residual")
     p.add_argument("--z", type=complex, default=0j)

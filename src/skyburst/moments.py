@@ -1,4 +1,4 @@
-"""Moments, the circle bilinear form, Toeplitz determinants, and the linear-system route.
+"""Moments, the circle bilinear form, Toeplitz determinants, and the moment-system route.
 
 The k-th moment of the weight z^(omega-1) is
 
@@ -9,19 +9,24 @@ and computes with the reduced moments nu_k = (-1)^k / (k + omega); every
 identity downstream is then a rational identity checkable with zero tolerance.
 Float mode reinstates sigma (and sigma^n for determinants reports it separately).
 
-The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.
+The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.  The moment
+determinant and the monic polynomial defined by orthogonality both come from
+one two-sided Levinson recursion on the non-Hermitian Toeplitz matrix
+(nu_{j-i}) (Baxter 1961; Simon, OPUC vol. 1, sec. 1.5): O(n^2) exact rational
+operations, reading the moments nu_(1-n)..nu_n and nothing else.  A float
+omega is run as its exact binary rational and the result rounded once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import islice, zip_longest
 
-import numpy as np
-
-from .errors import ExistenceError, PoleError
+from .errors import DomainError, ExistenceError, PoleError
 from .scalarfield import as_omega, conjugate, is_exact, pochhammer
-from .skypoly import Polynomial, construct
+from .skypoly import Polynomial
 
 __all__ = [
     "MomentSequence",
@@ -116,52 +121,52 @@ def bilinear(f: Polynomial, g: Polynomial, omega):
     return total
 
 
-def _fraction_free_det(rows: list) -> Fraction:
-    """Exact determinant: clear denominators per row, then integer Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    m = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale *= lcm
-        m.append([int(x * lcm) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
+def _levinson(n: int, w: Fraction):
+    """Two-sided Levinson recursion on the Toeplitz moments nu_k of omega = w.
+
+    Keeps the monic forward polynomial a_k (orthogonal to 1, z, ..., z^(k-1))
+    and the backward polynomial b_k (constant term 1, orthogonal to
+    z, ..., z^k), starting from a_0 = b_0 = 1.  Step k takes the pivot
+    d_k = <a_k, z^k> = D_(k+1)/D_k, which also equals <b_k, 1>, and sets
+
+        a_(k+1) = z*a_k - (<a_k, z^-1> / d_k) * b_k,
+        b_(k+1) = b_k - (<b_k, z^(k+1)> / d_k) * z*a_k.
+
+    Yields d_0, ..., d_(n-1), then the coefficients of a_n: O(n^2) exact
+    operations in all.  Moments are read lazily, so a caller that stops after
+    the pivots reads only nu_(1-n)..nu_(n-1), the entries of the n x n
+    matrix, and a_n reads nu_(1-n)..nu_n (b_n, which would read nu_-n, is
+    never formed).  A zero pivot raises ExistenceError.
+    """
+    nu = cache(lambda k: reduced_moment(k, w))
+    a = b = [Fraction(1)]
+    for k in range(n):
+        d = sum(c * nu(j - k) for j, c in enumerate(a))
+        yield d
+        if d == 0:
+            raise ExistenceError(f"singular moment system: zero pivot at order {k + 1}, omega = {w}")
+        alpha = sum(c * nu(j + 1) for j, c in enumerate(a)) / d
+        za = [Fraction(0), *a]
+        a = [x - alpha * y for x, y in zip_longest(za, b, fillvalue=0)]
+        if k < n - 1:
+            beta = sum(c * nu(j - k - 1) for j, c in enumerate(b)) / d
+            b = [x - beta * y for x, y in zip_longest(b, za, fillvalue=0)]
+    yield a
 
 
 def toeplitz_det_direct(n: int, omega):
-    """Reduced Toeplitz moment determinant by elimination.
+    """Reduced Toeplitz moment determinant D_n, the product of the n Levinson pivots.
 
-    Exact mode uses fraction-free Gaussian elimination; float mode uses
-    partial-pivot LU.  The sigma^n prefactor is reported separately (see
-    MomentSequence.prefactor).
+    Reads only the moments nu_(1-n)..nu_(n-1) of the matrix.  A float omega is
+    an exact binary rational: the recursion runs on that rational and the
+    result is rounded once.  The sigma^n prefactor is reported separately
+    (see MomentSequence.prefactor).
     """
+    if n < 0:
+        raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    mat = ToeplitzMomentMatrix(n, om)
-    if om.exact_mode:
-        return _fraction_free_det(mat.rows())
-    if n == 0:
-        return 1.0
-    return float(np.linalg.det(np.array(mat.rows(), dtype=float)))
+    det = math.prod(islice(_levinson(n, om.as_fraction()), n), start=Fraction(1))
+    return det if om.exact_mode else float(det)
 
 
 def toeplitz_det_closed(n: int, omega):
@@ -172,8 +177,10 @@ def toeplitz_det_closed(n: int, omega):
     exact binary rational: the product is formed exactly and rounded once, so
     the factorials cannot overflow.
     """
+    if n < 0:
+        raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    w = Fraction(om.value)
+    w = om.as_fraction()
     if n > 0 and w == 0:
         raise PoleError("closed determinant pole at omega = 0")
     num = Fraction(1)
@@ -188,57 +195,26 @@ def toeplitz_det_closed(n: int, omega):
     return num / den if om.exact_mode else float(num / den)
 
 
-def _solve_exact(a: list, b: list) -> list:
-    """Gaussian elimination over Fractions; raises ExistenceError when singular."""
-    n = len(b)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            raise ExistenceError("singular moment system")
-        m[k], m[piv] = m[piv], m[k]
-        inv = m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] == 0:
-                continue
-            factor = m[i][k] / inv
-            for j in range(k, n + 1):
-                m[i][j] = m[i][j] - factor * m[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = m[k][n]
-        for j in range(k + 1, n):
-            acc = acc - m[k][j] * x[j]
-        x[k] = acc / m[k][k]
-    return x
-
-
 def construct_determinantal(n: int, omega) -> Polynomial:
-    """Monic polynomial solving the orthogonality system sum_j c_j nu_{j-i} = 0.
+    """Monic polynomial solving the orthogonality system sum_j c_j nu_{j-i} = 0, i < n.
 
-    Independent of the coefficient formula: only moments and linear algebra.
-    Nonnegative integer omega is refused (the full moment determinant vanishes
-    there and the family member is not defined by orthogonality).
+    Independent of the coefficient formula: the Levinson recursion reads only
+    the moments nu_(1-n)..nu_n, in O(n^2) operations.  A float omega is an
+    exact binary rational: the recursion runs on that rational and each
+    coefficient is rounded once.  Nonnegative integer omega is refused (the
+    full moment determinant vanishes there and the family member is not
+    defined by orthogonality).
     """
+    if n < 0:
+        raise DomainError(f"degree must be nonnegative, got {n}")
     om = as_omega(omega)
-    if n == 0:
-        return construct(0, om)
-    if om.is_integer and om.value >= 0:
+    if n > 0 and om.is_integer and om.value >= 0:
         raise ExistenceError(
             f"no orthogonal polynomial at integer omega = {om.value}; use the symmetry route"
         )
-    if om.exact_mode:
-        a = [[reduced_moment(j - i, om) for j in range(n)] for i in range(n)]
-        b = [-reduced_moment(n - i, om) for i in range(n)]
-        coeffs = _solve_exact(a, b)
-        return Polynomial(coeffs + [Fraction(1)])
-    a = np.array([[reduced_moment(j - i, om) for j in range(n)] for i in range(n)], dtype=float)
-    b = np.array([-reduced_moment(n - i, om) for i in range(n)], dtype=float)
-    try:
-        coeffs = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ExistenceError(f"singular moment system at omega = {om.value}") from exc
-    return Polynomial([float(c) for c in coeffs] + [1.0])
+    *_, coeffs = _levinson(n, om.as_fraction())
+    p = Polynomial(coeffs)
+    return p if om.exact_mode else p.to_inexact()
 
 
 def r_nk(n: int, k: int, omega):

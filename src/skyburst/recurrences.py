@@ -302,6 +302,8 @@ def run_identity_suite(
     variants produce a nonzero residual.  ``printed_variants=True`` swaps the
     faulty forms into the main families (so the sweep must then fail).
     """
+    if n_max < 0:
+        raise DomainError(f"degree bound must be nonnegative, got {n_max}")
     reports = []
     for w in omegas:
         for n in range(n_max + 1):

@@ -111,8 +111,7 @@ class Omega:
         return is_exact(self.value)
 
     def as_fraction(self) -> Fraction:
-        if not self.exact_mode:
-            raise DomainError("omega is not exact")
+        """The exact value; a float omega is an exact binary rational."""
         return Fraction(self.value)
 
     def as_float(self) -> float:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from skyburst.cli import main
+from skyburst.moments import toeplitz_det_closed
 from skyburst.zeros import zeros_of
 
 
@@ -117,6 +118,12 @@ class TestVerify:
         first = payload[0]
         assert lines[1] == f"{first['identity']},{first['n']},{first['omega']},{first['residual']},true"
 
+    def test_negative_degree_bound_exit_code(self, capsys):
+        code, out, err = run(capsys, "verify", "--n-max", "-1")
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
     def test_omega_grid_override(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1", "--omega-grid", "1/5,3/2")
         assert code == 0
@@ -230,6 +237,21 @@ class TestDetn:
     def test_pole_exit(self, capsys):
         code, _, err = run(capsys, "detn", "--n", "3", "--omega", "1", "--exact")
         assert code == 2
+
+    def test_negative_order_exit_code(self, capsys):
+        code, out, _ = run(capsys, "detn", "--n", "-1", "--omega", "1/2")
+        assert code == 2
+        assert out == ""
+
+    def test_float_mode_compares_exactly(self, capsys):
+        _, out, _ = run(capsys, "detn", "--n", "40", "--omega", "0.37")
+        want = format(toeplitz_det_closed(40, 0.37), ".17g")
+        assert out == f"direct: {want}\nclosed: {want}\nverdict: EQUAL\n"
+
+    def test_tol_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detn", "--n", "2", "--omega", "1/2", "--tol", "1e-3"])
+        assert exc.value.code == 2
 
     def test_format_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from skyburst.errors import ExistenceError, PoleError
+import skyburst
+from skyburst.errors import DomainError, ExistenceError, PoleError
 from skyburst.moments import (
     MomentSequence,
     ToeplitzMomentMatrix,
@@ -156,6 +160,25 @@ class TestDeterminants:
         assert closed == float(toeplitz_det_closed(n, F(0.37)))
         assert abs(closed - toeplitz_det_direct(n, 0.37)) <= 1e-12 * abs(closed)
 
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_float_direct_is_exact_value_rounded_once(self, n):
+        assert toeplitz_det_direct(n, 0.37) == float(toeplitz_det_direct(n, F(0.37)))
+
+    @pytest.mark.parametrize("w", [F(1, 3), F(-13, 9), F(22, 7)])
+    def test_closed_equals_direct_degree_30(self, w):
+        assert toeplitz_det_direct(30, w) == toeplitz_det_closed(30, w)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_direct_at_plus_minus_order(self, n):
+        # the n x n matrix reads nu_(1-n)..nu_(n-1) only: nu_(+-n) would hit a pole here
+        for w in (F(n), F(-n)):
+            assert toeplitz_det_direct(n, w) == toeplitz_det_closed(n, w)
+
+    def test_negative_order_refused(self):
+        for det in (toeplitz_det_direct, toeplitz_det_closed):
+            with pytest.raises(DomainError):
+                det(-1, F(1, 2))
+
 
 class TestDeterminantalRoute:
     def test_degree_one(self):
@@ -186,6 +209,26 @@ class TestDeterminantalRoute:
         p = construct_determinantal(3, 0.4)
         q = construct(3, F(2, 5)).to_inexact()
         assert max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)) < 1e-12
+
+    def test_float_mode_rounded_once(self):
+        assert construct_determinantal(12, 0.4) == construct(12, F(0.4)).to_inexact()
+
+    @pytest.mark.parametrize("w", [F(1, 3), F(-13, 9), F(22, 7)])
+    def test_matches_coefficient_formula_degree_30(self, w):
+        assert construct_determinantal(30, w) == construct(30, w)
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(DomainError):
+            construct_determinantal(-1, F(1, 2))
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(skyburst.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, skyburst; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 class TestRnk:

@@ -180,6 +180,10 @@ class TestGeneratingFunction:
 
 
 class TestIdentitySuite:
+    def test_negative_degree_bound_refused(self):
+        with pytest.raises(DomainError):
+            run_identity_suite(n_max=-1)
+
     def test_all_pass_small(self):
         reports = run_identity_suite(n_max=3)
         assert reports and all(r.passed for r in reports)

@@ -136,6 +136,11 @@ class TestOmega:
         with pytest.raises(DomainError):
             Omega.inexact(value)
 
+    def test_as_fraction_both_modes(self):
+        assert Omega.exact(Fraction(1, 3)).as_fraction() == Fraction(1, 3)
+        # a float is an exact binary rational
+        assert Omega.inexact(0.37).as_fraction() == Fraction(0.37) == Fraction(3332663724254167, 2**53)
+
     def test_as_omega(self):
         assert as_omega(Fraction(1, 3)).exact_mode
         assert not as_omega(0.25).exact_mode
