@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -213,8 +214,18 @@ def cmd_genfun(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -13/9, -1e-3 or -0.4+0.2j after an option as its value; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own test takes only plain negative decimals for values;
+        # no option here starts with '-' and a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skyburst",
         description="Construct, verify, and analyze the circle-orthogonal family S_n^omega.",
     )

@@ -35,7 +35,10 @@ def pochhammer(x: Scalar, k: int) -> Scalar:
     """Rising factorial x(x+1)...(x+k-1) as an explicit left-to-right product.
 
     The termwise product keeps zeros at nonpositive-integer bases exact, which
-    every downstream pole test relies on; never replace this with gamma ratios.
+    every downstream pole test relies on.  Never compute a rising factorial as
+    a gamma ratio, which blurs those zeros.  An exact ratio of consecutive
+    terms, one factor x+i at a time (as in ``construct_series``), keeps them
+    and is allowed.
     """
     if k < 0:
         raise DomainError(f"pochhammer order must be nonnegative, got {k}")

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .scalarfield import Omega, as_omega, binomial, conjugate, is_exact, pochhammer
+from .scalarfield import Omega, as_omega, binomial, conjugate, pochhammer
 
 __all__ = [
     "Polynomial",
@@ -161,32 +161,39 @@ def evaluate(p: Polynomial, z):
     return p(z)
 
 
-def _one(exact: bool):
-    return Fraction(1) if exact else 1.0
-
-
 def construct_series(n: int, omega) -> Polynomial:
     """Direct hypergeometric-sum route, valid whenever no denominator vanishes.
 
-    Each coefficient is assembled from fresh rising-factorial products so that
-    exact zeros stay exact.  Vanishing denominators (omega a negative integer
-    in [-n, -1]) raise PoleError naming the offending term.
+    With omega = p/q, consecutive coefficients differ by one exact ratio,
+
+        c_(n-l) = c_(n-l+1) * (n-l+1)(q(l-1) - p) / (l (q(l-1-n) - p)),
+
+    so the coefficients cost O(n) small-integer Fraction products.  The
+    numerator factor vanishes at omega in {0, ..., n-1}, after which every
+    coefficient stays exactly 0.  The denominator factor is checked at every
+    l, zeros or not: it vanishes first at l = n+omega+1 for omega a negative
+    integer in [-n, -1], which raises PoleError naming that term.  A float
+    omega runs on its exact binary rational and each coefficient is rounded
+    once.
     """
     om = as_omega(omega)
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
-    w = om.value
-    exact = om.exact_mode
-    coeffs = [_one(exact) * 0] * n + [_one(exact)]
+    w = om.as_fraction()
+    p, q = w.numerator, w.denominator
+    c = Fraction(1)
+    coeffs = [c] * (n + 1)
     for ell in range(1, n + 1):
-        den = pochhammer(-n - w, ell)
+        den = ell * (q * (ell - 1 - n) - p)
         if den == 0:
             raise PoleError(
-                f"construction pole at degree {n}, omega={w}: "
+                f"construction pole at degree {n}, omega={om.value}: "
                 f"denominator rising factorial vanishes at term {ell}"
             )
-        coeffs[n - ell] = binomial(n, ell) * pochhammer(-w, ell) / den
-    return Polynomial(coeffs)
+        c = c * Fraction((n - ell + 1) * (q * (ell - 1) - p), den)
+        coeffs[n - ell] = c
+    poly = Polynomial(coeffs)
+    return poly if om.exact_mode else poly.to_inexact()
 
 
 def construct(n: int, omega) -> Polynomial:

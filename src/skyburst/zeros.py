@@ -165,7 +165,8 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
 
     Origin roots are deflated analytically first whenever the constant term is
     exactly zero.  Raises ConvergenceError (carrying the best iterate) if the
-    residual bound tol * (1 + max|coeff|) cannot be certified.
+    residual bound tol * (1 + max|coeff|) cannot be certified, or if an
+    iterate or residual overflows or is not finite.
     """
     if p.is_zero or p.degree < 1:
         raise DomainError("root finding needs a nonzero polynomial of degree >= 1")
@@ -179,13 +180,17 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
         coeffs = coeffs[1:]
 
     found = []
-    if len(coeffs) > 1:
-        found = _aberth(coeffs)
-        found = [_newton_polish(coeffs, z) for z in found]
-
-    residual_max = 0.0
-    for z in found:
-        residual_max = max(residual_max, abs(_horner_pair(coeffs, z)[0]))
+    try:
+        if len(coeffs) > 1:
+            found = _aberth(coeffs)
+            found = [_newton_polish(coeffs, z) for z in found]
+        residuals = [abs(_horner_pair(coeffs, z)[0]) for z in found]
+    except OverflowError as exc:
+        raise ConvergenceError(f"root iteration overflowed: {exc}") from exc
+    # the iteration can settle on NaN iterates (max() drops a NaN): refuse them
+    if not all(map(cmath.isfinite, found + residuals)):
+        raise ConvergenceError("non-finite root or residual", best=found)
+    residual_max = max(residuals, default=0.0)
     if residual_max > tol * scale:
         raise ConvergenceError(
             f"residual {residual_max:.3e} exceeds bound {tol * scale:.3e}",

@@ -158,6 +158,11 @@ class TestZeros:
         assert len(payload["roots"]) == 2
         assert float(payload["residual_max"]) <= 1e-10
 
+    def test_non_finite_roots_exit_code(self, capsys):
+        code, out, err = run(capsys, "zeros", "--n", "46", "--omega", "93/2")
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
 
     @pytest.mark.parametrize("n, omega", [(20, "0.3"), (40, "2.7")])
     def test_decimal_omega_roots_equal_library(self, capsys, n, omega):
@@ -280,3 +285,22 @@ class TestGenfun:
         with pytest.raises(SystemExit) as exc:
             main(["genfun", "--omega", "1/3", "--z", "0.4+0.2j", "--t", "0.5", "--format", "csv"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--n", "4", "--omega", "-13/9"),
+        ("coeffs", "--n", "4", "--omega", "-1e-3"),
+        ("zeros", "--n", "5", "--omega", "-13/9"),
+        ("detn", "--n", "12", "--omega", "-13/9"),
+        ("genfun", "--omega", "-13/9", "--z", "0.4", "--t", "0.5"),
+        ("genfun", "--omega", "1/3", "--z", "-0.4+0.2j", "--t", "0.5"),
+        ("verify", "--n-max", "2", "--omega-grid", "-13/9,1/3"),
+    ],
+)
+def test_negative_value_separated_from_its_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert "expected one argument" not in err
+    joined = list(argv[:-2]) + [f"{argv[-2]}={argv[-1]}"]
+    assert (code, out, err) == run(capsys, *joined)

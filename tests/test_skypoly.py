@@ -1,9 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from skyburst.errors import DomainError, PoleError
+from skyburst.scalarfield import binomial, pochhammer
 from skyburst.skypoly import (
     Polynomial,
     construct,
@@ -25,6 +27,27 @@ F = Fraction
 
 def zpow(k):
     return Polynomial((0,) * k + (1,))
+
+
+def rising_factorial_series(n, w):
+    """Reference: each coefficient binomial(n, l) poch(-w, l) / poch(-n-w, l) from fresh products."""
+    coeffs = [F(0)] * n + [F(1)]
+    for ell in range(1, n + 1):
+        den = pochhammer(-n - w, ell)
+        if den == 0:
+            raise PoleError(
+                f"construction pole at degree {n}, omega={w}: "
+                f"denominator rising factorial vanishes at term {ell}"
+            )
+        coeffs[n - ell] = binomial(n, ell) * pochhammer(-w, ell) / den
+    return Polynomial(coeffs)
+
+
+# every pole -n..-1 and every exact-zero parameter 0..n-1 for n <= 9, plus
+# non-integers on both sides and beyond n
+RATIO_GRID = [F(k) for k in range(-11, 12)] + [
+    F(p, q) for p, q in ((1, 3), (-1, 2), (22, 7), (-13, 9), (17, 3), (-41, 6), (61, 8), (-5, 4))
+]
 
 
 class TestPolynomial:
@@ -94,6 +117,32 @@ class TestConstruct:
     def test_negative_degree(self):
         with pytest.raises(DomainError):
             construct(-1, F(1, 2))
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_term_ratio_matches_rising_factorials(self, n):
+        for w in RATIO_GRID:
+            try:
+                want = rising_factorial_series(n, w)
+            except PoleError as exc:
+                with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+                    construct_series(n, w)
+                continue
+            got = construct_series(n, w)
+            assert repr(got) == repr(want), (n, w)
+            if w.denominator == 1 and 0 <= w < n:
+                assert got.coeffs[: n - int(w)] == (0,) * (n - int(w))
+
+    def test_pole_named_at_first_vanishing_term(self):
+        with pytest.raises(PoleError, match=r"omega=-3: .* at term 3$"):
+            construct_series(5, F(-3))
+        with pytest.raises(PoleError, match=r"omega=-3.0: .* at term 3$"):
+            construct_series(5, -3.0)
+
+    @pytest.mark.parametrize("n, w", [(12, 0.3), (7, 22 / 7), (20, -1.3), (30, 2.7), (9, 4.0)])
+    def test_float_omega_is_exact_value_rounded_once(self, n, w):
+        got = construct_series(n, w)
+        assert got.scalar_kind == "complex_float"
+        assert got == construct_series(n, F(w)).to_inexact()
 
     def test_eval_examples(self):
         assert construct(1, F(1, 2))(F(-1)) == F(-2, 3)

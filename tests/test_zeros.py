@@ -100,6 +100,15 @@ class TestFindZeros:
         assert len(best) == 9
         assert max(abs(p(z)) for z in best) < 1e-10  # iterates are still good roots
 
+    def test_non_finite_iterates_refused(self):
+        # the iteration overflows to NaN there; max(0.0, nan) used to report residual 0
+        with pytest.raises(ConvergenceError, match="finite"):
+            zeros_of(46, Fraction(93, 2))
+
+    def test_overflow_refused(self):
+        with pytest.raises(ConvergenceError, match="overflow"):
+            zeros_of(52, Fraction(69, 2))
+
     def test_conjugate_symmetry(self):
         for n, w in [(9, F(1, 2)), (7, F(5, 4)), (5, F(1, 3))]:
             vals = zeros_of(n, w).values()
