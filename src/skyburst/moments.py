@@ -12,17 +12,21 @@ Float mode reinstates sigma (and sigma^n for determinants reports it separately)
 The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.  The moment
 determinant and the monic polynomial defined by orthogonality both come from
 one two-sided Levinson recursion on the non-Hermitian Toeplitz matrix
-(nu_{j-i}) (Baxter 1961; Simon, OPUC vol. 1, sec. 1.5): O(n^2) exact rational
-operations, reading the moments nu_(1-n)..nu_n and nothing else.  A float
-omega is run as its exact binary rational and the result rounded once.
+(nu_{j-i}) (Baxter 1961; Simon, OPUC vol. 1, sec. 1.5): O(n^2) exact
+operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
+omega = p/q one integer L makes every moment it reads an integer multiple of
+q/L, so the recursion runs on integer vectors over one denominator each, with
+reduced rational multipliers; the closed product is likewise one integer
+numerator over one integer denominator.  A float omega is run as its exact
+binary rational and the result rounded once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
-from itertools import islice, zip_longest
+from itertools import islice
+from operator import mul
 
 from .errors import DomainError, ExistenceError, PoleError
 from .scalarfield import as_omega, conjugate, is_exact, pochhammer
@@ -121,7 +125,7 @@ def bilinear(f: Polynomial, g: Polynomial, omega):
     return total
 
 
-def _levinson(n: int, w: Fraction):
+def _levinson(n: int, w: Fraction, top: int):
     """Two-sided Levinson recursion on the Toeplitz moments nu_k of omega = w.
 
     Keeps the monic forward polynomial a_k (orthogonal to 1, z, ..., z^(k-1))
@@ -133,25 +137,55 @@ def _levinson(n: int, w: Fraction):
         b_(k+1) = b_k - (<b_k, z^(k+1)> / d_k) * z*a_k.
 
     Yields d_0, ..., d_(n-1), then the coefficients of a_n: O(n^2) exact
-    operations in all.  Moments are read lazily, so a caller that stops after
-    the pivots reads only nu_(1-n)..nu_(n-1), the entries of the n x n
-    matrix, and a_n reads nu_(1-n)..nu_n (b_n, which would read nu_-n, is
-    never formed).  A zero pivot raises ExistenceError.
+    operations in all.  The pivots read the moments nu_(1-n)..nu_(n-1), the
+    entries of the n x n matrix, and a_n reads nu_n as well (b_n, which would
+    read nu_-n, is never formed); ``top`` is the highest index the caller
+    reads, n-1 or n.
+
+    The work is in integers.  For w = p/q, nu_k = (-1)^k q/(kq + p), so with
+    L = lcm |kq + p| over k = 1-n..top every moment is nu_k = (q/L) m_k for an
+    integer m_k.  The multipliers in the two updates are ratios of inner
+    products and do not see the scale, so the recursion runs on m; a_k and
+    b_k are integer vectors, each over one positive denominator, and each
+    pivot is rescaled by q/L when it is yielded.  The multipliers are reduced
+    fractions and every new vector is divided by the gcd of its entries and
+    denominator, which keeps the integers from growing by L at every step.
+    Since every moment is formed up front, the one possible pole (k = -p at
+    integer omega) is raised before the recursion starts; the leading minors
+    before it are nonzero, so no zero pivot can come first.  A zero pivot
+    raises ExistenceError.
     """
-    nu = cache(lambda k: reduced_moment(k, w))
-    a = b = [Fraction(1)]
+    p, q = w.numerator, w.denominator
+    if q == 1 and 1 - n <= -p <= top:
+        reduced_moment(-p, w)  # raises the PoleError for nu_(-p)
+    ks = range(1 - n, top + 1)
+    scale = math.lcm(*(abs(k * q + p) for k in ks))
+    m = [(-scale if k % 2 else scale) // (k * q + p) for k in ks]
+    o = n - 1  # m[o] is m_0
+    a, da = [1], 1
+    b, db = [1], 1
     for k in range(n):
-        d = sum(c * nu(j - k) for j, c in enumerate(a))
-        yield d
-        if d == 0:
+        dot = sum(map(mul, a, m[o - k:o + 1]))
+        yield Fraction(q * dot, scale * da)
+        if dot == 0:
             raise ExistenceError(f"singular moment system: zero pivot at order {k + 1}, omega = {w}")
-        alpha = sum(c * nu(j + 1) for j, c in enumerate(a)) / d
-        za = [Fraction(0), *a]
-        a = [x - alpha * y for x, y in zip_longest(za, b, fillvalue=0)]
+        alpha = Fraction(sum(map(mul, a, m[o + 1:o + k + 2])), dot)
+        za, bz = [0, *a], [*b, 0]
+        a_next, da_next = _sub_scaled(za, da, alpha, bz, db)
         if k < n - 1:
-            beta = sum(c * nu(j - k - 1) for j, c in enumerate(b)) / d
-            b = [x - beta * y for x, y in zip_longest(b, za, fillvalue=0)]
-    yield a
+            beta = Fraction(sum(map(mul, b, m[o - k - 1:o])) * da, db * dot)
+            b, db = _sub_scaled(bz, db, beta, za, da)
+        a, da = a_next, da_next
+    yield [Fraction(c, da) for c in a]
+
+
+def _sub_scaled(x: list, dx: int, f: Fraction, y: list, dy: int):
+    """x/dx - f*y/dy as a reduced integer vector over one positive denominator."""
+    den = math.lcm(dx, f.denominator * dy)
+    sx, sy = den // dx, f.numerator * (den // (f.denominator * dy))
+    vec = [u * sx - v * sy for u, v in zip(x, y)]
+    g = math.gcd(den, *vec)
+    return [v // g for v in vec], den // g
 
 
 def toeplitz_det_direct(n: int, omega):
@@ -165,7 +199,7 @@ def toeplitz_det_direct(n: int, omega):
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    det = math.prod(islice(_levinson(n, om.as_fraction()), n), start=Fraction(1))
+    det = math.prod(islice(_levinson(n, om.as_fraction(), n - 1), n), start=Fraction(1))
     return det if om.exact_mode else float(det)
 
 
@@ -173,26 +207,28 @@ def toeplitz_det_closed(n: int, omega):
     """Closed product form of the reduced determinant.
 
     (1/omega)^n * prod_{l<n} l!^2 / prod_{k=1}^{n-1} (k^2 - omega^2)^(n-k);
-    poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.  A float omega is an
-    exact binary rational: the product is formed exactly and rounded once, so
-    the factorials cannot overflow.
+    poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.  For omega = p/q this
+    is the one fraction prod_{l<n} l!^2 * q^(n^2) over
+    p^n * prod_{k<n} (k^2 q^2 - p^2)^(n-k), both sides formed in integers.  A
+    float omega is an exact binary rational: the product is formed exactly and
+    rounded once, so the factorials cannot overflow.
     """
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
     w = om.as_fraction()
-    if n > 0 and w == 0:
+    p, q = w.numerator, w.denominator
+    if n > 0 and p == 0:
         raise PoleError("closed determinant pole at omega = 0")
-    num = Fraction(1)
-    for ell in range(n):
-        num = num * math.factorial(ell) ** 2
-    den = w ** n
+    den = p ** n
     for k in range(1, n):
-        factor = k * k - w * w
+        factor = k * k * q * q - p * p
         if factor == 0:
             raise PoleError(f"closed determinant pole at omega = +-{k}")
-        den = den * factor ** (n - k)
-    return num / den if om.exact_mode else float(num / den)
+        den *= factor ** (n - k)
+    num = math.prod(math.factorial(ell) for ell in range(n)) ** 2 * q ** (n * n)
+    # int / int rounds correctly, so a float omega skips the gcd that reduces the fraction
+    return Fraction(num, den) if om.exact_mode else num / den
 
 
 def construct_determinantal(n: int, omega) -> Polynomial:
@@ -212,7 +248,7 @@ def construct_determinantal(n: int, omega) -> Polynomial:
         raise ExistenceError(
             f"no orthogonal polynomial at integer omega = {om.value}; use the symmetry route"
         )
-    *_, coeffs = _levinson(n, om.as_fraction())
+    *_, coeffs = _levinson(n, om.as_fraction(), n)
     p = Polynomial(coeffs)
     return p if om.exact_mode else p.to_inexact()
 

@@ -278,8 +278,9 @@ _IDENTITIES = {
     ).coeffs),
     "lowering": (0, lambda n, w, printed: (lowering(n, w) - construct(n, as_omega(w).shifted(-1))).coeffs),
     "ode": (0, lambda n, w, printed: ode_residual(n, w).coeffs),
+    # the reflection is stated for omega > 0; a negative grid point checks it from |omega|
     "negative_reflection": (0, lambda n, w, printed: (
-        reflect_negative_omega(n, w) - construct(n, -Fraction(w))
+        reflect_negative_omega(n, abs(w)) - construct(n, -abs(Fraction(w)))
     ).coeffs),
     "boundary_values": (0, _boundary_gaps),
 }

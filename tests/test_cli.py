@@ -128,6 +128,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n-max", "1", "--omega-grid", "1/5,3/2")
         assert code == 0
 
+    def test_negative_omega_grid(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n-max", "4", "--omega-grid", "-13/9,-5/2,-1/3")
+        assert code == 0
+        assert "negative_reflection: PASS" in out
+        assert "result: ALL PASS" in out
+
     def test_omega_grid_must_be_rational(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-max", "1", "--omega-grid", "0.5"])

@@ -160,13 +160,22 @@ class TestDeterminants:
         assert closed == float(toeplitz_det_closed(n, F(0.37)))
         assert abs(closed - toeplitz_det_direct(n, 0.37)) <= 1e-12 * abs(closed)
 
-    @pytest.mark.parametrize("n", [6, 40])
+    @pytest.mark.parametrize("n", [6, 40, 80])
     def test_float_direct_is_exact_value_rounded_once(self, n):
         assert toeplitz_det_direct(n, 0.37) == float(toeplitz_det_direct(n, F(0.37)))
 
     @pytest.mark.parametrize("w", [F(1, 3), F(-13, 9), F(22, 7)])
     def test_closed_equals_direct_degree_30(self, w):
         assert toeplitz_det_direct(30, w) == toeplitz_det_closed(30, w)
+
+    @pytest.mark.parametrize("w", [F(1, 3), F(-13, 9), F(22, 7)])
+    def test_closed_equals_direct_degree_60(self, w):
+        assert toeplitz_det_direct(60, w) == toeplitz_det_closed(60, w)
+
+    def test_direct_pole_named_at_matrix_entry(self):
+        # nu_3, an entry of the 4 x 4 matrix, has its pole at omega = -3
+        with pytest.raises(PoleError, match="at k=3,"):
+            toeplitz_det_direct(4, F(-3))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_direct_at_plus_minus_order(self, n):
@@ -216,6 +225,16 @@ class TestDeterminantalRoute:
     @pytest.mark.parametrize("w", [F(1, 3), F(-13, 9), F(22, 7)])
     def test_matches_coefficient_formula_degree_30(self, w):
         assert construct_determinantal(30, w) == construct(30, w)
+
+    @pytest.mark.parametrize("w", [F(1, 3), F(-13, 9), F(22, 7)])
+    def test_matches_coefficient_formula_degree_60(self, w):
+        assert construct_determinantal(60, w) == construct(60, w)
+
+    def test_reads_one_moment_past_the_matrix(self):
+        # a_3 reads nu_3, which has its pole at omega = -3; the 3 x 3 determinant does not
+        with pytest.raises(PoleError, match="at k=3,"):
+            construct_determinantal(3, F(-3))
+        assert toeplitz_det_direct(3, F(-3)) == toeplitz_det_closed(3, F(-3))
 
     def test_negative_degree_refused(self):
         with pytest.raises(DomainError):
