@@ -141,7 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_zeros(args: argparse.Namespace) -> int:
     om = _parse_omega(args)
     zs = zeros_of(args.n, om, tol=args.tolerance)
-    p = construct(args.n, om.as_fraction()).to_inexact()  # the member zeros_of solved
+    p = construct(args.n, om).to_inexact()  # the member zeros_of solved
     rows = [(idx, z, tag, abs(p(z))) for idx, (z, tag) in enumerate(zs.roots)]
     if args.output_format == "json":
         payload = {

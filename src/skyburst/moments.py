@@ -4,10 +4,12 @@ The k-th moment of the weight z^(omega-1) is
 
     mu_k = (-1)^k sin(pi*omega) / (pi * (k + omega)).
 
-All exact-mode work strips the transcendental prefactor sigma = sin(pi*omega)/pi
-and computes with the reduced moments nu_k = (-1)^k / (k + omega); every
-identity downstream is then a rational identity checkable with zero tolerance.
-Float mode reinstates sigma (and sigma^n for determinants reports it separately).
+All work strips the transcendental prefactor sigma = sin(pi*omega)/pi and
+computes with the reduced moments nu_k = (-1)^k / (k + omega); every identity
+downstream is then a rational identity checkable with zero tolerance.  A float
+omega is computed on its exact binary rational and each result rounded once
+(``Omega.rounded``).  Only ``moment`` (for a float omega) and
+``MomentSequence`` reinstate sigma, which for determinants enters as sigma^n.
 
 The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.  The moment
 determinant and the monic polynomial defined by orthogonality both come from
@@ -17,8 +19,7 @@ operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
 omega = p/q one integer L makes every moment it reads an integer multiple of
 q/L, so the recursion runs on integer vectors over one denominator each, with
 reduced rational multipliers; the closed product is likewise one integer
-numerator over one integer denominator.  A float omega is run as its exact
-binary rational and the result rounded once.
+numerator over one integer denominator.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import islice
 from operator import mul
 
 from .errors import DomainError, ExistenceError, PoleError
-from .scalarfield import as_omega, conjugate, is_exact, pochhammer
+from .scalarfield import Omega, as_omega, conjugate, pochhammer
 from .skypoly import Polynomial
 
 __all__ = [
@@ -46,22 +47,24 @@ __all__ = [
 
 
 def reduced_moment(k: int, omega):
-    """nu_k = (-1)^k / (k + omega), in the arithmetic of omega; k may be negative."""
-    w = as_omega(omega).value
-    den = k + w
+    """nu_k = (-1)^k / (k + omega), in the format of omega; k may be negative."""
+    om = as_omega(omega)
+    den = k + om.as_fraction()
     if den == 0:
-        raise PoleError(f"moment pole: k + omega = 0 at k={k}, omega={w}")
-    sign = -1 if k % 2 else 1
-    return Fraction(sign) / den if is_exact(w) else sign / den
+        raise PoleError(f"moment pole: k + omega = 0 at k={k}, omega={om.value}")
+    return om.rounded((-1 if k % 2 else 1) / den)
+
+
+def _sigma(om: Omega) -> float:
+    """The moment prefactor sin(pi*omega)/pi, in floats."""
+    return math.sin(math.pi * om.as_float()) / math.pi
 
 
 def moment(k: int, omega):
     """Reduced moment in exact mode; the full moment sigma*nu_k in float mode."""
     om = as_omega(omega)
-    if om.exact_mode:
-        return reduced_moment(k, om)
-    w = om.as_float()
-    return math.sin(math.pi * w) / math.pi * reduced_moment(k, w)
+    nu = reduced_moment(k, om)
+    return nu if om.exact_mode else _sigma(om) * nu
 
 
 class MomentSequence:
@@ -74,9 +77,7 @@ class MomentSequence:
         return reduced_moment(k, self.omega)
 
     def full(self, k: int) -> float:
-        w = self.omega.as_float()
-        sign = -1 if k % 2 else 1
-        return math.sin(math.pi * w) / math.pi * (sign / (k + w))
+        return _sigma(self.omega) * float(reduced_moment(k, self.omega))
 
     @property
     def prefactor_kind(self) -> str:
@@ -85,10 +86,7 @@ class MomentSequence:
 
     @property
     def prefactor(self):
-        if self.omega.exact_mode:
-            return None
-        w = self.omega.as_float()
-        return math.sin(math.pi * w) / math.pi
+        return None if self.omega.exact_mode else _sigma(self.omega)
 
 
 class ToeplitzMomentMatrix:
@@ -114,15 +112,16 @@ def bilinear(f: Polynomial, g: Polynomial, omega):
     orthogonality statement.
     """
     om = as_omega(omega)
-    total = Fraction(0) if om.exact_mode else 0.0
+    w = Omega.exact(om.as_fraction())
+    total = Fraction(0)
     for j, fj in enumerate(f.coeffs):
         if fj == 0:
             continue
         for k, gk in enumerate(g.coeffs):
             if gk == 0:
                 continue
-            total = total + fj * conjugate(gk) * reduced_moment(j - k, om)
-    return total
+            total = total + fj * conjugate(gk) * reduced_moment(j - k, w)
+    return om.rounded(total)
 
 
 def _levinson(n: int, w: Fraction, top: int):
@@ -191,16 +190,13 @@ def _sub_scaled(x: list, dx: int, f: Fraction, y: list, dy: int):
 def toeplitz_det_direct(n: int, omega):
     """Reduced Toeplitz moment determinant D_n, the product of the n Levinson pivots.
 
-    Reads only the moments nu_(1-n)..nu_(n-1) of the matrix.  A float omega is
-    an exact binary rational: the recursion runs on that rational and the
-    result is rounded once.  The sigma^n prefactor is reported separately
-    (see MomentSequence.prefactor).
+    Reads only the moments nu_(1-n)..nu_(n-1) of the matrix.  The sigma^n
+    prefactor is reported separately (see MomentSequence.prefactor).
     """
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    det = math.prod(islice(_levinson(n, om.as_fraction(), n - 1), n), start=Fraction(1))
-    return det if om.exact_mode else float(det)
+    return om.rounded(math.prod(islice(_levinson(n, om.as_fraction(), n - 1), n), start=Fraction(1)))
 
 
 def toeplitz_det_closed(n: int, omega):
@@ -209,9 +205,9 @@ def toeplitz_det_closed(n: int, omega):
     (1/omega)^n * prod_{l<n} l!^2 / prod_{k=1}^{n-1} (k^2 - omega^2)^(n-k);
     poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.  For omega = p/q this
     is the one fraction prod_{l<n} l!^2 * q^(n^2) over
-    p^n * prod_{k<n} (k^2 q^2 - p^2)^(n-k), both sides formed in integers.  A
-    float omega is an exact binary rational: the product is formed exactly and
-    rounded once, so the factorials cannot overflow.
+    p^n * prod_{k<n} (k^2 q^2 - p^2)^(n-k), both sides formed in integers, so
+    the factorials cannot overflow; a float omega skips the gcd that reduces
+    the fraction (``Omega.rounded_ratio``).
     """
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
@@ -227,19 +223,16 @@ def toeplitz_det_closed(n: int, omega):
             raise PoleError(f"closed determinant pole at omega = +-{k}")
         den *= factor ** (n - k)
     num = math.prod(math.factorial(ell) for ell in range(n)) ** 2 * q ** (n * n)
-    # int / int rounds correctly, so a float omega skips the gcd that reduces the fraction
-    return Fraction(num, den) if om.exact_mode else num / den
+    return om.rounded_ratio(num, den)
 
 
 def construct_determinantal(n: int, omega) -> Polynomial:
     """Monic polynomial solving the orthogonality system sum_j c_j nu_{j-i} = 0, i < n.
 
     Independent of the coefficient formula: the Levinson recursion reads only
-    the moments nu_(1-n)..nu_n, in O(n^2) operations.  A float omega is an
-    exact binary rational: the recursion runs on that rational and each
-    coefficient is rounded once.  Nonnegative integer omega is refused (the
-    full moment determinant vanishes there and the family member is not
-    defined by orthogonality).
+    the moments nu_(1-n)..nu_n, in O(n^2) operations.  Nonnegative integer
+    omega is refused (the full moment determinant vanishes there and the
+    family member is not defined by orthogonality).
     """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
@@ -249,8 +242,7 @@ def construct_determinantal(n: int, omega) -> Polynomial:
             f"no orthogonal polynomial at integer omega = {om.value}; use the symmetry route"
         )
     *_, coeffs = _levinson(n, om.as_fraction(), n)
-    p = Polynomial(coeffs)
-    return p if om.exact_mode else p.to_inexact()
+    return om.rounded(Polynomial(coeffs))
 
 
 def r_nk(n: int, k: int, omega):
@@ -262,17 +254,17 @@ def r_nk(n: int, k: int, omega):
     bilinear(S_n, z^k) = (-1)^(n-k) r_{n,k} / (n + omega - k).
     """
     om = as_omega(omega)
-    w = om.value
-    total = Fraction(0) if om.exact_mode else 0.0
+    w = om.as_fraction()
+    total = Fraction(0)
     for ell in range(n + 1):
         d1 = pochhammer(-n - w, ell)
         d2 = pochhammer(k - n - w + 1, ell)
         if d1 == 0 or d2 == 0:
-            raise PoleError(f"r_nk pole at term {ell} for (n={n}, k={k}, omega={w})")
+            raise PoleError(f"r_nk pole at term {ell} for (n={n}, k={k}, omega={om.value})")
         num = (
             pochhammer(-n, ell)
             * pochhammer(-w, ell)
             * pochhammer(k - n - w, ell)
         )
         total = total + num / (math.factorial(ell) * d1 * d2)
-    return total
+    return om.rounded(total)

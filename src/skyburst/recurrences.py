@@ -2,7 +2,8 @@
 
 Every relation is shipped as a constructive step (build the target polynomial
 from lower data) so that a residual against the direct construction can be
-checked exactly in rational arithmetic.
+checked exactly in rational arithmetic.  A float omega is computed on its
+exact binary rational and the result rounded once (``Omega.rounded``).
 
 Two published forms of these relations circulate with typos; the corrected
 identities used here were fixed by exact-arithmetic comparison at small
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .moments import bilinear, toeplitz_det_closed, toeplitz_det_direct
-from .scalarfield import as_omega, is_exact, pochhammer
+from .scalarfield import as_omega, pochhammer
 from .skypoly import (
     Polynomial,
     construct,
@@ -69,21 +70,21 @@ def step_mixed(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("mixed step needs n >= 1")
     om = as_omega(omega)
-    w = om.value
+    w = om.as_fraction()
     den = (w + n - 1) * (w + n)
     if den == 0:
-        raise PoleError(f"mixed step pole: (omega+n-1)(omega+n) = 0 at omega={w}")
-    lower = construct(n - 1, om)
-    shifted = construct(n - 1, om.shifted(-1))
-    return lower.shifted(1) + (w * w / den) * shifted
+        raise PoleError(f"mixed step pole: (omega+n-1)(omega+n) = 0 at omega={om.value}")
+    lower = construct(n - 1, w)
+    shifted = construct(n - 1, w - 1)
+    return om.rounded(lower.shifted(1) + (w * w / den) * shifted)
 
 
 def _omega_up_terms(n: int, om):
-    w = om.value
+    w = om.as_fraction()
     den = (w + n) * (w + n + 1)
     if den == 0:
-        raise PoleError(f"parameter shift pole: (omega+n)(omega+n+1) = 0 at omega={w}")
-    return construct(n, om), construct(n - 1, om), den
+        raise PoleError(f"parameter shift pole: (omega+n)(omega+n+1) = 0 at omega={om.value}")
+    return construct(n, w), construct(n - 1, w), den
 
 
 def step_omega_up(n: int, omega) -> Polynomial:
@@ -92,7 +93,7 @@ def step_omega_up(n: int, omega) -> Polynomial:
         raise DomainError("parameter shift needs n >= 1")
     om = as_omega(omega)
     top, low, den = _omega_up_terms(n, om)
-    return top + (n * n / den) * low
+    return om.rounded(top + (n * n / den) * low)
 
 
 def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
@@ -106,28 +107,28 @@ def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
     om = as_omega(omega)
     top, low, den = _omega_up_terms(n, om)
     if variant == "nz2":
-        return top + (n / den) * low.shifted(2)
+        return om.rounded(top + (n / den) * low.shifted(2))
     if variant == "n2z":
-        return top + (n * n / den) * low.shifted(1)
+        return om.rounded(top + (n * n / den) * low.shifted(1))
     raise DomainError(f"unknown printed variant {variant!r}")
 
 
 def _lifting_sum(n: int, omega, extra_z_on_last: bool) -> Polynomial:
     om = as_omega(omega)
-    w = om.value
+    w = om.as_fraction()
     scale = pochhammer(2 + w, n)
     if scale == 0:
-        raise PoleError(f"lifting scale pole: poch(2+{w}, {n}) = 0")
+        raise PoleError(f"lifting scale pole: poch(2+{om.value}, {n}) = 0")
     one_plus_z = Polynomial((1, 1))
     acc = Polynomial()
     for ell in range(n):
         coef = pochhammer(1 + w, ell) / math.factorial(ell)
-        acc = acc + (coef * construct(ell, om)).shifted(n - ell - 1)
+        acc = acc + (coef * construct(ell, w)).shifted(n - ell - 1)
     acc = one_plus_z * acc
-    last = (pochhammer(1 + w, n) / math.factorial(n)) * construct(n, om)
+    last = (pochhammer(1 + w, n) / math.factorial(n)) * construct(n, w)
     if extra_z_on_last:
         last = last.shifted(1)
-    return (math.factorial(n) / scale) * (acc + last)
+    return om.rounded((math.factorial(n) / scale) * (acc + last))
 
 
 def lifting(n: int, omega) -> Polynomial:
@@ -151,18 +152,18 @@ def lowering(n: int, omega) -> Polynomial:
                                    + (1+omega)_n/n! * S_n^omega.
     """
     om = as_omega(omega)
-    w = om.value
+    w = om.as_fraction()
     scale = pochhammer(w, n)
     if scale == 0:
-        raise PoleError(f"lowering scale vanishes: poch({w}, {n}) = 0")
+        raise PoleError(f"lowering scale vanishes: poch({om.value}, {n}) = 0")
     one_plus_z = Polynomial((1, 1))
     acc = Polynomial()
     for ell in range(n):
         sign = -1 if (n - ell) % 2 else 1
         coef = sign * pochhammer(1 + w, ell) / math.factorial(ell)
-        acc = acc + coef * construct(ell, om)
-    rhs = one_plus_z * acc + (pochhammer(1 + w, n) / math.factorial(n)) * construct(n, om)
-    return (math.factorial(n) / scale) * rhs
+        acc = acc + coef * construct(ell, w)
+    rhs = one_plus_z * acc + (pochhammer(1 + w, n) / math.factorial(n)) * construct(n, w)
+    return om.rounded((math.factorial(n) / scale) * rhs)
 
 
 def differential_step(n: int, omega) -> Polynomial:
@@ -173,25 +174,25 @@ def differential_step(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("differential step needs n >= 1")
     om = as_omega(omega)
-    w = om.value
+    w = om.as_fraction()
     den = w + n
     if den == 0:
         raise PoleError(f"differential step pole at omega = {-n}")
-    lower = construct(n - 1, om)
+    lower = construct(n - 1, w)
     rhs = (n * lower.derivative()).shifted(1) + (n * (1 + w)) * lower
-    return (1 / den if not is_exact(w) else Fraction(1) / den) * rhs
+    return om.rounded((1 / den) * rhs)
 
 
 def ode_residual(n: int, omega) -> Polynomial:
     """-z(1+z) S'' + [1 - (2+omega-n)(z+1)] S' + (1+omega) n S; identically zero."""
     om = as_omega(omega)
-    w = om.value
-    s = construct(n, om)
+    w = om.as_fraction()
+    s = construct(n, w)
     s1 = s.derivative()
     s2 = s1.derivative()
     minus_z_1pz = Polynomial((0, -1, -1))
     first_order = Polynomial((1 - (2 + w - n), -(2 + w - n)))
-    return minus_z_1pz * s2 + first_order * s1 + ((1 + w) * n) * s
+    return om.rounded(minus_z_1pz * s2 + first_order * s1 + ((1 + w) * n) * s)
 
 
 def genfun_compare(omega, z, T, N: int) -> float:
@@ -215,10 +216,7 @@ def genfun_compare(omega, z, T, N: int) -> float:
     coef = 1.0
     t_pow = 1 + 0j
     for n in range(N + 1):
-        p = construct(n, om)
-        if p.scalar_kind == "rational":
-            p = p.to_inexact()
-        total += coef * p(z) * t_pow
+        total += coef * construct(n, om).to_inexact()(z) * t_pow
         t_pow *= T
         coef *= (1.0 + w + n) / (n + 1.0)
     closed = cmath.exp(w * cmath.log(1 + T)) * cmath.exp(-(w + 1) * cmath.log(1 - z * T))
@@ -268,15 +266,15 @@ _IDENTITIES = {
     "cauchy_determinant": (0, lambda n, w, printed: (toeplitz_det_closed(n, w) - toeplitz_det_direct(n, w),)),
     "mixed_step": (1, lambda n, w, printed: (step_mixed(n, w) - construct(n, w)).coeffs),
     "omega_shift": (1, lambda n, w, printed: (
-        (step_omega_up_printed(n, w) if printed else step_omega_up(n, w)) - construct(n, as_omega(w).shifted(1))
+        (step_omega_up_printed(n, w) if printed else step_omega_up(n, w)) - construct(n, w + 1)
     ).coeffs),
     "derivative_recurrence": (1, lambda n, w, printed: (
         differential_step(n, w) - construct(n, w).derivative()
     ).coeffs),
     "lifting": (0, lambda n, w, printed: (
-        (lifting_printed(n, w) if printed else lifting(n, w)) - construct(n, as_omega(w).shifted(1))
+        (lifting_printed(n, w) if printed else lifting(n, w)) - construct(n, w + 1)
     ).coeffs),
-    "lowering": (0, lambda n, w, printed: (lowering(n, w) - construct(n, as_omega(w).shifted(-1))).coeffs),
+    "lowering": (0, lambda n, w, printed: (lowering(n, w) - construct(n, w - 1)).coeffs),
     "ode": (0, lambda n, w, printed: ode_residual(n, w).coeffs),
     # the reflection is stated for omega > 0; a negative grid point checks it from |omega|
     "negative_reflection": (0, lambda n, w, printed: (

@@ -2,8 +2,8 @@
 
 Exact values are ``fractions.Fraction`` (arbitrary-precision integers, always
 stored reduced with a positive denominator) or plain ``int``.  Inexact values
-are ``float``/``complex``.  The two families are never mixed implicitly:
-conversions go through :func:`to_float`.
+are ``float``/``complex``.  A float omega is an input format: formulas run on
+its exact binary rational and round the result once, in :meth:`Omega.rounded`.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ from .errors import DomainError
 Scalar = int | Fraction | float | complex
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-
-def is_exact(x: Scalar) -> bool:
-    """True for scalars carried in exact (rational) arithmetic."""
-    return isinstance(x, (int, Fraction))
 
 
 def conjugate(x: Scalar) -> Scalar:
@@ -42,7 +37,7 @@ def pochhammer(x: Scalar, k: int) -> Scalar:
     """
     if k < 0:
         raise DomainError(f"pochhammer order must be nonnegative, got {k}")
-    acc = Fraction(1) if is_exact(x) else 1.0
+    acc = Fraction(1)
     for i in range(k):
         acc = acc * (x + i)
         if acc == 0:
@@ -111,17 +106,37 @@ class Omega:
 
     @property
     def exact_mode(self) -> bool:
-        return is_exact(self.value)
+        return isinstance(self.value, Fraction)
 
     def as_fraction(self) -> Fraction:
         """The exact value; a float omega is an exact binary rational."""
-        return Fraction(self.value)
+        return self.value if self.exact_mode else Fraction(self.value)
 
     def as_float(self) -> float:
         return float(self.value)
 
-    def shifted(self, delta: int) -> "Omega":
-        return as_omega(self.value + delta)
+    def rounded(self, x):
+        """``x`` computed on ``as_fraction()``, rounded once for a float omega.
+
+        Rounds a scalar, a tuple or a Polynomial; complex values pass through.
+        """
+        if self.exact_mode or isinstance(x, complex):
+            return x
+        if isinstance(x, tuple):
+            return tuple(map(self.rounded, x))
+        if isinstance(x, (int, float, Fraction)):
+            return self.rounded_ratio(*x.as_integer_ratio())
+        return x.to_inexact()  # a Polynomial
+
+    def rounded_ratio(self, num: int, den: int):
+        """num/den as a Fraction, or for a float omega by int / int division,
+        which rounds correctly with no gcd; DomainError outside the double range."""
+        if self.exact_mode:
+            return Fraction(num, den)
+        try:
+            return num / den
+        except OverflowError:
+            raise DomainError(f"result at omega={self.value} lies outside the double range") from None
 
     def __str__(self) -> str:
         return str(self.value)

@@ -6,8 +6,9 @@ z^(n-l) is
 
     binomial(n, l) * poch(-omega, l) / poch(-n-omega, l),
 
-a terminating hypergeometric sum.  Everything here is exact when omega is
-rational.
+a terminating hypergeometric sum.  Everything here is exact: a float omega is
+computed on its exact binary rational and the result rounded once
+(``Omega.rounded``).
 """
 
 from __future__ import annotations
@@ -139,11 +140,11 @@ class Polynomial:
         return Polynomial(tuple(reversed(self.coeffs)))
 
     def to_inexact(self) -> "Polynomial":
-        """Round each coefficient once to double precision."""
-        out = []
-        for c in self.coeffs:
-            out.append(c if isinstance(c, complex) else float(c))
-        return Polynomial(out)
+        """Round each coefficient once to double precision; DomainError beyond its range."""
+        try:
+            return Polynomial([c if isinstance(c, complex) else float(c) for c in self.coeffs])
+        except OverflowError:
+            raise DomainError("a coefficient lies outside the double range") from None
 
     # -- plumbing ------------------------------------------------------------
 
@@ -192,25 +193,18 @@ def construct_series(n: int, omega) -> Polynomial:
             )
         c = c * Fraction((n - ell + 1) * (q * (ell - 1) - p), den)
         coeffs[n - ell] = c
-    poly = Polynomial(coeffs)
-    return poly if om.exact_mode else poly.to_inexact()
+    return om.rounded(Polynomial(coeffs))
 
 
 def construct(n: int, omega) -> Polynomial:
     """The monic degree-n polynomial of the family at parameter omega.
 
-    Integer omega = m with 0 <= m <= n-1 is served by the degree/parameter
-    symmetry (the value there is the limit of the coefficient formula, and the
-    two routes agree exactly); all other parameters use the direct sum.
+    Served by the direct sum, which is exact at every parameter without a
+    pole, integer omega = m in {0, ..., n-1} included: there it equals the
+    degree/parameter symmetry z^(n-m) S_m^n (``construct_via_symmetry``, the
+    independent route the ``degree_symmetry`` sweep row checks it against).
     """
-    om = as_omega(omega)
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
-    if om.is_integer:
-        m = int(om.value)
-        if 0 <= m <= n - 1:
-            return construct_via_symmetry(n, m)
-    return construct_series(n, om)
+    return construct_series(n, omega)
 
 
 def construct_via_symmetry(n: int, m: int) -> Polynomial:
@@ -225,10 +219,10 @@ def construct_via_symmetry(n: int, m: int) -> Polynomial:
 def value_at_minus_one(n: int, omega):
     """(-1)^n n! / poch(1+omega, n); equals construct(n, omega)(-1)."""
     om = as_omega(omega)
-    den = pochhammer(1 + om.value, n)
+    den = pochhammer(1 + om.as_fraction(), n)
     if den == 0:
         raise PoleError(f"value at -1 undefined: poch(1+{om.value}, {n}) = 0")
-    return (-1) ** n * math.factorial(n) / den
+    return om.rounded((-1) ** n * math.factorial(n) / den)
 
 
 def derivative_at_minus_one(m: int, n: int, omega):
@@ -236,11 +230,12 @@ def derivative_at_minus_one(m: int, n: int, omega):
     if m < 0 or m > n:
         raise DomainError(f"derivative order must satisfy 0 <= m <= n, got (m={m}, n={n})")
     om = as_omega(omega)
-    den = pochhammer(1 + om.value, n)
+    w = om.as_fraction()
+    den = pochhammer(1 + w, n)
     if den == 0:
         raise PoleError(f"derivative at -1 undefined: poch(1+{om.value}, {n}) = 0")
-    num = pochhammer(1 + om.value, m)
-    return (-1) ** (n - m) * math.factorial(n) * num / den * binomial(n, m)
+    num = pochhammer(1 + w, m)
+    return om.rounded((-1) ** (n - m) * math.factorial(n) * num / den * binomial(n, m))
 
 
 def value_at_zero(n: int, omega):
@@ -249,10 +244,11 @@ def value_at_zero(n: int, omega):
     Exactly zero iff omega is an integer in {0, ..., n-1}.
     """
     om = as_omega(omega)
-    den = pochhammer(-n - om.value, n)
+    w = om.as_fraction()
+    den = pochhammer(-n - w, n)
     if den == 0:
         raise PoleError(f"value at 0 undefined: poch({-n}-{om.value}, {n}) = 0")
-    return pochhammer(-om.value, n) / den
+    return om.rounded(pochhammer(-w, n) / den)
 
 
 def star(p: Polynomial) -> Polynomial:
@@ -267,17 +263,14 @@ def reflect_negative_omega(n: int, omega) -> Polynomial:
     scale factor blows up (the family itself degenerates there).
     """
     om = as_omega(omega)
-    w = om.value
+    w = om.as_fraction()
     if not w > 0:
-        raise DomainError(f"reflection requires omega > 0, got {w}")
-    if om.is_integer and 1 <= int(w) <= n:
-        raise PoleError(f"reflection blows up for integer omega in 1..{n}, got {w}")
+        raise DomainError(f"reflection requires omega > 0, got {om.value}")
     den = pochhammer(1 - w, n)
     if den == 0:
-        raise PoleError(f"reflection scale pole: poch(1-{w}, {n}) = 0")
+        raise PoleError(f"reflection scale pole: poch(1-{om.value}, {n}) = 0")
     scale = (-1) ** n * pochhammer(w, n) / den
-    base = construct(n, om.shifted(-1))
-    return scale * base.reversed()
+    return om.rounded(scale * construct(n, w - 1).reversed())
 
 
 def taylor_about_minus_one(n: int, omega) -> tuple:
@@ -286,6 +279,7 @@ def taylor_about_minus_one(n: int, omega) -> tuple:
     c_m = (m-th derivative at -1) / m!; monicity forces c_n = 1.
     """
     om = as_omega(omega)
-    return tuple(
-        derivative_at_minus_one(m, n, om) / math.factorial(m) for m in range(n + 1)
-    )
+    w = Omega.exact(om.as_fraction())
+    return om.rounded(tuple(
+        derivative_at_minus_one(m, n, w) / math.factorial(m) for m in range(n + 1)
+    ))

@@ -205,7 +205,7 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
 def zeros_of(n: int, omega, tol: float = DEFAULT_TOL) -> ZeroSet:
     """Roots of the degree-n family member: exact coefficients, rounded once."""
     om = as_omega(omega)
-    p = construct(n, om.as_fraction()).to_inexact()
+    p = construct(n, om).to_inexact()
     return find_zeros(p, tol=tol, omega=om.as_float())
 
 
@@ -253,7 +253,7 @@ def fizzle_gap(n: int, omega) -> float:
         raise DomainError(f"fizzle regime needs omega > n, got omega={om.value}, n={n}")
     if n == 0:
         return 0.0
-    shifted = Polynomial(taylor_about_minus_one(n, om.as_fraction())).to_inexact()
+    shifted = Polynomial(taylor_about_minus_one(n, om)).to_inexact()
     zs = find_zeros(shifted, tol=1e-9)
     return max(abs(t) for t in zs.values())
 

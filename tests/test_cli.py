@@ -254,6 +254,12 @@ class TestDetn:
         assert code == 2
         assert out == ""
 
+    def test_float_outside_double_range_exit_code(self, capsys):
+        code, out, err = run(capsys, "detn", "--n", "2", "--omega", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("skyburst: ") and "double range" in err
+
     def test_float_mode_compares_exactly(self, capsys):
         _, out, _ = run(capsys, "detn", "--n", "40", "--omega", "0.37")
         want = format(toeplitz_det_closed(40, 0.37), ".17g")

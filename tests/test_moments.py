@@ -160,6 +160,12 @@ class TestDeterminants:
         assert closed == float(toeplitz_det_closed(n, F(0.37)))
         assert abs(closed - toeplitz_det_direct(n, 0.37)) <= 1e-12 * abs(closed)
 
+    def test_float_outside_double_range_refused(self):
+        # the exact determinant at omega = 1e-300 is about 1e600
+        for det in (toeplitz_det_direct, toeplitz_det_closed):
+            with pytest.raises(DomainError, match="double range"):
+                det(2, 1e-300)
+
     @pytest.mark.parametrize("n", [6, 40, 80])
     def test_float_direct_is_exact_value_rounded_once(self, n):
         assert toeplitz_det_direct(n, 0.37) == float(toeplitz_det_direct(n, F(0.37)))

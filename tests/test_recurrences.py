@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from skyburst import moments, skypoly
 from skyburst.errors import DomainError, PoleError
 from skyburst.recurrences import (
     DEFAULT_OMEGA_GRID,
@@ -21,6 +22,87 @@ from skyburst.skypoly import Polynomial, construct
 
 F = Fraction
 GRID = DEFAULT_OMEGA_GRID
+
+# every omega-taking function of skypoly, moments and recurrences whose value
+# is rational in omega, as f(n, omega)
+FLOAT_PARITY = {
+    **{name: getattr(skypoly, name) for name in (
+        "construct", "construct_series", "value_at_minus_one", "value_at_zero",
+        "reflect_negative_omega", "taylor_about_minus_one",
+    )},
+    "derivative_at_minus_one": lambda n, w: tuple(skypoly.derivative_at_minus_one(m, n, w) for m in range(n + 1)),
+    **{name: getattr(moments, name) for name in (
+        "toeplitz_det_direct", "toeplitz_det_closed", "construct_determinantal",
+    )},
+    "reduced_moment": lambda n, w: tuple(moments.reduced_moment(k, w) for k in range(-n, n + 1)),
+    "ToeplitzMomentMatrix": lambda n, w: tuple(map(tuple, moments.ToeplitzMomentMatrix(n, w).rows())),
+    "bilinear": lambda n, w: moments.bilinear(Polynomial(range(1, n + 2)), Polynomial((1, -2, 3)), w),
+    "r_nk": lambda n, w: tuple(moments.r_nk(n, k, w) for k in range(n + 1)),
+    "step_mixed": step_mixed,
+    "step_omega_up": step_omega_up,
+    "lifting": lifting,
+    "lifting_printed": lifting_printed,
+    "lowering": lowering,
+    "differential_step": differential_step,
+    "ode_residual": ode_residual,
+    "step_omega_up_printed": lambda n, w: (step_omega_up_printed(n, w, "nz2"), step_omega_up_printed(n, w, "n2z")),
+}
+
+
+def _round_once(x):
+    """Reference rounding: each exact value converted to a double by one float()."""
+    if isinstance(x, Polynomial):
+        return Polynomial([float(c) for c in x.coeffs])
+    if isinstance(x, tuple):
+        return tuple(map(_round_once, x))
+    return float(x)
+
+
+def _all_float(x):
+    if isinstance(x, Polynomial):
+        return all(isinstance(c, float) for c in x.coeffs)
+    if isinstance(x, tuple):
+        return all(map(_all_float, x))
+    return isinstance(x, float)
+
+
+def _outcome(fn, n, w):
+    try:
+        return fn(n, w)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_PARITY))
+def test_float_omega_is_exact_result_rounded_once(name):
+    fn = FLOAT_PARITY[name]
+    mismatches = []
+    for w in (0.37, -2.3, 5.5, 12.75, 1e-3):
+        for n in range(13):
+            want = _outcome(fn, n, F(w))
+            got = _outcome(fn, n, w)
+            if isinstance(want, type):
+                ok = got is want
+            else:
+                ok = _all_float(got) and got == _round_once(want)
+            if not ok:
+                mismatches.append((n, w))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: skypoly.value_at_minus_one(400, 1e-9), 0.9999999934300703),
+        (lambda: skypoly.derivative_at_minus_one(3, 200, 0.37), -1797297.8445116603),
+        (lambda: skypoly.value_at_zero(200, 1e-300), -5e-303),
+        (lambda: ode_residual(12, 0.37), Polynomial()),
+    ],
+    ids=["value_at_minus_one", "derivative_at_minus_one", "value_at_zero", "ode_residual"],
+)
+def test_float_values_beyond_double_intermediates(call, want):
+    # the float arithmetic overflowed, underflowed to -0.0 or left 1e-14 residues here
+    assert call() == want
 
 
 class TestMixedStep:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skyburst.errors import DomainError
+from skyburst.skypoly import Polynomial
 from skyburst.scalarfield import (
     Omega,
     as_omega,
@@ -140,6 +141,21 @@ class TestOmega:
         assert Omega.exact(Fraction(1, 3)).as_fraction() == Fraction(1, 3)
         # a float is an exact binary rational
         assert Omega.inexact(0.37).as_fraction() == Fraction(0.37) == Fraction(3332663724254167, 2**53)
+
+    def test_rounded_once_for_a_float_omega(self):
+        third = Fraction(1, 3)
+        exact, inexact = Omega.exact(third), Omega.inexact(0.37)
+        assert exact.rounded(third) is third
+        assert exact.rounded_ratio(2, 6) == third
+        assert inexact.rounded(third) == 1 / 3
+        assert inexact.rounded((third, 2, 0.5j)) == (1 / 3, 2.0, 0.5j)
+        assert inexact.rounded_ratio(2, 6) == 1 / 3
+        with pytest.raises(DomainError, match="double range"):
+            inexact.rounded(Fraction(10) ** 400)
+        with pytest.raises(DomainError, match="double range"):
+            inexact.rounded_ratio(10 ** 400, 3)
+        with pytest.raises(DomainError, match="double range"):
+            inexact.rounded(Polynomial((1, Fraction(10) ** 400)))
 
     def test_as_omega(self):
         assert as_omega(Fraction(1, 3)).exact_mode

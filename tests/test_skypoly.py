@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from skyburst.errors import DomainError, PoleError
-from skyburst.scalarfield import binomial, pochhammer
+from skyburst.scalarfield import Omega, as_omega, binomial, pochhammer
 from skyburst.skypoly import (
     Polynomial,
     construct,
@@ -138,11 +138,15 @@ class TestConstruct:
         with pytest.raises(PoleError, match=r"omega=-3.0: .* at term 3$"):
             construct_series(5, -3.0)
 
-    @pytest.mark.parametrize("n, w", [(12, 0.3), (7, 22 / 7), (20, -1.3), (30, 2.7), (9, 4.0)])
+    @pytest.mark.parametrize(
+        "n, w", [(12, 0.3), (7, 22 / 7), (20, -1.3), (30, 2.7), (9, 4.0), (5, Omega.inexact(2.0, integer=True))]
+    )
     def test_float_omega_is_exact_value_rounded_once(self, n, w):
-        got = construct_series(n, w)
-        assert got.scalar_kind == "complex_float"
-        assert got == construct_series(n, F(w)).to_inexact()
+        want = construct_series(n, as_omega(w).as_fraction()).to_inexact()
+        for build in (construct, construct_series):
+            got = build(n, w)
+            assert got.scalar_kind == "complex_float"
+            assert got == want
 
     def test_eval_examples(self):
         assert construct(1, F(1, 2))(F(-1)) == F(-2, 3)
