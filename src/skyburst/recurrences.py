@@ -121,11 +121,12 @@ def _lifting_sum(n: int, omega, extra_z_on_last: bool) -> Polynomial:
         raise PoleError(f"lifting scale pole: poch(2+{om.value}, {n}) = 0")
     one_plus_z = Polynomial((1, 1))
     acc = Polynomial()
+    coef = Fraction(1)  # (1+omega)_l / l!, carried forward
     for ell in range(n):
-        coef = pochhammer(1 + w, ell) / math.factorial(ell)
         acc = acc + (coef * construct(ell, w)).shifted(n - ell - 1)
+        coef = coef * (1 + w + ell) / (ell + 1)
     acc = one_plus_z * acc
-    last = (pochhammer(1 + w, n) / math.factorial(n)) * construct(n, w)
+    last = coef * construct(n, w)
     if extra_z_on_last:
         last = last.shifted(1)
     return om.rounded((math.factorial(n) / scale) * (acc + last))
@@ -158,11 +159,12 @@ def lowering(n: int, omega) -> Polynomial:
         raise PoleError(f"lowering scale vanishes: poch({om.value}, {n}) = 0")
     one_plus_z = Polynomial((1, 1))
     acc = Polynomial()
+    coef = Fraction(1)  # (1+omega)_l / l!, carried forward
     for ell in range(n):
         sign = -1 if (n - ell) % 2 else 1
-        coef = sign * pochhammer(1 + w, ell) / math.factorial(ell)
-        acc = acc + coef * construct(ell, w)
-    rhs = one_plus_z * acc + (pochhammer(1 + w, n) / math.factorial(n)) * construct(n, w)
+        acc = acc + (sign * coef) * construct(ell, w)
+        coef = coef * (1 + w + ell) / (ell + 1)
+    rhs = one_plus_z * acc + coef * construct(n, w)
     return om.rounded((math.factorial(n) / scale) * rhs)
 
 

@@ -276,10 +276,19 @@ def reflect_negative_omega(n: int, omega) -> Polynomial:
 def taylor_about_minus_one(n: int, omega) -> tuple:
     """Coefficients c_m with S_n^omega(z) = sum_m c_m (1+z)^m, c_m exact.
 
-    c_m = (m-th derivative at -1) / m!; monicity forces c_n = 1.
+    c_m = (m-th derivative at -1) / m!; monicity forces c_n = 1, and the
+    closed form gives the ratio c_(m-1) = -c_m m^2 / ((n-m+1)(omega+m)), so
+    one walk down from c_n is O(n).  The only pole, poch(1+omega, n) = 0, is
+    omega in {-n, ..., -1}.
     """
     om = as_omega(omega)
-    w = Omega.exact(om.as_fraction())
-    return om.rounded(tuple(
-        derivative_at_minus_one(m, n, w) / math.factorial(m) for m in range(n + 1)
-    ))
+    w = om.as_fraction()
+    if w.denominator == 1 and -n <= w <= -1:
+        raise PoleError(f"derivative at -1 undefined: poch(1+{w}, {n}) = 0")
+    p, q = w.numerator, w.denominator
+    c = Fraction(1)
+    coeffs = [c] * (n + 1)
+    for m in range(n, 0, -1):
+        c = c * Fraction(-m * m * q, (n - m + 1) * (p + m * q))
+        coeffs[m - 1] = c
+    return om.rounded(tuple(coeffs))

@@ -10,6 +10,13 @@ Roots are computed by simultaneous Aberth iteration with a Newton polish;
 float coefficients always come from the exact rational coefficients rounded
 once, so the conditioning of the coefficient sum never contaminates the
 input to the root finder.
+
+A solve starts cold, from a circle of radius 1 + max|c|, unless it is given
+start points.  ``trace`` seeds each solve inside an integer-free segment with
+the roots it accepted at the previous grid point (continuation by warm
+start).  It solves cold at the first grid point and past each integer
+crossing: the real-root count changes there, and an exactly real seed cannot
+leave the real axis.  A seeded solve that fails is repeated once cold.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ class ZeroSet:
     n: int
     omega: float
     residual_max: float
+    iterations: int = 0   # Aberth sweeps; 0 when deflation leaves no polynomial
 
     def values(self, include_origin: bool = True) -> list:
         return [z for z, tag in self.roots if include_origin or tag is not ZeroTag.ORIGIN]
@@ -101,19 +109,26 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-def _aberth(coeffs):
-    """All roots of an ascending complex coefficient list with nonzero constant term.
+def _aberth(coeffs, start=None):
+    """All roots of an ascending complex coefficient list with nonzero constant
+    term, and the number of sweeps taken.
 
-    Simultaneous (Ehrlich-style) iteration from equispaced starting points on
-    a circle of radius 1 + max|c_k|, rotated half a radian to break symmetry.
+    Simultaneous (Ehrlich-style) iteration.  A cold solve starts from
+    equispaced points on a circle of radius 1 + max|c_k|, rotated half a
+    radian to break symmetry, and takes some 25 sweeps at small degree.  Given
+    start points near the roots (one per root, as ``trace`` passes the roots
+    of the previous grid point) it settles in a few sweeps.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
     c = [x / lead for x in coeffs]
-    radius = 1.0 + max(abs(x) for x in c[:-1])
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
-    roots = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.5)) for k in range(d)]
-    for _ in range(MAX_ITERATIONS):
+    if start is None:
+        radius = 1.0 + max(abs(x) for x in c[:-1])
+        roots = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.5)) for k in range(d)]
+    else:
+        roots = [complex(z) for z in start]
+    for sweep in range(1, MAX_ITERATIONS + 1):
         biggest = 0.0
         worst_value = 0.0
         for i in range(d):
@@ -142,7 +157,7 @@ def _aberth(coeffs):
         # step criterion, or machine-level residuals at every iterate (a strict
         # step bound can limit-cycle in the last ulp near clustered roots)
         if biggest < 1e-14 or worst_value < resid_floor:
-            return roots
+            return roots, sweep
     raise ConvergenceError(
         f"root iteration did not settle in {MAX_ITERATIONS} sweeps", best=roots
     )
@@ -160,11 +175,15 @@ def _newton_polish(coeffs, z, sweeps: int = 3):
     return z
 
 
-def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan) -> ZeroSet:
+def find_zeros(
+    p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan, start=None
+) -> ZeroSet:
     """All roots of p with residual certification.
 
     Origin roots are deflated analytically first whenever the constant term is
-    exactly zero.  Raises ConvergenceError (carrying the best iterate) if the
+    exactly zero.  ``start``, if given, holds one Aberth start point per root
+    left after that deflation (DomainError otherwise); without it the solve
+    starts cold.  Raises ConvergenceError (carrying the best iterate) if the
     residual bound tol * (1 + max|coeff|) cannot be certified, or if an
     iterate or residual overflows or is not finite.
     """
@@ -179,10 +198,16 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
         origin_mult += 1
         coeffs = coeffs[1:]
 
+    if start is not None and len(start) != len(coeffs) - 1:
+        raise DomainError(
+            f"{len(start)} start points for {len(coeffs) - 1} roots after origin deflation"
+        )
+
     found = []
+    sweeps = 0
     try:
         if len(coeffs) > 1:
-            found = _aberth(coeffs)
+            found, sweeps = _aberth(coeffs, start)
             found = [_newton_polish(coeffs, z) for z in found]
         residuals = [abs(_horner_pair(coeffs, z)[0]) for z in found]
     except OverflowError as exc:
@@ -199,14 +224,19 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
 
     roots = [(0j, ZeroTag.ORIGIN)] * origin_mult
     roots += [(z, _tag_root(z)) for z in sorted(found, key=lambda z: (z.real, z.imag))]
-    return ZeroSet(roots=tuple(roots), n=n, omega=omega, residual_max=residual_max)
+    return ZeroSet(
+        roots=tuple(roots), n=n, omega=omega, residual_max=residual_max, iterations=sweeps
+    )
 
 
-def zeros_of(n: int, omega, tol: float = DEFAULT_TOL) -> ZeroSet:
-    """Roots of the degree-n family member: exact coefficients, rounded once."""
+def zeros_of(n: int, omega, tol: float = DEFAULT_TOL, start=None) -> ZeroSet:
+    """Roots of the degree-n family member: exact coefficients, rounded once.
+
+    ``start`` seeds the root iteration as in ``find_zeros``.
+    """
     om = as_omega(omega)
     p = construct(n, om).to_inexact()
-    return find_zeros(p, tol=tol, omega=om.as_float())
+    return find_zeros(p, tol=tol, omega=om.as_float(), start=start)
 
 
 def classify(zs: ZeroSet, omega=None) -> ZeroCounts:
@@ -438,6 +468,14 @@ def trace(
     step is halved until consecutive root sets match within match_threshold;
     underflow of the step below 1e-6 raises TrackingError.
 
+    Each solve inside a segment is seeded with the roots accepted at the
+    previous grid point, a few hundredths away, and settles in a few Aberth
+    sweeps where a cold start takes some 25.  The first grid point and each
+    point past an integer crossing are solved cold: the real-root count
+    changes there, and an exactly real seed stays on the real axis.  A
+    seeded solve that fails is repeated once cold.  The matching and the
+    step halving check every seeded result as they check a cold one.
+
     Because of the offset the end points of each segment are not at the
     origin: the k = n-j roots collapsing at the integer j sit at radius
     ~|c_0/c_k|^(1/k) ~ offset^(1/k) there (0.19 for n = 9, j = 1 at 1e-3).
@@ -454,7 +492,12 @@ def trace(
     if start >= end:
         raise DomainError("empty range after integer-offset clamping")
 
-    def config_at(w: float) -> _Config:
+    def config_at(w: float, seed=None) -> _Config:
+        if seed is not None:
+            try:
+                return _symmetrize(zeros_of(n, w, tol=tol, start=seed).values())
+            except ConvergenceError:
+                pass
         return _symmetrize(zeros_of(n, w, tol=tol).values())
 
     current = start
@@ -467,7 +510,7 @@ def trace(
 
     def advance(target: float, crossing: bool) -> float:
         nonlocal cfg
-        new_cfg = config_at(target)
+        new_cfg = config_at(target, None if crossing else cfg.flat())
         perm, disp = _match(cfg, new_cfg, crossing)
         if not crossing and disp >= match_threshold:
             return disp

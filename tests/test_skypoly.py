@@ -277,6 +277,21 @@ class TestTaylorAboutMinusOne:
     def test_degree_one(self):
         assert taylor_about_minus_one(1, F(1, 2)) == (F(-2, 3), F(1))
 
+    def test_equals_scaled_derivatives(self):
+        for w in (F(1, 3), F(-13, 9), F(22, 7)):
+            for n in range(41):
+                expected = tuple(
+                    derivative_at_minus_one(m, n, w) / math.factorial(m) for m in range(n + 1)
+                )
+                assert taylor_about_minus_one(n, w) == expected
+
+    def test_pole_refused_up_front(self):
+        for n, w in [(3, -2), (3, -2.0), (5, F(-3)), (4, -1), (4, F(-4))]:
+            text = rf"^derivative at -1 undefined: poch\(1\+{int(w)}, {n}\) = 0$"
+            with pytest.raises(PoleError, match=text):
+                taylor_about_minus_one(n, w)
+        assert taylor_about_minus_one(3, -4)[-1] == 1  # -4 is past the last factor
+
     def test_round_trip(self):
         one_plus_z = Polynomial((1, 1))
         for n in range(11):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from skyburst import zeros
 from skyburst.errors import ConvergenceError, DomainError, TrackingError
 from skyburst.skypoly import Polynomial, construct
 from skyburst.zeros import (
@@ -115,6 +116,26 @@ class TestFindZeros:
             complexes = [z for z in vals if abs(z.imag) > AXIS_TOL * (1 + abs(z))]
             for z in complexes:
                 assert min(abs(z.conjugate() - u) for u in complexes) < 1e-9
+
+    def test_warm_start_takes_fewer_sweeps(self):
+        # the roots at 0.50 lie within a few hundredths of those at 0.52
+        seed = zeros_of(17, 0.50).values()
+        cold = zeros_of(17, 0.52)
+        warm = zeros_of(17, 0.52, start=seed)
+        assert 0 < 2 * warm.iterations < cold.iterations
+        assert [tag for _, tag in warm.roots] == [tag for _, tag in cold.roots]
+        for (a, _), (b, _) in zip(warm.roots, cold.roots):
+            assert abs(a - b) <= 1e-10 * (1 + abs(b))
+
+    def test_iterations_zero_without_a_polynomial_left(self):
+        assert find_zeros(construct(3, F(0)).to_inexact()).iterations == 0
+        assert find_zeros(Polynomial((0.0, 0.0, -0.5, 1.0))).iterations > 0
+
+    def test_start_needs_one_point_per_deflated_root(self):
+        # z^2 (z - 1/2) has one root left after deflation
+        with pytest.raises(DomainError, match="start points"):
+            find_zeros(Polynomial((0.0, 0.0, -0.5, 1.0)), start=[0.4, 0.1, 0.2])
+        assert find_zeros(Polynomial((0.0, 0.0, -0.5, 1.0)), start=[0.4]).values()[2] == 0.5
 
     def test_no_kissing_with_endpoints(self):
         for n, w in [(5, F(1, 2)), (9, F(7, 2)), (6, F(22, 7))]:
@@ -325,6 +346,51 @@ class TestTrace:
         assert_step_bound(bundle)
         assert_conjugate_partners(bundle)
         assert_neg_unit_schedule(bundle)
+
+    def test_grid_and_bursts_pinned(self):
+        # the grids of the cold-started continuation, unchanged by seeding
+        for args, length, bursts in [
+            ((9, 0.05, 8.95), 456, tuple(range(1, 9))),
+            ((15, 0.05, 14.95), 763, tuple(range(1, 15))),
+            ((17, 0.05, 1.95), 98, (1,)),
+        ]:
+            bundle = trace(*args)
+            assert len(bundle.omega_grid) == length
+            assert bundle.burst_events == bursts
+
+    @pytest.mark.parametrize("args", [(9, 0.05, 3.5), (17, 0.5, 1.375)])
+    def test_seeded_positions_are_the_cold_roots(self, args):
+        bundle = trace(*args)
+        for k, w in enumerate(bundle.omega_grid):
+            cold = list(zeros_of(args[0], w).roots)
+            for path in bundle.paths:
+                z = path[k]
+                j = min(range(len(cold)), key=lambda j: abs(cold[j][0] - z))
+                root, tag = cold.pop(j)
+                assert abs(z - root) <= 1e-10 * (1 + abs(root))
+                assert _tag_root(z) is tag
+
+    def test_failed_seeded_solve_is_repeated_cold(self, monkeypatch):
+        aberth = zeros._aberth
+        seeded = []
+
+        def cold_only(coeffs, start=None):
+            return aberth(coeffs)
+
+        def refuse_seeds(coeffs, start=None):
+            if start is not None:
+                seeded.append(len(start))
+                raise ConvergenceError("seed refused")
+            return aberth(coeffs)
+
+        monkeypatch.setattr(zeros, "_aberth", cold_only)
+        all_cold = trace(9, 0.05, 3.5)
+        monkeypatch.setattr(zeros, "_aberth", refuse_seeds)
+        fallback = trace(9, 0.05, 3.5)
+        assert len(seeded) >= len(fallback.omega_grid) - 1 - len(fallback.burst_events)
+        assert fallback.omega_grid == all_cold.omega_grid
+        assert fallback.paths == all_cold.paths
+        assert fallback.burst_events == all_cold.burst_events
 
     def test_tracking_error_on_unreachable_threshold(self):
         with pytest.raises(TrackingError):
