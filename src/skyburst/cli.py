@@ -1,5 +1,10 @@
 """Command-line front end: construct, verify, analyze zeros, export data.
 
+``main`` parses ``--omega`` once, runs one command, and hands what it returns
+to ``_write``, the one exit point for output.  Every command returns an exit
+code, a JSON payload and a list of text lines; ``_write`` prints the payload
+(``--format json``) or the lines, LF-terminated, to ``--out`` or stdout.
+
 All output is deterministic: fixed key order, 17-significant-digit floats,
 canonical row ordering, LF line endings.  Exit codes: 0 success, 1 failed
 verification, 2 configuration/pole/existence errors, 3 tracking/convergence
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -33,11 +39,11 @@ def _fmt(x: float) -> str:
 
 def _parse_omega(args: argparse.Namespace) -> Omega:
     """Exact Omega whenever the text parses as p/q; float otherwise."""
-    if args.exact:
-        return Omega.exact(parse_rational(args.omega))
     try:
         return Omega.exact(parse_rational(args.omega))
     except ValueError:
+        if args.exact:
+            raise
         return Omega.inexact(float(args.omega))
 
 
@@ -46,6 +52,8 @@ def positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if value == math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -56,55 +64,45 @@ def rational_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
+def _write(args: argparse.Namespace, payload, lines: list) -> None:
+    """The one exit point for command output: the JSON payload or the lines, LF-terminated."""
+    text = json.dumps(payload, indent=2) if args.output_format == "json" else "\n".join(lines)
     if args.output_path:
         with open(args.output_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def _omega_str(om: Omega) -> str:
     return str(om.value) if om.exact_mode else _fmt(om.value)
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
-    om = _parse_omega(args)
-    p = construct(args.n, om)
-    entries = []
-    for j, c in enumerate(p.coeffs):
-        if om.exact_mode:
-            frac = Fraction(c)
-            entries.append({"pow": j, "num": str(frac.numerator), "den": str(frac.denominator)})
-        else:
-            entries.append({"pow": j, "value": _fmt(c)})
-    payload = {"n": args.n, "omega": _omega_str(om), "coeffs": entries}
-    if args.output_format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args)
+def cmd_coeffs(args: argparse.Namespace):
+    om = args.omega
+    coeffs = construct(args.n, om).coeffs
+    if om.exact_mode:
+        entries = [
+            {"pow": j, "num": str(c.numerator), "den": str(c.denominator)}
+            for j, c in enumerate(coeffs)
+        ]
     else:
-        lines = ["pow,num,den"] if om.exact_mode else ["pow,value"]
-        for e in entries:
-            lines.append(
-                f"{e['pow']},{e['num']},{e['den']}" if om.exact_mode else f"{e['pow']},{e['value']}"
-            )
-        _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK
+        entries = [{"pow": j, "value": _fmt(c)} for j, c in enumerate(coeffs)]
+    payload = {"n": args.n, "omega": _omega_str(om), "coeffs": entries}
+    lines = [",".join(entries[0])] + [",".join(map(str, e.values())) for e in entries]
+    return EXIT_OK, payload, lines
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_identity_suite(
-        n_max=args.n_max,
-        omegas=args.omega_grid,
-        printed_variants=args.printed_variants,
-    )
-    families: dict = {}
-    for r in reports:
-        fam = families.setdefault(r.identity_id, {"checks": 0, "failures": 0, "max_residual": Fraction(0)})
-        fam["checks"] += 1
-        if not r.passed:
-            fam["failures"] += 1
-        if not r.identity_id.endswith("_rejected") and abs(r.residual_norm) > fam["max_residual"]:
-            fam["max_residual"] = abs(r.residual_norm)
+def _summary(name: str, reports: list) -> str:
+    status = "PASS" if all(r.passed for r in reports) else "FAIL"
+    if name.endswith("_rejected"):
+        return f"{name}: {status} (checks={len(reports)})"
+    worst = max([Fraction(0)] + [abs(r.residual_norm) for r in reports])
+    return f"{name}: {status} (checks={len(reports)}, max residual={worst})"
+
+
+def cmd_verify(args: argparse.Namespace):
+    reports = run_identity_suite(args.n_max, omegas=args.omega_grid, printed_variants=args.printed_variants)
     all_ok = all(r.passed for r in reports)
     payload = [
         {
@@ -116,102 +114,74 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         for r in reports
     ]
-    if args.output_format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-    elif args.output_format == "csv":
+    if args.output_format == "csv":
         lines = ["identity,n,omega,residual,passed"]
-        for e in payload:
-            lines.append(f"{e['identity']},{e['n']},{e['omega']},{e['residual']},{json.dumps(e['passed'])}")
-        _emit("\n".join(lines) + "\n", args)
+        lines += [
+            f"{e['identity']},{e['n']},{e['omega']},{e['residual']},{json.dumps(e['passed'])}"
+            for e in payload
+        ]
     else:
-        lines = []
-        for name, fam in families.items():
-            status = "PASS" if fam["failures"] == 0 else "FAIL"
-            if name.endswith("_rejected"):
-                lines.append(f"{name}: {status} (checks={fam['checks']})")
-            else:
-                lines.append(
-                    f"{name}: {status} (checks={fam['checks']}, max residual={fam['max_residual']})"
-                )
+        names = dict.fromkeys(r.identity_id for r in reports)  # in order of first report
+        lines = [_summary(name, [r for r in reports if r.identity_id == name]) for name in names]
         lines.append("result: ALL PASS" if all_ok else "result: FAILURES PRESENT")
-        _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return (EXIT_OK if all_ok else EXIT_VERIFY_FAILED), payload, lines
 
 
-def cmd_zeros(args: argparse.Namespace) -> int:
-    om = _parse_omega(args)
+def cmd_zeros(args: argparse.Namespace):
+    om = args.omega
     zs = zeros_of(args.n, om, tol=args.tolerance)
     p = construct(args.n, om).to_inexact()  # the member zeros_of solved
-    rows = [(idx, z, tag, abs(p(z))) for idx, (z, tag) in enumerate(zs.roots)]
-    if args.output_format == "json":
-        payload = {
-            "n": args.n,
-            "omega": _omega_str(om),
-            "residual_max": _fmt(zs.residual_max),
-            "roots": [
-                {"index": idx, "re": _fmt(z.real), "im": _fmt(z.imag), "tag": tag.value, "residual": _fmt(res)}
-                for idx, z, tag, res in rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-    else:
-        lines = ["omega,index,re,im,tag,residual"]
-        for idx, z, tag, res in rows:
-            lines.append(
-                f"{_fmt(om.as_float())},{idx},{_fmt(z.real)},{_fmt(z.imag)},{tag.value},{_fmt(res)}"
-            )
-        _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK
+    roots = [
+        {"index": idx, "re": _fmt(z.real), "im": _fmt(z.imag), "tag": tag.value, "residual": _fmt(abs(p(z)))}
+        for idx, (z, tag) in enumerate(zs.roots)
+    ]
+    payload = {
+        "n": args.n,
+        "omega": _omega_str(om),
+        "residual_max": _fmt(zs.residual_max),
+        "roots": roots,
+    }
+    w = _fmt(om.as_float())
+    lines = ["omega,index,re,im,tag,residual"] + [",".join([w, *map(str, e.values())]) for e in roots]
+    return EXIT_OK, payload, lines
 
 
-def cmd_trajectory(args: argparse.Namespace) -> int:
-    bundle = trace(
-        args.n,
-        args.omega_start,
-        args.omega_end,
-        base_step=args.step,
-        match_threshold=args.match_threshold,
-        tol=args.tolerance,
-    )
-    if args.output_format == "json":
-        payload = {
-            "n": args.n,
-            "omega_grid": [_fmt(w) for w in bundle.omega_grid],
-            "burst_events": list(bundle.burst_events),
-            "paths": [
-                [[_fmt(z.real), _fmt(z.imag)] for z in path] for path in bundle.paths
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-        return EXIT_OK
+def cmd_trajectory(args: argparse.Namespace):
+    bundle = trace(args.n, args.omega_start, args.omega_end, base_step=args.step,
+                   match_threshold=args.match_threshold, tol=args.tolerance)
+    # each coordinate is formatted once; JSON writes the (re, im) tuples as arrays
+    grid = [_fmt(w) for w in bundle.omega_grid]
+    paths = [[(_fmt(z.real), _fmt(z.imag)) for z in path] for path in bundle.paths]
+    payload = {
+        "n": args.n,
+        "omega_grid": grid,
+        "burst_events": list(bundle.burst_events),
+        "paths": paths,
+    }
     lines = ["omega,path_id,re,im,tag"]
     pending = list(bundle.burst_events)
     for k, w in enumerate(bundle.omega_grid):
         while pending and w > pending[0]:
             lines.append(f"# burst omega={pending.pop(0)}")
         for i, path in enumerate(bundle.paths):
-            z = path[k]
-            lines.append(f"{_fmt(w)},{i},{_fmt(z.real)},{_fmt(z.imag)},{_tag_root(z).value}")
-    _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK
+            x, y = paths[i][k]
+            lines.append(f"{grid[k]},{i},{x},{y},{_tag_root(path[k]).value}")
+    return EXIT_OK, payload, lines
 
 
-def cmd_detn(args: argparse.Namespace) -> int:
-    om = _parse_omega(args)
+def cmd_detn(args: argparse.Namespace):
+    om = args.omega
     direct = toeplitz_det_direct(args.n, om)
     closed = toeplitz_det_closed(args.n, om)
     # both are exact values, rounded once in float mode, so they compare exactly
     fmt = str if om.exact_mode else _fmt
     verdict = "EQUAL" if direct == closed else "DIFFER"
-    _emit(f"direct: {fmt(direct)}\nclosed: {fmt(closed)}\nverdict: {verdict}\n", args)
-    return EXIT_OK
+    return EXIT_OK, None, [f"direct: {fmt(direct)}", f"closed: {fmt(closed)}", f"verdict: {verdict}"]
 
 
-def cmd_genfun(args: argparse.Namespace) -> int:
-    om = _parse_omega(args)
-    residual = genfun_compare(om, args.z, args.t, args.terms)
-    _emit(f"residual: {_fmt(residual)}\n", args)
-    return EXIT_OK
+def cmd_genfun(args: argparse.Namespace):
+    residual = genfun_compare(args.omega, args.z, args.t, args.terms)
+    return EXIT_OK, None, [f"residual: {_fmt(residual)}"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,9 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, cmd, output_format=None, omega=True, tol=False):
-        p.set_defaults(cmd=cmd)
+        # --format exists only where output_format is given; "text" is the default elsewhere
+        p.set_defaults(cmd=cmd, output_format=output_format or "text")
         if output_format:
-            p.set_defaults(output_format=output_format)
             p.add_argument("--format", choices=("json", "csv"), dest="output_format")
         p.add_argument("--out", default=None, dest="output_path", metavar="PATH")
         if tol:
@@ -270,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--omega-start", type=float, required=True)
     p.add_argument("--omega-end", type=float, required=True)
-    p.add_argument("--step", type=float, default=0.02)
-    p.add_argument("--match-threshold", type=float, default=0.1, dest="match_threshold")
+    p.add_argument("--step", type=positive_float, default=0.02)
+    p.add_argument("--match-threshold", type=positive_float, default=0.1, dest="match_threshold")
     add_common(p, cmd_trajectory, "csv", omega=False, tol=True)
 
     p = sub.add_parser("detn", help="moment determinant, direct vs closed form")
@@ -290,7 +260,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.cmd(args)
+        if "omega" in args:  # parsed once, here, for every command that takes it
+            args.omega = _parse_omega(args)
+        code, payload, lines = args.cmd(args)
+        _write(args, payload, lines)
+        return code
     except (ConvergenceError, TrackingError) as exc:
         print(f"skyburst: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

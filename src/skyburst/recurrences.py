@@ -32,7 +32,6 @@ from .skypoly import (
     construct_via_symmetry,
     derivative_at_minus_one,
     reflect_negative_omega,
-    value_at_minus_one,
     value_at_zero,
 )
 
@@ -241,9 +240,8 @@ class IdentityReport:
 
 
 def _boundary_gaps(n, w, printed):
-    s = construct(n, w)
-    gaps = [value_at_minus_one(n, w) - s(Fraction(-1))]
-    d = s
+    s = d = construct(n, w)
+    gaps = []
     for m in range(n + 1):
         gaps.append(derivative_at_minus_one(m, n, w) - d(Fraction(-1)))
         d = d.derivative()

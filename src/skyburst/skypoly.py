@@ -74,11 +74,6 @@ class Polynomial:
     def scalar_kind(self) -> str:
         return "complex_float" if _has_inexact(self.coeffs) else "rational"
 
-    def coefficient(self, j: int):
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return 0
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial"):
@@ -217,12 +212,8 @@ def construct_via_symmetry(n: int, m: int) -> Polynomial:
 
 
 def value_at_minus_one(n: int, omega):
-    """(-1)^n n! / poch(1+omega, n); equals construct(n, omega)(-1)."""
-    om = as_omega(omega)
-    den = pochhammer(1 + om.as_fraction(), n)
-    if den == 0:
-        raise PoleError(f"value at -1 undefined: poch(1+{om.value}, {n}) = 0")
-    return om.rounded((-1) ** n * math.factorial(n) / den)
+    """(-1)^n n! / poch(1+omega, n) = construct(n, omega)(-1), the order-0 derivative at -1."""
+    return derivative_at_minus_one(0, n, omega)
 
 
 def derivative_at_minus_one(m: int, n: int, omega):

@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError, TrackingError
-from .scalarfield import as_omega
+from .scalarfield import as_omega, to_float
 from .skypoly import Polynomial, construct, taylor_about_minus_one
 
 __all__ = [
@@ -183,13 +183,19 @@ def find_zeros(
     Origin roots are deflated analytically first whenever the constant term is
     exactly zero.  ``start``, if given, holds one Aberth start point per root
     left after that deflation (DomainError otherwise); without it the solve
-    starts cold.  Raises ConvergenceError (carrying the best iterate) if the
-    residual bound tol * (1 + max|coeff|) cannot be certified, or if an
-    iterate or residual overflows or is not finite.
+    starts cold.  Raises DomainError for a non-finite tol or a coefficient
+    outside the double range, and ConvergenceError (carrying the best
+    iterate) if the residual bound tol * (1 + max|coeff|) cannot be
+    certified, or if an iterate or residual overflows or is not finite.
     """
     if p.is_zero or p.degree < 1:
         raise DomainError("root finding needs a nonzero polynomial of degree >= 1")
-    coeffs = [c if isinstance(c, complex) else complex(float(c)) for c in p.coeffs]
+    if not math.isfinite(tol):
+        raise DomainError(f"tolerance must be finite, got {tol}")
+    try:
+        coeffs = [to_float(c) for c in p.coeffs]
+    except OverflowError:
+        raise DomainError("a coefficient lies outside the double range") from None
     n = len(coeffs) - 1
     scale = 1 + max(abs(c) for c in coeffs)
 
@@ -484,8 +490,10 @@ def trace(
         raise DomainError("continuation needs degree >= 1")
     if not (0 <= omega_start < omega_end):
         raise DomainError("need 0 <= omega_start < omega_end")
-    if base_step <= 0:
-        raise DomainError("base_step must be positive")
+    # a NaN threshold would never reject a step; refuse it with the other non-finite values
+    for name, value in (("base_step", base_step), ("match_threshold", match_threshold)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
 
     start = _clamp_away(float(omega_start), upward=omega_start >= round(omega_start))
     end = _clamp_away(float(omega_end), upward=omega_end > round(omega_end))

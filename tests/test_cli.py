@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +321,84 @@ def test_negative_value_separated_from_its_option(capsys, argv):
     assert "expected one argument" not in err
     joined = list(argv[:-2]) + [f"{argv[-2]}={argv[-1]}"]
     assert (code, out, err) == run(capsys, *joined)
+
+
+# SHA-256 of stdout for every subcommand and format, recorded before the
+# commands shared one writer; any change to an output byte shows here.
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        ("coeffs --n 4 --omega 22/7 --exact",
+         0, "6e791077a57fd5ccbaa516ae894e44f222d7b6e26a5a683a9e722d3628bff029"),
+        ("coeffs --n 4 --omega 22/7 --exact --format csv",
+         0, "076b2fa57e2acb51e85858ba5176c30e8f2d1d5fafdad76e0b9946323742c479"),
+        ("coeffs --n 5 --omega 0.37",
+         0, "bf0baf12aa78168beb07af462bf28a1fdd00a3af45b1da8613698707603a2733"),
+        ("coeffs --n 5 --omega 0.37 --format csv",
+         0, "f240627c2ac3953f72c6b873fd5e5de2624836c879f3a470a20487a6d3c32216"),
+        ("coeffs --n 3 --omega -2",
+         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("coeffs --n 3 --omega nan",
+         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --n-max 2",
+         0, "0d7258b09d18713881cb0cb406039a51172bb58711b1ce45a17cf4aa2232b9bc"),
+        ("verify --n-max 2 --format json",
+         0, "26fec4fc7868880980373d4cf67b1976109a898c64e90366f322bbf26cb6ea36"),
+        ("verify --n-max 2 --format csv",
+         0, "05f257d305a89c5b16363e36764e97e002bf48ebeceee523481aad5972604098"),
+        ("verify --n-max 1 --printed-variants",
+         1, "2f1edfe23a5b4689f54a97219252927b0257a5be4d2840f36b51c8bffe60613a"),
+        ("zeros --n 5 --omega 1/2",
+         0, "daafa781f956afde48ea39771d498ca39d8353a1cd2b0750fb670f27285d0220"),
+        ("zeros --n 5 --omega 1/2 --format json",
+         0, "a31c87975e7709dd233603f21a198e7468f1eea0804b9d5e0726b84d9093f83e"),
+        ("zeros --n 46 --omega 93/2",
+         3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5",
+         0, "0468f3c01a4a6aa018cd9f47cb9f7d589618f5dd1b6e910da060c20b4e1c6766"),
+        ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5 --format json",
+         0, "3561244ed11ea386ebf5d99eb389b5f93b99db5a1f1329a4dd534b297c87db8c"),
+        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step 0.05 --match-threshold 1e-10",
+         3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("detn --n 4 --omega 1/2 --exact",
+         0, "1de25264bddbd5436f2a25da45d846c1fed6977dc8300b0eb9b2f4b17a15e267"),
+        ("detn --n 12 --omega 0.37",
+         0, "70c6e2c20670815fed76bc4a96fddb1328c8fd30a1e84284e6df1d3d539481cb"),
+        ("genfun --omega 1/3 --z 0.4+0.2j --t 0.5 --terms 30",
+         0, "322ee826d71f864d774cb976cbf3d4be7cfce4bf33c71a1b04f61918684a41c5"),
+    ],
+)
+def test_stdout_bytes_pinned(capsys, argv, code, digest):
+    got_code, out, _ = run(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("zeros --n 5 --omega 1/2 --tol inf", "must be finite"),
+        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --tol inf", "must be finite"),
+        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step nan", "must be positive"),
+        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step inf", "must be finite"),
+        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --match-threshold nan", "must be positive"),
+        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --match-threshold inf", "must be finite"),
+    ],
+)
+def test_non_finite_tolerance_step_and_threshold_refused(capsys, argv, message):
+    # each of these used to switch its check off or fail later with a misleading message
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+def test_process_exit_status():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def status(*argv):
+        return subprocess.run([sys.executable, "-m", "skyburst.cli", *argv], capture_output=True, env=env).returncode
+
+    assert status("verify", "--n-max", "1", "--printed-variants") == 1
+    assert status("coeffs", "--n", "3", "--omega", "-2") == 2

@@ -110,6 +110,17 @@ class TestFindZeros:
         with pytest.raises(ConvergenceError, match="overflow"):
             zeros_of(52, Fraction(69, 2))
 
+    def test_coefficient_beyond_double_range_refused(self):
+        # the float conversion raised a bare OverflowError before the solve began
+        with pytest.raises(DomainError, match="double range"):
+            find_zeros(Polynomial([Fraction(10) ** 400, 1]))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_refused(self, tol):
+        # NaN or inf in the residual bound would certify any iterate
+        with pytest.raises(DomainError, match="tolerance"):
+            find_zeros(construct(5, F(1, 2)).to_inexact(), tol=tol)
+
     def test_conjugate_symmetry(self):
         for n, w in [(9, F(1, 2)), (7, F(5, 4)), (5, F(1, 3))]:
             vals = zeros_of(n, w).values()
@@ -403,3 +414,10 @@ class TestTrace:
             trace(2, 1.5, 0.5)
         with pytest.raises(DomainError):
             trace(2, 0.5, 1.5, base_step=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("name", ["base_step", "match_threshold"])
+    def test_non_finite_or_non_positive_step_and_threshold_refused(self, name, value):
+        # disp >= nan is always false, so a NaN threshold would accept every step
+        with pytest.raises(DomainError, match=name):
+            trace(2, 0.3, 0.5, **{name: value})
