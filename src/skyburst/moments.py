@@ -18,8 +18,9 @@ one two-sided Levinson recursion on the non-Hermitian Toeplitz matrix
 operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
 omega = p/q one integer L makes every moment it reads an integer multiple of
 q/L, so the recursion runs on integer vectors over one denominator each, with
-reduced rational multipliers; the closed product is likewise one integer
-numerator over one integer denominator.
+reduced rational multipliers; ``bilinear`` reads the same integer moments, and
+the closed product is likewise one integer numerator over one integer
+denominator.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import islice
 from operator import mul
 
 from .errors import DomainError, ExistenceError, PoleError
-from .scalarfield import Omega, as_omega, conjugate, pochhammer
+from .scalarfield import Omega, as_omega, conjugate
 from .skypoly import Polynomial
 
 __all__ = [
@@ -105,23 +106,50 @@ class ToeplitzMomentMatrix:
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
 
+def _integer_moments(w: Fraction, ks: range) -> tuple:
+    """L and the integers m_k, k in ks, with nu_k = (q/L) m_k for w = p/q.
+
+    nu_k = (-1)^k q/(kq + p), so L = lcm |kq + p| over ks makes every m_k an
+    integer.  A pole index k = -p (integer omega) is left out of L and gets
+    m_k = 0; the caller raises its PoleError where the moment is read.
+    """
+    p, q = w.numerator, w.denominator
+    dens = [k * q + p for k in ks]
+    scale = math.lcm(*[d for d in dens if d])
+    return scale, [(-scale if k % 2 else scale) // d if d else 0 for k, d in zip(ks, dens)]
+
+
+def _cleared(pairs: list) -> tuple:
+    """(index, rational coefficient) pairs as integers over their least common denominator."""
+    den = math.lcm(*[c.denominator for _, c in pairs])
+    return [(i, c.numerator * (den // c.denominator)) for i, c in pairs], den
+
+
 def bilinear(f: Polynomial, g: Polynomial, omega):
     """Reduced bilinear form sum_{j,k} f_j conj(g_k) nu_{j-k}.
 
     Multiply by sigma for the full form; a global scalar does not affect any
-    orthogonality statement.
+    orthogonality statement.  The moments are formed once, as integers over
+    one scale (``_integer_moments``).  Rational coefficients are cleared to
+    integers too, so the exact form is one integer sum over one denominator.
+    Only pairs of nonzero coefficients read a moment, so only such a pair
+    raises the moment pole.
     """
     om = as_omega(omega)
-    w = Omega.exact(om.as_fraction())
-    total = Fraction(0)
-    for j, fj in enumerate(f.coeffs):
-        if fj == 0:
-            continue
-        for k, gk in enumerate(g.coeffs):
-            if gk == 0:
-                continue
-            total = total + fj * conjugate(gk) * reduced_moment(j - k, w)
-    return om.rounded(total)
+    w = om.as_fraction()
+    fs = [(j, fj) for j, fj in enumerate(f.coeffs) if fj != 0]
+    gs = [(k, conjugate(gk)) for k, gk in enumerate(g.coeffs) if gk != 0]
+    if w.denominator == 1 and {j + w.numerator for j, _ in fs}.intersection(k for k, _ in gs):
+        reduced_moment(-w.numerator, w)  # raises the PoleError for nu_(-p)
+    lo = 1 - len(g.coeffs)
+    scale, m = _integer_moments(w, range(lo, len(f.coeffs)))
+    if f.scalar_kind == g.scalar_kind == "rational":
+        (fs, df), (gs, dg) = _cleared(fs), _cleared(gs)
+        total = sum(fj * gk * m[j - k - lo] for j, fj in fs for k, gk in gs)
+        return om.rounded_ratio(w.denominator * total, scale * df * dg)
+    # float or complex coefficients meet each moment as an exact fraction, pair by pair
+    nu = [Fraction(w.denominator * mk, scale) for mk in m]
+    return om.rounded(sum((fj * gk * nu[j - k - lo] for j, fj in fs for k, gk in gs), Fraction(0)))
 
 
 def _levinson(n: int, w: Fraction, top: int):
@@ -141,14 +169,15 @@ def _levinson(n: int, w: Fraction, top: int):
     read nu_-n, is never formed); ``top`` is the highest index the caller
     reads, n-1 or n.
 
-    The work is in integers.  For w = p/q, nu_k = (-1)^k q/(kq + p), so with
-    L = lcm |kq + p| over k = 1-n..top every moment is nu_k = (q/L) m_k for an
-    integer m_k.  The multipliers in the two updates are ratios of inner
-    products and do not see the scale, so the recursion runs on m; a_k and
-    b_k are integer vectors, each over one positive denominator, and each
-    pivot is rescaled by q/L when it is yielded.  The multipliers are reduced
-    fractions and every new vector is divided by the gcd of its entries and
-    denominator, which keeps the integers from growing by L at every step.
+    The work is in integers.  ``_integer_moments`` writes every moment read,
+    k = 1-n..top, as nu_k = (q/L) m_k with one integer L and integers m_k
+    (the scaling ``bilinear`` uses too).  The multipliers in the two updates
+    are ratios of inner products and do not see the scale, so the recursion
+    runs on m; a_k and b_k are integer vectors, each over one positive
+    denominator, and each pivot is rescaled by q/L when it is yielded.  The
+    multipliers are reduced fractions and every new vector is divided by the
+    gcd of its entries and denominator, which keeps the integers from growing
+    by L at every step.
     Since every moment is formed up front, the one possible pole (k = -p at
     integer omega) is raised before the recursion starts; the leading minors
     before it are nonzero, so no zero pivot can come first.  A zero pivot
@@ -157,9 +186,7 @@ def _levinson(n: int, w: Fraction, top: int):
     p, q = w.numerator, w.denominator
     if q == 1 and 1 - n <= -p <= top:
         reduced_moment(-p, w)  # raises the PoleError for nu_(-p)
-    ks = range(1 - n, top + 1)
-    scale = math.lcm(*(abs(k * q + p) for k in ks))
-    m = [(-scale if k % 2 else scale) // (k * q + p) for k in ks]
+    scale, m = _integer_moments(w, range(1 - n, top + 1))
     o = n - 1  # m[o] is m_0
     a, da = [1], 1
     b, db = [1], 1
@@ -252,19 +279,24 @@ def r_nk(n: int, k: int, omega):
               / (l! poch(-n-omega,l) poch(k-n-omega+1,l));
     zero exactly for k < n, nonzero at k = n.  Related to the bilinear form by
     bilinear(S_n, z^k) = (-1)^(n-k) r_{n,k} / (n + omega - k).
+
+    For omega = p/q the powers of q cancel in the ratio of consecutive terms,
+
+        t_(l+1) / t_l = -(n-l) (lq - p) ((k-n+l)q - p)
+                        / ((l+1) ((l-n)q - p) ((k-n+1+l)q - p)),
+
+    so the sum nests (Horner) into one integer fraction, reduced once.  A
+    vanishing denominator factor raises PoleError at the first term it enters.
     """
     om = as_omega(omega)
     w = om.as_fraction()
-    total = Fraction(0)
-    for ell in range(n + 1):
-        d1 = pochhammer(-n - w, ell)
-        d2 = pochhammer(k - n - w + 1, ell)
-        if d1 == 0 or d2 == 0:
-            raise PoleError(f"r_nk pole at term {ell} for (n={n}, k={k}, omega={om.value})")
-        num = (
-            pochhammer(-n, ell)
-            * pochhammer(-w, ell)
-            * pochhammer(k - n - w, ell)
-        )
-        total = total + num / (math.factorial(ell) * d1 * d2)
-    return om.rounded(total)
+    p, q = w.numerator, w.denominator
+    dens = [(ell + 1) * ((ell - n) * q - p) * ((k - n + 1 + ell) * q - p) for ell in range(n)]
+    for ell, d in enumerate(dens):
+        if d == 0:
+            raise PoleError(f"r_nk pole at term {ell + 1} for (n={n}, k={k}, omega={om.value})")
+    num, den = (1, 1) if n >= 0 else (0, 1)  # the sum over l = 0..n is empty for n < 0
+    for ell in range(n - 1, -1, -1):
+        ratio_num = -(n - ell) * (ell * q - p) * ((k - n + ell) * q - p)
+        num, den = den * dens[ell] + ratio_num * num, den * dens[ell]
+    return om.rounded_ratio(num, den)

@@ -5,6 +5,13 @@ from lower data) so that a residual against the direct construction can be
 checked exactly in rational arithmetic.  A float omega is computed on its
 exact binary rational and the result rounded once (``Omega.rounded``).
 
+The lifting and the lowering read all of S_0^omega, ..., S_n^omega at once.
+They take them from ``family_table``, integer rows built from one pair of
+prefix products, and form the whole sum as one integer vector over one
+integer denominator, so a float omega rounds each coefficient by int / int.
+The other steps combine a few members in ``Fraction`` arithmetic; the sweep
+checks each against ``construct``.
+
 Two published forms of these relations circulate with typos; the corrected
 identities used here were fixed by exact-arithmetic comparison at small
 degrees, and the faulty printed forms are kept under ``*_printed`` names
@@ -24,13 +31,14 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .moments import bilinear, toeplitz_det_closed, toeplitz_det_direct
-from .scalarfield import as_omega, pochhammer
+from .scalarfield import as_omega
 from .skypoly import (
     Polynomial,
     construct,
     construct_series,
     construct_via_symmetry,
     derivative_at_minus_one,
+    family_table,
     reflect_negative_omega,
     value_at_zero,
 )
@@ -112,23 +120,42 @@ def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
     raise DomainError(f"unknown printed variant {variant!r}")
 
 
+def _table_sum(n: int, w: Fraction, lift: bool, extra_z_on_last: bool = False) -> list:
+    """Integer numerator of the lifting (``lift``) or the lowering sum, from ``family_table``.
+
+    With (1+omega)_l / l! S_l^omega = (-1)^l N_l / (q^l l!) for the integer row
+    N_l of S_l, and g_l = q^(n-l) n!/l!, this is
+
+        (1+z) sum_{l<n} (-1)^(n-l) g_l z^(n-l-1) N_l + N_n   (lifting),
+        (1+z) sum_{l<n} g_l N_l + N_n                        (lowering),
+
+    which is (-1)^n q^n n! times the right-hand side of the identity.
+    """
+    rows = family_table(n, w)
+    q = w.denominator
+    acc = [0] * n
+    g = 1
+    for ell in range(n - 1, -1, -1):
+        g *= (-q if lift else q) * (ell + 1)
+        for k, c in enumerate(rows[ell], n - ell - 1 if lift else 0):
+            acc[k] += g * c
+    out = [x + y for x, y in zip(acc + [0], [0] + acc)]  # times 1+z
+    if extra_z_on_last:
+        out.append(0)
+    for k, c in enumerate(rows[n], extra_z_on_last):
+        out[k] += c
+    return out
+
+
 def _lifting_sum(n: int, omega, extra_z_on_last: bool) -> Polynomial:
     om = as_omega(omega)
     w = om.as_fraction()
-    scale = pochhammer(2 + w, n)
+    p, q = w.numerator, w.denominator
+    scale = math.prod((2 + i) * q + p for i in range(n))  # q^n (2+omega)_n
     if scale == 0:
         raise PoleError(f"lifting scale pole: poch(2+{om.value}, {n}) = 0")
-    one_plus_z = Polynomial((1, 1))
-    acc = Polynomial()
-    coef = Fraction(1)  # (1+omega)_l / l!, carried forward
-    for ell in range(n):
-        acc = acc + (coef * construct(ell, w)).shifted(n - ell - 1)
-        coef = coef * (1 + w + ell) / (ell + 1)
-    acc = one_plus_z * acc
-    last = coef * construct(n, w)
-    if extra_z_on_last:
-        last = last.shifted(1)
-    return om.rounded((math.factorial(n) / scale) * (acc + last))
+    den = -scale if n % 2 else scale
+    return Polynomial([om.rounded_ratio(c, den) for c in _table_sum(n, w, True, extra_z_on_last)])
 
 
 def lifting(n: int, omega) -> Polynomial:
@@ -136,6 +163,10 @@ def lifting(n: int, omega) -> Polynomial:
 
     (2+omega)_n/n! * S_n^(omega+1) = (1+z) * sum_{l<n} (1+omega)_l/l! z^(n-l-1) S_l^omega
                                      + (1+omega)_n/n! * S_n^omega.
+
+    One integer sum over the rows of ``family_table`` (``_table_sum``) over
+    (-1)^n q^n (2+omega)_n, an integer for omega = p/q; a float omega rounds
+    each coefficient once, by int / int.
     """
     return _lifting_sum(n, omega, extra_z_on_last=False)
 
@@ -150,21 +181,17 @@ def lowering(n: int, omega) -> Polynomial:
 
     (omega)_n/n! * S_n^(omega-1) = (1+z) * sum_{l<n} (-1)^(n-l) (1+omega)_l/l! S_l^omega
                                    + (1+omega)_n/n! * S_n^omega.
+
+    Computed as ``lifting`` is, over (-1)^n q^n (omega)_n.
     """
     om = as_omega(omega)
     w = om.as_fraction()
-    scale = pochhammer(w, n)
+    p, q = w.numerator, w.denominator
+    scale = math.prod(p + i * q for i in range(n))  # q^n (omega)_n
     if scale == 0:
         raise PoleError(f"lowering scale vanishes: poch({om.value}, {n}) = 0")
-    one_plus_z = Polynomial((1, 1))
-    acc = Polynomial()
-    coef = Fraction(1)  # (1+omega)_l / l!, carried forward
-    for ell in range(n):
-        sign = -1 if (n - ell) % 2 else 1
-        acc = acc + (sign * coef) * construct(ell, w)
-        coef = coef * (1 + w + ell) / (ell + 1)
-    rhs = one_plus_z * acc + coef * construct(n, w)
-    return om.rounded((math.factorial(n) / scale) * rhs)
+    den = -scale if n % 2 else scale
+    return Polynomial([om.rounded_ratio(c, den) for c in _table_sum(n, w, False)])
 
 
 def differential_step(n: int, omega) -> Polynomial:
@@ -240,12 +267,16 @@ class IdentityReport:
 
 
 def _boundary_gaps(n, w, printed):
-    s = d = construct(n, w)
-    gaps = []
-    for m in range(n + 1):
-        gaps.append(derivative_at_minus_one(m, n, w) - d(Fraction(-1)))
-        d = d.derivative()
-    gaps.append(value_at_zero(n, w) - s(Fraction(0)))
+    s = construct(n, w)
+    # S_n^(m)(-1) = m! t_m for S_n(z) = sum_m t_m (1+z)^m: one Taylor shift of the
+    # constructed coefficients, in integers over their common denominator
+    den = math.lcm(*[c.denominator for c in s.coeffs])
+    t = [c.numerator * (den // c.denominator) for c in s.coeffs]
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            t[k] -= t[k + 1]
+    gaps = [derivative_at_minus_one(m, n, w) - Fraction(math.factorial(m) * t[m], den) for m in range(n + 1)]
+    gaps.append(value_at_zero(n, w) - s.coeffs[0])
     return gaps
 
 

@@ -133,6 +133,8 @@ class Omega:
         which rounds correctly with no gcd; DomainError outside the double range."""
         if self.exact_mode:
             return Fraction(num, den)
+        if den < 0:  # 0 / -d would be -0.0, where float(Fraction(0)) is 0.0
+            num, den = -num, -den
         try:
             return num / den
         except OverflowError:

@@ -17,12 +17,13 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .scalarfield import Omega, as_omega, binomial, conjugate, pochhammer
+from .scalarfield import Omega, as_omega, conjugate, pochhammer
 
 __all__ = [
     "Polynomial",
     "construct",
     "construct_series",
+    "family_table",
     "construct_via_symmetry",
     "evaluate",
     "value_at_minus_one",
@@ -34,12 +35,11 @@ __all__ = [
 ]
 
 
-def _has_fraction(coeffs) -> bool:
-    return any(isinstance(c, Fraction) for c in coeffs)
-
-
-def _has_inexact(coeffs) -> bool:
-    return any(isinstance(c, (float, complex)) for c in coeffs)
+def _mixed(coeffs) -> bool:
+    """True when Fraction and float/complex coefficients meet; one scan of the types."""
+    types = set(map(type, coeffs))
+    return (len(types) > 1 and any(issubclass(t, Fraction) for t in types)
+            and any(issubclass(t, (float, complex)) for t in types))
 
 
 class Polynomial:
@@ -54,7 +54,7 @@ class Polynomial:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
-        if _has_fraction(coeffs) and _has_inexact(coeffs):
+        if _mixed(coeffs):
             raise TypeError("mixed rational and floating coefficients; convert explicitly")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -72,14 +72,12 @@ class Polynomial:
 
     @property
     def scalar_kind(self) -> str:
-        return "complex_float" if _has_inexact(self.coeffs) else "rational"
+        return "complex_float" if any(isinstance(c, (float, complex)) for c in self.coeffs) else "rational"
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial"):
-        if (_has_fraction(self.coeffs) and _has_inexact(other.coeffs)) or (
-            _has_inexact(self.coeffs) and _has_fraction(other.coeffs)
-        ):
+        if _mixed(self.coeffs + other.coeffs):
             raise TypeError("mixed rational and floating polynomials; convert explicitly")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -93,7 +91,9 @@ class Polynomial:
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1) * other
+        self._check_compatible(other)
+        a, b = self.coeffs, other.coeffs
+        return Polynomial([x - y for x, y in zip(a, b)] + list(a[len(b):]) + [-y for y in b[len(a):]])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -157,38 +157,75 @@ def evaluate(p: Polynomial, z):
     return p(z)
 
 
+def _prefix_products(n: int, w: Fraction) -> tuple:
+    """A_0..A_n and B_0..B_n for w = p/q: A_l = prod_{i<l} (iq - p), B_k = prod_{j=1..k} -(jq + p)."""
+    p, q = w.numerator, w.denominator
+    a, b = [1], [1]
+    for i in range(n):
+        a.append(a[i] * (i * q - p))
+        b.append(b[i] * -((i + 1) * q + p))
+    return a, b
+
+
+def _construction_pole(n: int, om: Omega) -> PoleError:
+    # only an integer omega = p in [-n, -1] has a pole; its factor is term n+1+p of the sum
+    return PoleError(
+        f"construction pole at degree {n}, omega={om.value}: "
+        f"denominator rising factorial vanishes at term {n + 1 + om.as_fraction().numerator}"
+    )
+
+
 def construct_series(n: int, omega) -> Polynomial:
     """Direct hypergeometric-sum route, valid whenever no denominator vanishes.
 
-    With omega = p/q, consecutive coefficients differ by one exact ratio,
+    For omega = p/q the poch(-omega, l) and poch(-n-omega, l) of the sum are
+    products of integers over powers of q, and the powers cancel:
 
-        c_(n-l) = c_(n-l+1) * (n-l+1)(q(l-1) - p) / (l (q(l-1-n) - p)),
+        c_(n-l) = C(n, l) A_l B_(n-l) / B_n,
+        A_l = prod_{i<l} (iq - p),  B_k = prod_{j=1..k} -(jq + p),
 
-    so the coefficients cost O(n) small-integer Fraction products.  The
-    numerator factor vanishes at omega in {0, ..., n-1}, after which every
-    coefficient stays exactly 0.  The denominator factor is checked at every
-    l, zeros or not: it vanishes first at l = n+omega+1 for omega a negative
-    integer in [-n, -1], which raises PoleError naming that term.  A float
-    omega runs on its exact binary rational and each coefficient is rounded
-    once.
+    two prefix products, O(n) to form.  Each coefficient is taken as
+    C(n, l) A_l over the suffix product B_n / B_(n-l), the smaller of the two
+    equal fractions.  A_l vanishes for l > omega at omega in {0, ..., n-1},
+    which makes the low coefficients exactly 0.  B_n vanishes only at omega a
+    negative integer in [-n, -1], which raises PoleError naming the vanishing
+    term n+omega+1 of the denominator rising factorial.  A float omega runs on
+    its exact binary rational and each coefficient is rounded once, by
+    int / int (``Omega.rounded_ratio``).
     """
     om = as_omega(omega)
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
-    c = Fraction(1)
-    coeffs = [c] * (n + 1)
-    for ell in range(1, n + 1):
-        den = ell * (q * (ell - 1 - n) - p)
-        if den == 0:
-            raise PoleError(
-                f"construction pole at degree {n}, omega={om.value}: "
-                f"denominator rising factorial vanishes at term {ell}"
-            )
-        c = c * Fraction((n - ell + 1) * (q * (ell - 1) - p), den)
-        coeffs[n - ell] = c
-    return om.rounded(Polynomial(coeffs))
+    a, b = _prefix_products(n, w)
+    if b[n] == 0:
+        raise _construction_pole(n, om)
+    coeffs = [0] * (n + 1)
+    binom, tail = 1, 1  # C(n, k) and B_n / B_k
+    for k in range(n, -1, -1):
+        coeffs[k] = om.rounded_ratio(binom * a[n - k], tail)
+        binom = binom * k // (n - k + 1)
+        tail *= -(k * q + p)
+    return Polynomial(coeffs)
+
+
+def family_table(n: int, omega) -> list:
+    """S_0^omega, ..., S_n^omega in integers: row l is B_l S_l^omega.
+
+    Row l holds C(l, k) A_(l-k) B_k at z^k (A and B as in
+    ``construct_series``), so every row comes from one pair of prefix
+    products.  Raises the PoleError that ``construct`` raises for the first
+    member with a pole, degree -omega.
+    """
+    om = as_omega(omega)
+    if n < 0:
+        raise DomainError(f"degree must be nonnegative, got {n}")
+    w = om.as_fraction()
+    a, b = _prefix_products(n, w)
+    if b[n] == 0:
+        raise _construction_pole(-w.numerator, om)
+    return [[math.comb(ell, k) * a[ell - k] * b[k] for k in range(ell + 1)] for ell in range(n + 1)]
 
 
 def construct(n: int, omega) -> Polynomial:
@@ -217,16 +254,20 @@ def value_at_minus_one(n: int, omega):
 
 
 def derivative_at_minus_one(m: int, n: int, omega):
-    """m-th derivative of construct(n, omega) at z = -1, in closed form."""
+    """m-th derivative of construct(n, omega) at z = -1, in closed form.
+
+    (-1)^(n-m) n! C(n, m) (1+omega)_m / (1+omega)_n, which for omega = p/q is
+    the one integer ratio (-1)^(n-m) n! C(n, m) q^(n-m) / prod_{i=m}^{n-1} (p + q(1+i)).
+    """
     if m < 0 or m > n:
         raise DomainError(f"derivative order must satisfy 0 <= m <= n, got (m={m}, n={n})")
     om = as_omega(omega)
     w = om.as_fraction()
-    den = pochhammer(1 + w, n)
-    if den == 0:
+    p, q = w.numerator, w.denominator
+    if q == 1 and -n <= p <= -1:
         raise PoleError(f"derivative at -1 undefined: poch(1+{om.value}, {n}) = 0")
-    num = pochhammer(1 + w, m)
-    return om.rounded((-1) ** (n - m) * math.factorial(n) * num / den * binomial(n, m))
+    num = (-1) ** (n - m) * math.factorial(n) * math.comb(n, m) * q ** (n - m)
+    return om.rounded_ratio(num, math.prod(p + q * (1 + i) for i in range(m, n)))
 
 
 def value_at_zero(n: int, omega):

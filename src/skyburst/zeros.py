@@ -57,6 +57,7 @@ INTEGER_OFFSET = 1e-3    # continuation grids never sample closer to an integer
 MIN_STEP = 1e-6
 MAX_ITERATIONS = 500
 DEFAULT_TOL = 1e-10
+MAX_SPAN = 1000.0        # widest omega range trace accepts: at the default step, some 50,000 grid points
 
 
 class ZeroTag(str, Enum):
@@ -472,7 +473,8 @@ def trace(
     by the minimum total distance over raw positions at a crossing, and are
     recorded as burst events.  Within a segment the local
     step is halved until consecutive root sets match within match_threshold;
-    underflow of the step below 1e-6 raises TrackingError.
+    underflow of the step below 1e-6 raises TrackingError.  A non-finite end
+    or a range wider than MAX_SPAN raises DomainError.
 
     Each solve inside a segment is seeded with the roots accepted at the
     previous grid point, a few hundredths away, and settles in a few Aberth
@@ -488,8 +490,12 @@ def trace(
     """
     if n < 1:
         raise DomainError("continuation needs degree >= 1")
+    if not (math.isfinite(omega_start) and math.isfinite(omega_end)):
+        raise DomainError(f"omega range must be finite, got [{omega_start}, {omega_end}]")
     if not (0 <= omega_start < omega_end):
         raise DomainError("need 0 <= omega_start < omega_end")
+    if omega_end - omega_start > MAX_SPAN:
+        raise DomainError(f"omega range wider than {MAX_SPAN}: [{omega_start}, {omega_end}]")
     # a NaN threshold would never reject a step; refuse it with the other non-finite values
     for name, value in (("base_step", base_step), ("match_threshold", match_threshold)):
         if not 0 < value < math.inf:

@@ -221,6 +221,17 @@ class TestTrajectory:
         assert len(payload["paths"]) == 1
         assert len(payload["paths"][0]) == len(payload["omega_grid"])
 
+    @pytest.mark.parametrize("end", ["1e300", "inf"])
+    def test_unbounded_range_exit_code(self, end):
+        # in a child process: at 1e300 the grid would run until killed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["trajectory", "--n", "2", "--omega-start", "0.3", "--omega-end", end]
+        out = subprocess.run([sys.executable, "-m", "skyburst.cli", *argv], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("skyburst: omega range")
+
     def test_tracking_error_exit_code(self, capsys):
         code, _, err = run(
             capsys, "trajectory", "--n", "2", "--omega-start", "0.3",

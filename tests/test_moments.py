@@ -107,6 +107,16 @@ class TestBilinear:
         # <1, i> = conj(i) * nu_0 = -i * 2 at omega = 1/2
         assert bilinear(f, g, 0.5) == -2j
 
+    @pytest.mark.parametrize("w", [0.37, -2.3])
+    def test_float_coefficients_summed_pair_by_pair(self, w):
+        # reference: each pair against its exact moment, in the order of the pairs
+        f, g = construct(12, w), Polynomial((1.5, 2j, -0.25))
+        want = F(0)
+        for j, fj in enumerate(f.coeffs):
+            for k, gk in enumerate(g.coeffs):
+                want = want + fj * gk.conjugate() * reduced_moment(j - k, F(w))
+        assert bilinear(f, g, w) == want
+
 
 class TestDeterminants:
     def test_one_by_one(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -187,6 +188,27 @@ class TestLiftingLowering:
         with pytest.raises(PoleError):
             lowering(3, F(0))
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_pole_named_at_the_first_member(self, n):
+        # past its scale check, each route raises the PoleError of the first S_l with a pole
+        first = "construction pole at degree {}, omega=-{}: denominator rising factorial vanishes at term 1"
+        with pytest.raises(PoleError, match=f"^{first.format(1, 1)}$"):
+            lifting(n, F(-1))
+        with pytest.raises(PoleError, match=f"^{first.format(n, n)}$"):
+            lowering(n, F(-n))
+
+    @pytest.mark.parametrize("route", [lifting, lifting_printed, lowering])
+    def test_negative_degree_refused(self, route):
+        with pytest.raises(DomainError):
+            route(-1, F(1, 2))
+
+    @pytest.mark.parametrize("route", [lifting, lowering])
+    def test_float_degree_120_is_exact_result_rounded_once(self, route):
+        want = Polynomial([float(c) for c in route(120, F(0.37)).coeffs])
+        got = route(120, 0.37)
+        assert all(isinstance(c, float) for c in got.coeffs)
+        assert got == want
+
     def test_shift_then_lower_round_trip(self):
         # lowering to omega-1 and shifting back up is the identity
         for n in range(1, 8):
@@ -262,6 +284,19 @@ class TestGeneratingFunction:
 
 
 class TestIdentitySuite:
+    def test_reports_match_pinned_digest(self):
+        # SHA-256 of every report over these sweeps, recorded before the sweep ran on integer rows
+        digest = hashlib.sha256()
+        for grid in (GRID, (F(-13, 9), F(-5, 2), F(-1, 3))):
+            for n_max in (0, 5, 12):
+                for printed in (False, True):
+                    for r in run_identity_suite(n_max, grid, printed):
+                        digest.update(
+                            f"{r.identity_id}|{r.params!r}|{r.residual_norm}|"
+                            f"{type(r.residual_norm).__name__}|{r.passed}\n".encode()
+                        )
+        assert digest.hexdigest() == "c6542befb1b94c86e3d9f4ed5dc0ea22ac0fa5a52fb72c88bc1f20aaa6ef5a07"
+
     def test_negative_degree_bound_refused(self):
         with pytest.raises(DomainError):
             run_identity_suite(n_max=-1)

@@ -132,6 +132,15 @@ class TestConstruct:
             if w.denominator == 1 and 0 <= w < n:
                 assert got.coeffs[: n - int(w)] == (0,) * (n - int(w))
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 40])
+    def test_pole_named_for_every_negative_integer(self, n):
+        for j in range(1, n + 1):
+            with pytest.raises(PoleError, match=(
+                f"^construction pole at degree {n}, omega=-{j}: "
+                f"denominator rising factorial vanishes at term {n + 1 - j}$"
+            )):
+                construct(n, F(-j))
+
     def test_pole_named_at_first_vanishing_term(self):
         with pytest.raises(PoleError, match=r"omega=-3: .* at term 3$"):
             construct_series(5, F(-3))

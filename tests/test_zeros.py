@@ -1,8 +1,12 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +418,21 @@ class TestTrace:
             trace(2, 1.5, 0.5)
         with pytest.raises(DomainError):
             trace(2, 0.5, 1.5, base_step=-0.1)
+
+    @pytest.mark.parametrize("end, message", [
+        ("inf", "must be finite"), ("-inf", "must be finite"), ("1e300", "wider than"),
+        (repr(0.3 + zeros.MAX_SPAN + 1), "wider than"),
+    ])
+    def test_unbounded_range_refused(self, end, message):
+        # in a child process: an unbounded grid would run until killed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "from skyburst.errors import DomainError\nfrom skyburst.zeros import trace\n"
+            f"try:\n    trace(2, 0.3, float({end!r}))\nexcept DomainError as exc:\n    print(exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0 and message in out.stdout, out.stderr
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
     @pytest.mark.parametrize("name", ["base_step", "match_threshold"])
