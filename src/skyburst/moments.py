@@ -125,29 +125,51 @@ def _cleared(pairs: list) -> tuple:
     return [(i, c.numerator * (den // c.denominator)) for i, c in pairs], den
 
 
+def _read_moments(w: Fraction, js: list, ks) -> tuple:
+    """L, the integers m_i for every index i = j - k with j in js, k in ks, and the least such i.
+
+    Raises the moment pole if a pair reads nu_(-p) at integer omega = p.
+    """
+    if w.denominator == 1 and {j + w.numerator for j in js}.intersection(ks):
+        reduced_moment(-w.numerator, w)  # raises the PoleError for nu_(-p)
+    lo, hi = (min(js) - max(ks), max(js) - min(ks)) if js and ks else (0, -1)
+    scale, m = _integer_moments(w, range(lo, hi + 1))
+    return scale, m, lo
+
+
+def _moment_products(fs: list, w: Fraction, ks) -> tuple:
+    """The integer Toeplitz product of a row with the moments.
+
+    For integer pairs fs = [(j, f_j)] returns L and, for each k in ks, the
+    integer sum_j f_j m_(j-k), which is L/q times sum_j f_j nu_(j-k)
+    (``_integer_moments``).  The moment pole is raised as in ``_read_moments``.
+    """
+    scale, m, lo = _read_moments(w, [j for j, _ in fs], ks)
+    return scale, [sum(fj * m[j - k - lo] for j, fj in fs) for k in ks]
+
+
 def bilinear(f: Polynomial, g: Polynomial, omega):
     """Reduced bilinear form sum_{j,k} f_j conj(g_k) nu_{j-k}.
 
     Multiply by sigma for the full form; a global scalar does not affect any
     orthogonality statement.  The moments are formed once, as integers over
     one scale (``_integer_moments``).  Rational coefficients are cleared to
-    integers too, so the exact form is one integer sum over one denominator.
-    Only pairs of nonzero coefficients read a moment, so only such a pair
-    raises the moment pole.
+    integers too, so the exact form is the Toeplitz product of f with the
+    moments (``_moment_products``) summed against g: one integer sum over one
+    denominator.  Only pairs of nonzero coefficients read a moment, so only
+    such a pair raises the moment pole.
     """
     om = as_omega(omega)
     w = om.as_fraction()
     fs = [(j, fj) for j, fj in enumerate(f.coeffs) if fj != 0]
     gs = [(k, conjugate(gk)) for k, gk in enumerate(g.coeffs) if gk != 0]
-    if w.denominator == 1 and {j + w.numerator for j, _ in fs}.intersection(k for k, _ in gs):
-        reduced_moment(-w.numerator, w)  # raises the PoleError for nu_(-p)
-    lo = 1 - len(g.coeffs)
-    scale, m = _integer_moments(w, range(lo, len(f.coeffs)))
     if f.scalar_kind == g.scalar_kind == "rational":
         (fs, df), (gs, dg) = _cleared(fs), _cleared(gs)
-        total = sum(fj * gk * m[j - k - lo] for j, fj in fs for k, gk in gs)
+        scale, dots = _moment_products(fs, w, [k for k, _ in gs])
+        total = sum(gk * dot for (_, gk), dot in zip(gs, dots))
         return om.rounded_ratio(w.denominator * total, scale * df * dg)
     # float or complex coefficients meet each moment as an exact fraction, pair by pair
+    scale, m, lo = _read_moments(w, [j for j, _ in fs], [k for k, _ in gs])
     nu = [Fraction(w.denominator * mk, scale) for mk in m]
     return om.rounded(sum((fj * gk * nu[j - k - lo] for j, fj in fs for k, gk in gs), Fraction(0)))
 

@@ -3,14 +3,17 @@
 Every relation is shipped as a constructive step (build the target polynomial
 from lower data) so that a residual against the direct construction can be
 checked exactly in rational arithmetic.  A float omega is computed on its
-exact binary rational and the result rounded once (``Omega.rounded``).
+exact binary rational and the result rounded once.
 
-The lifting and the lowering read all of S_0^omega, ..., S_n^omega at once.
-They take them from ``family_table``, integer rows built from one pair of
-prefix products, and form the whole sum as one integer vector over one
-integer denominator, so a float omega rounds each coefficient by int / int.
-The other steps combine a few members in ``Fraction`` arithmetic; the sweep
-checks each against ``construct``.
+Each step has an integer core: for omega = p/q it returns ``(row, den)``, an
+integer vector over one integer, the representation FLINT's ``fmpq_poly``
+uses.  The members S_n^omega it reads are integer rows over B_n from one pair
+of prefix products (``skypoly._member``); the lifting and the lowering read
+all of S_0^omega, ..., S_n^omega at once from ``family_table``.  A public
+step is its core divided out once, coefficient by coefficient (int / int for
+a float omega).  The identity sweep compares cores directly: each gap is one
+cross-multiplied integer vector and its residual one ``Fraction``, so no
+rational polynomial is formed on the way.
 
 Two published forms of these relations circulate with typos; the corrected
 identities used here were fixed by exact-arithmetic comparison at small
@@ -30,16 +33,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .moments import bilinear, toeplitz_det_closed, toeplitz_det_direct
-from .scalarfield import as_omega
+from .moments import _moment_products, toeplitz_det_closed, toeplitz_det_direct
+from .scalarfield import Omega, as_omega
 from .skypoly import (
     Polynomial,
+    _derivatives_at_minus_one,
+    _member,
+    _ratio_poly,
+    _reflection,
     construct,
-    construct_series,
-    construct_via_symmetry,
-    derivative_at_minus_one,
     family_table,
-    reflect_negative_omega,
     value_at_zero,
 )
 
@@ -68,6 +71,24 @@ DEFAULT_OMEGA_GRID = (
 )
 
 
+def _add(x: list, dx: int, y: list, dy: int) -> tuple:
+    """x/dx + y/dy for integer rows over integers: the row x*dy + y*dx over dx*dy."""
+    x, y = x + [0] * (len(y) - len(x)), y + [0] * (len(x) - len(y))
+    return [u * dy + v * dx for u, v in zip(x, y)], dx * dy
+
+
+def _mixed(n: int, om: Omega) -> tuple:
+    # omega^2/((omega+n-1)(omega+n)) = p^2 / ((p+(n-1)q)(p+nq))
+    w = om.as_fraction()
+    p, q = w.numerator, w.denominator
+    den = (p + (n - 1) * q) * (p + n * q)
+    if den == 0:
+        raise PoleError(f"mixed step pole: (omega+n-1)(omega+n) = 0 at omega={om.value}")
+    lower, d_lower = _member(n - 1, w)
+    shifted, d_shifted = _member(n - 1, w - 1)
+    return _add([0, *lower], d_lower, [p * p * c for c in shifted], den * d_shifted)
+
+
 def step_mixed(n: int, omega) -> Polynomial:
     """z*S_{n-1}^omega + omega^2/((omega+n-1)(omega+n)) * S_{n-1}^(omega-1).
 
@@ -77,21 +98,26 @@ def step_mixed(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("mixed step needs n >= 1")
     om = as_omega(omega)
-    w = om.as_fraction()
-    den = (w + n - 1) * (w + n)
-    if den == 0:
-        raise PoleError(f"mixed step pole: (omega+n-1)(omega+n) = 0 at omega={om.value}")
-    lower = construct(n - 1, w)
-    shifted = construct(n - 1, w - 1)
-    return om.rounded(lower.shifted(1) + (w * w / den) * shifted)
+    return _ratio_poly(om, *_mixed(n, om))
 
 
-def _omega_up_terms(n: int, om):
+# (k, s) for the term n^k/((omega+n)(omega+n+1)) z^s S_{n-1}^omega: the identity, then the printed forms
+_OMEGA_UP = (2, 0)
+_OMEGA_UP_PRINTED = {"nz2": (1, 2), "n2z": (2, 1)}
+
+
+def _omega_up(n: int, om: Omega, form: tuple = _OMEGA_UP) -> tuple:
+    # n^k/((omega+n)(omega+n+1)) = n^k q^2 / ((p+nq)(p+(n+1)q))
     w = om.as_fraction()
-    den = (w + n) * (w + n + 1)
+    p, q = w.numerator, w.denominator
+    den = (p + n * q) * (p + (n + 1) * q)
     if den == 0:
         raise PoleError(f"parameter shift pole: (omega+n)(omega+n+1) = 0 at omega={om.value}")
-    return construct(n, w), construct(n - 1, w), den
+    top, d_top = _member(n, w)
+    low, d_low = _member(n - 1, w)
+    power, shift = form
+    factor = n ** power * q * q
+    return _add(top, d_top, [0] * shift + [factor * c for c in low], den * d_low)
 
 
 def step_omega_up(n: int, omega) -> Polynomial:
@@ -99,8 +125,7 @@ def step_omega_up(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("parameter shift needs n >= 1")
     om = as_omega(omega)
-    top, low, den = _omega_up_terms(n, om)
-    return om.rounded(top + (n * n / den) * low)
+    return _ratio_poly(om, *_omega_up(n, om))
 
 
 def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
@@ -111,13 +136,10 @@ def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
     """
     if n < 1:
         raise DomainError("parameter shift needs n >= 1")
+    if variant not in _OMEGA_UP_PRINTED:
+        raise DomainError(f"unknown printed variant {variant!r}")
     om = as_omega(omega)
-    top, low, den = _omega_up_terms(n, om)
-    if variant == "nz2":
-        return om.rounded(top + (n / den) * low.shifted(2))
-    if variant == "n2z":
-        return om.rounded(top + (n * n / den) * low.shifted(1))
-    raise DomainError(f"unknown printed variant {variant!r}")
+    return _ratio_poly(om, *_omega_up(n, om, _OMEGA_UP_PRINTED[variant]))
 
 
 def _table_sum(n: int, w: Fraction, lift: bool, extra_z_on_last: bool = False) -> list:
@@ -147,15 +169,14 @@ def _table_sum(n: int, w: Fraction, lift: bool, extra_z_on_last: bool = False) -
     return out
 
 
-def _lifting_sum(n: int, omega, extra_z_on_last: bool) -> Polynomial:
-    om = as_omega(omega)
+def _lifting(n: int, om: Omega, extra_z_on_last: bool = False) -> tuple:
+    # over (-1)^n q^n (2+omega)_n
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
-    scale = math.prod((2 + i) * q + p for i in range(n))  # q^n (2+omega)_n
+    scale = math.prod([(2 + i) * q + p for i in range(n)])
     if scale == 0:
         raise PoleError(f"lifting scale pole: poch(2+{om.value}, {n}) = 0")
-    den = -scale if n % 2 else scale
-    return Polynomial([om.rounded_ratio(c, den) for c in _table_sum(n, w, True, extra_z_on_last)])
+    return _table_sum(n, w, True, extra_z_on_last), -scale if n % 2 else scale
 
 
 def lifting(n: int, omega) -> Polynomial:
@@ -165,15 +186,26 @@ def lifting(n: int, omega) -> Polynomial:
                                      + (1+omega)_n/n! * S_n^omega.
 
     One integer sum over the rows of ``family_table`` (``_table_sum``) over
-    (-1)^n q^n (2+omega)_n, an integer for omega = p/q; a float omega rounds
-    each coefficient once, by int / int.
+    (-1)^n q^n (2+omega)_n, an integer for omega = p/q.
     """
-    return _lifting_sum(n, omega, extra_z_on_last=False)
+    om = as_omega(omega)
+    return _ratio_poly(om, *_lifting(n, om))
 
 
 def lifting_printed(n: int, omega) -> Polynomial:
     """Faulty printed lifting (spurious z on the final term); falsification only."""
-    return _lifting_sum(n, omega, extra_z_on_last=True)
+    om = as_omega(omega)
+    return _ratio_poly(om, *_lifting(n, om, extra_z_on_last=True))
+
+
+def _lowering(n: int, om: Omega) -> tuple:
+    # over (-1)^n q^n (omega)_n
+    w = om.as_fraction()
+    p, q = w.numerator, w.denominator
+    scale = math.prod([p + i * q for i in range(n)])
+    if scale == 0:
+        raise PoleError(f"lowering scale vanishes: poch({om.value}, {n}) = 0")
+    return _table_sum(n, w, False), -scale if n % 2 else scale
 
 
 def lowering(n: int, omega) -> Polynomial:
@@ -185,13 +217,19 @@ def lowering(n: int, omega) -> Polynomial:
     Computed as ``lifting`` is, over (-1)^n q^n (omega)_n.
     """
     om = as_omega(omega)
+    return _ratio_poly(om, *_lowering(n, om))
+
+
+def _differential(n: int, om: Omega) -> tuple:
+    # times q, for S_(n-1) = R/D: (p+nq) dS_n = sum_k n (kq + q + p) R_k z^k / D,
+    # since z dS_(n-1) = sum_k k R_k z^k / D
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
-    scale = math.prod(p + i * q for i in range(n))  # q^n (omega)_n
-    if scale == 0:
-        raise PoleError(f"lowering scale vanishes: poch({om.value}, {n}) = 0")
-    den = -scale if n % 2 else scale
-    return Polynomial([om.rounded_ratio(c, den) for c in _table_sum(n, w, False)])
+    den = p + n * q
+    if den == 0:
+        raise PoleError(f"differential step pole at omega = {-n}")
+    lower, d_lower = _member(n - 1, w)
+    return [n * (k * q + q + p) * c for k, c in enumerate(lower)], den * d_lower
 
 
 def differential_step(n: int, omega) -> Polynomial:
@@ -202,25 +240,26 @@ def differential_step(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("differential step needs n >= 1")
     om = as_omega(omega)
+    return _ratio_poly(om, *_differential(n, om))
+
+
+def _ode(n: int, om: Omega) -> tuple:
+    # times q, for S = R/D: the z^k coefficient is (k+1)(q - c - kq) R_(k+1) + ((q+p)n - k(k-1)q - ck) R_k
+    # with c = q(2+omega-n)
     w = om.as_fraction()
-    den = w + n
-    if den == 0:
-        raise PoleError(f"differential step pole at omega = {-n}")
-    lower = construct(n - 1, w)
-    rhs = (n * lower.derivative()).shifted(1) + (n * (1 + w)) * lower
-    return om.rounded((1 / den) * rhs)
+    p, q = w.numerator, w.denominator
+    row, den = _member(n, w)
+    c = 2 * q + p - n * q
+    out = [((q + p) * n - k * (k - 1) * q - c * k) * r for k, r in enumerate(row)]
+    for k in range(n):
+        out[k] += (k + 1) * (q - c - k * q) * row[k + 1]
+    return out, q * den
 
 
 def ode_residual(n: int, omega) -> Polynomial:
     """-z(1+z) S'' + [1 - (2+omega-n)(z+1)] S' + (1+omega) n S; identically zero."""
     om = as_omega(omega)
-    w = om.as_fraction()
-    s = construct(n, w)
-    s1 = s.derivative()
-    s2 = s1.derivative()
-    minus_z_1pz = Polynomial((0, -1, -1))
-    first_order = Polynomial((1 - (2 + w - n), -(2 + w - n)))
-    return om.rounded(minus_z_1pz * s2 + first_order * s1 + ((1 + w) * n) * s)
+    return _ratio_poly(om, *_ode(n, om))
 
 
 def genfun_compare(omega, z, T, N: int) -> float:
@@ -266,58 +305,76 @@ class IdentityReport:
     passed: bool
 
 
-def _boundary_gaps(n, w, printed):
-    s = construct(n, w)
-    # S_n^(m)(-1) = m! t_m for S_n(z) = sum_m t_m (1+z)^m: one Taylor shift of the
-    # constructed coefficients, in integers over their common denominator
-    den = math.lcm(*[c.denominator for c in s.coeffs])
-    t = [c.numerator * (den // c.denominator) for c in s.coeffs]
+def _residual(lhs: tuple, rhs: tuple) -> Fraction:
+    """max |lhs - rhs| over the coefficients of two (row, den) pairs.
+
+    The gap is one integer vector, lhs_row*rhs_den - rhs_row*lhs_den, over
+    lhs_den*rhs_den; only the residual is a Fraction.
+    """
+    (x, dx), (y, dy) = lhs, rhs
+    gap, den = _add(x, dx, [-c for c in y], dy)
+    return Fraction(max(map(abs, gap), default=0), abs(den))
+
+
+def _boundary_residual(n: int, om: Omega, printed) -> Fraction:
+    w = om.as_fraction()
+    row, den = _member(n, w)
+    # S_n^(m)(-1) = m! t_m for S_n(z) = sum_m t_m (1+z)^m: one Taylor shift of the member row
+    t = row[:]
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
             t[k] -= t[k + 1]
-    gaps = [derivative_at_minus_one(m, n, w) - Fraction(math.factorial(m) * t[m], den) for m in range(n + 1)]
-    gaps.append(value_at_zero(n, w) - s.coeffs[0])
-    return gaps
+    taylor = [math.factorial(m) * c for m, c in enumerate(t)], den
+    derivatives = _residual(_derivatives_at_minus_one(n, om), taylor)
+    return max(derivatives, abs(value_at_zero(n, w) - Fraction(row[0], den)))
 
 
-def _orthogonality_gaps(n, w, printed):
-    s = construct(n, w)
-    gaps = [bilinear(s, Polynomial((0,) * k + (1,)), w) for k in range(n)]
+def _orthogonality_residual(n: int, om: Omega, printed) -> Fraction:
+    w = om.as_fraction()
+    row, den = _member(n, w)
+    # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row, as ``bilinear`` forms it
+    scale, dots = _moment_products([(j, c) for j, c in enumerate(row) if c], w, range(n + 1))
+    gap = Fraction(w.denominator * max(map(abs, dots[:n]), default=0), abs(scale * den))
     # nondegeneracy: <S_n, z^n> must not vanish; a zero there counts as a unit gap
-    gaps.append(Fraction(bilinear(s, Polynomial((0,) * n + (1,)), w) == 0))
-    return gaps
+    return max(gap, Fraction(dots[n] == 0))
 
 
-# identity_id -> (least degree, gaps(n, w, printed)).  Every gap is exactly 0
-# when the identity holds at (n, w); ``printed`` swaps in the faulty printed
-# form where one exists.  The lambdas look functions up at call time, so a
-# wrapper installed on a module attribute (a tracer, a mock) sees every call.
+def _member_derivative(n: int, w: Fraction) -> tuple:
+    row, den = _member(n, w)
+    return [k * c for k, c in enumerate(row)][1:], den
+
+
+# identity_id -> (least degree, residual(n, om, printed)), for an exact omega.
+# Each residual is max |lhs - rhs| of two integer cores (``_residual``) and is
+# exactly 0 when the identity holds at (n, omega); ``printed`` swaps in the
+# faulty printed form where one exists.  The lambdas look the cores up at call
+# time, so a wrapper installed on a module attribute (a tracer, a mock) sees
+# every call.
 _IDENTITIES = {
-    "orthogonality": (0, _orthogonality_gaps),
-    "cauchy_determinant": (0, lambda n, w, printed: (toeplitz_det_closed(n, w) - toeplitz_det_direct(n, w),)),
-    "mixed_step": (1, lambda n, w, printed: (step_mixed(n, w) - construct(n, w)).coeffs),
-    "omega_shift": (1, lambda n, w, printed: (
-        (step_omega_up_printed(n, w) if printed else step_omega_up(n, w)) - construct(n, w + 1)
-    ).coeffs),
-    "derivative_recurrence": (1, lambda n, w, printed: (
-        differential_step(n, w) - construct(n, w).derivative()
-    ).coeffs),
-    "lifting": (0, lambda n, w, printed: (
-        (lifting_printed(n, w) if printed else lifting(n, w)) - construct(n, w + 1)
-    ).coeffs),
-    "lowering": (0, lambda n, w, printed: (lowering(n, w) - construct(n, w - 1)).coeffs),
-    "ode": (0, lambda n, w, printed: ode_residual(n, w).coeffs),
+    "orthogonality": (0, _orthogonality_residual),
+    "cauchy_determinant": (0, lambda n, om, printed: abs(
+        toeplitz_det_closed(n, om) - toeplitz_det_direct(n, om)
+    )),
+    "mixed_step": (1, lambda n, om, printed: _residual(_mixed(n, om), _member(n, om.value))),
+    "omega_shift": (1, lambda n, om, printed: _residual(
+        _omega_up(n, om, _OMEGA_UP_PRINTED["nz2"] if printed else _OMEGA_UP), _member(n, om.value + 1)
+    )),
+    "derivative_recurrence": (1, lambda n, om, printed: _residual(
+        _differential(n, om), _member_derivative(n, om.value)
+    )),
+    "lifting": (0, lambda n, om, printed: _residual(_lifting(n, om, printed), _member(n, om.value + 1))),
+    "lowering": (0, lambda n, om, printed: _residual(_lowering(n, om), _member(n, om.value - 1))),
+    "ode": (0, lambda n, om, printed: _residual(_ode(n, om), ([], 1))),
     # the reflection is stated for omega > 0; a negative grid point checks it from |omega|
-    "negative_reflection": (0, lambda n, w, printed: (
-        reflect_negative_omega(n, abs(w)) - construct(n, -abs(Fraction(w)))
-    ).coeffs),
-    "boundary_values": (0, _boundary_gaps),
+    "negative_reflection": (0, lambda n, om, printed: _residual(
+        _reflection(n, as_omega(abs(om.value))), _member(n, -abs(om.value))
+    )),
+    "boundary_values": (0, _boundary_residual),
 }
 
 
-def _report(identity_id: str, n: int, w, gaps, rejected: bool = False) -> IdentityReport:
-    """Residual max |gap|; passes iff every gap is 0, or, for a rejected form, iff one is not."""
-    residual = max(map(abs, gaps), default=Fraction(0))
+def _report(identity_id: str, n: int, w, residual: Fraction, rejected: bool = False) -> IdentityReport:
+    """Passes iff the residual is 0, or, for a rejected form, iff it is not."""
     return IdentityReport(identity_id, (n, w), residual, (residual == 0) != rejected)
 
 
@@ -336,15 +393,19 @@ def run_identity_suite(
         raise DomainError(f"degree bound must be nonnegative, got {n_max}")
     reports = []
     for w in omegas:
+        om = Omega.exact(as_omega(w).as_fraction())  # a float grid point runs on its exact value
         for n in range(n_max + 1):
-            for identity_id, (least, gaps) in _IDENTITIES.items():
+            for identity_id, (least, residual) in _IDENTITIES.items():
                 if n >= least:
-                    reports.append(_report(identity_id, n, w, gaps(n, w, printed_variants)))
+                    reports.append(_report(identity_id, n, om.value, residual(n, om, printed_variants)))
     for n in range(1, n_max + 1):
         for m in range(n):
-            gaps = (construct_series(n, Fraction(m)) - construct_via_symmetry(n, m)).coeffs
-            reports.append(_report("degree_symmetry", n, Fraction(m), gaps))
+            # S_n^m = z^(n-m) S_m^n: the member row (n, m) against the shifted row (m, n)
+            row, den = _member(m, n)
+            residual = _residual(_member(n, m), ([0] * (n - m) + row, den))
+            reports.append(_report("degree_symmetry", n, Fraction(m), residual))
+    half = Omega.exact(Fraction(1, 2))
     for identity_id in ("omega_shift", "lifting"):
-        gaps = _IDENTITIES[identity_id][1](1, Fraction(1, 2), True)
-        reports.append(_report(f"{identity_id}_printed_rejected", 1, Fraction(1, 2), gaps, rejected=True))
+        residual = _IDENTITIES[identity_id][1](1, half, True)
+        reports.append(_report(f"{identity_id}_printed_rejected", 1, half.value, residual, rejected=True))
     return reports

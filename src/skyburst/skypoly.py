@@ -157,8 +157,11 @@ def evaluate(p: Polynomial, z):
     return p(z)
 
 
-def _prefix_products(n: int, w: Fraction) -> tuple:
-    """A_0..A_n and B_0..B_n for w = p/q: A_l = prod_{i<l} (iq - p), B_k = prod_{j=1..k} -(jq + p)."""
+def _prefix_products(n: int, w) -> tuple:
+    """A_0..A_n and B_0..B_n for w = p/q, an int or a Fraction.
+
+    A_l = prod_{i<l} (iq - p), B_k = prod_{j=1..k} -(jq + p).
+    """
     p, q = w.numerator, w.denominator
     a, b = [1], [1]
     for i in range(n):
@@ -210,13 +213,37 @@ def construct_series(n: int, omega) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _row(ell: int, a: list, b: list) -> list:
+    """B_l S_l^omega in integers: C(l, k) A_(l-k) B_k at z^k, from the prefix products."""
+    return [math.comb(ell, k) * a[ell - k] * b[k] for k in range(ell + 1)]
+
+
+def _member(n: int, w) -> tuple:
+    """S_n^w for a rational w as an integer row over one integer, (B_n S_n^w, B_n).
+
+    Raises the PoleError of ``construct`` where B_n = 0.
+    """
+    if n < 0:
+        raise DomainError(f"degree must be nonnegative, got {n}")
+    a, b = _prefix_products(n, w)
+    if b[n] == 0:
+        raise _construction_pole(n, Omega.exact(w))
+    return _row(n, a, b), b[n]
+
+
+def _ratio_poly(om: Omega, row: list, den: int) -> Polynomial:
+    """The polynomial row / den, each coefficient rounded once for a float omega."""
+    return Polynomial([om.rounded_ratio(c, den) for c in row])
+
+
 def family_table(n: int, omega) -> list:
     """S_0^omega, ..., S_n^omega in integers: row l is B_l S_l^omega.
 
     Row l holds C(l, k) A_(l-k) B_k at z^k (A and B as in
     ``construct_series``), so every row comes from one pair of prefix
-    products.  Raises the PoleError that ``construct`` raises for the first
-    member with a pole, degree -omega.
+    products; the last row is the member row of S_n^omega.  Raises the
+    PoleError that ``construct`` raises for the first member with a pole,
+    degree -omega.
     """
     om = as_omega(omega)
     if n < 0:
@@ -225,7 +252,7 @@ def family_table(n: int, omega) -> list:
     a, b = _prefix_products(n, w)
     if b[n] == 0:
         raise _construction_pole(-w.numerator, om)
-    return [[math.comb(ell, k) * a[ell - k] * b[k] for k in range(ell + 1)] for ell in range(n + 1)]
+    return [_row(ell, a, b) for ell in range(n + 1)]
 
 
 def construct(n: int, omega) -> Polynomial:
@@ -253,21 +280,39 @@ def value_at_minus_one(n: int, omega):
     return derivative_at_minus_one(0, n, omega)
 
 
-def derivative_at_minus_one(m: int, n: int, omega):
-    """m-th derivative of construct(n, omega) at z = -1, in closed form.
+def _derivatives_at_minus_one(n: int, om: Omega) -> tuple:
+    """All n+1 derivatives of S_n^omega at z = -1 as one integer row over one integer.
 
-    (-1)^(n-m) n! C(n, m) (1+omega)_m / (1+omega)_n, which for omega = p/q is
-    the one integer ratio (-1)^(n-m) n! C(n, m) q^(n-m) / prod_{i=m}^{n-1} (p + q(1+i)).
+    The m-th is (-1)^(n-m) n! C(n, m) (1+omega)_m / (1+omega)_n, which for
+    omega = p/q is (-1)^(n-m) n! C(n, m) q^(n-m) P_m / P_n with the prefix
+    products P_k = prod_{i<k} (p + q(1+i)); the row holds the numerators, P_n
+    is the denominator.
     """
-    if m < 0 or m > n:
-        raise DomainError(f"derivative order must satisfy 0 <= m <= n, got (m={m}, n={n})")
-    om = as_omega(omega)
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
     if q == 1 and -n <= p <= -1:
         raise PoleError(f"derivative at -1 undefined: poch(1+{om.value}, {n}) = 0")
-    num = (-1) ** (n - m) * math.factorial(n) * math.comb(n, m) * q ** (n - m)
-    return om.rounded_ratio(num, math.prod(p + q * (1 + i) for i in range(m, n)))
+    prefix = [1]
+    for i in range(n):
+        prefix.append(prefix[i] * (p + q * (1 + i)))
+    row, top = [0] * (n + 1), math.factorial(n)  # top = (-1)^(n-m) n! C(n, m) q^(n-m)
+    for m in range(n, -1, -1):
+        row[m] = top * prefix[m]
+        top = -top * m * q // (n - m + 1)
+    return row, prefix[n]
+
+
+def derivative_at_minus_one(m: int, n: int, omega):
+    """m-th derivative of construct(n, omega) at z = -1, in closed form.
+
+    (-1)^(n-m) n! C(n, m) (1+omega)_m / (1+omega)_n, one entry of the integer
+    row of ``_derivatives_at_minus_one``.
+    """
+    if m < 0 or m > n:
+        raise DomainError(f"derivative order must satisfy 0 <= m <= n, got (m={m}, n={n})")
+    om = as_omega(omega)
+    row, den = _derivatives_at_minus_one(n, om)
+    return om.rounded_ratio(row[m], den)
 
 
 def value_at_zero(n: int, omega):
@@ -288,6 +333,25 @@ def star(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(conjugate(c) for c in reversed(p.coeffs)))
 
 
+def _reflection(n: int, om: Omega) -> tuple:
+    """``reflect_negative_omega`` as an integer row over one integer.
+
+    For omega = p/q the scale (-1)^n (omega)_n / (1-omega)_n is
+    (-1)^n prod_{i<n} (p + iq) / prod_{i<n} ((i+1)q - p), and S_n^(omega-1)
+    is the member row over B_n.
+    """
+    w = om.as_fraction()
+    if not w > 0:
+        raise DomainError(f"reflection requires omega > 0, got {om.value}")
+    p, q = w.numerator, w.denominator
+    den = math.prod([(i + 1) * q - p for i in range(n)])
+    if den == 0:
+        raise PoleError(f"reflection scale pole: poch(1-{om.value}, {n}) = 0")
+    scale = (-1) ** n * math.prod([p + i * q for i in range(n)])
+    row, b = _member(n, w - 1)
+    return [scale * c for c in reversed(row)], den * b
+
+
 def reflect_negative_omega(n: int, omega) -> Polynomial:
     """S_n^(-omega) from S_n^(omega-1) by coefficient reversal and scaling.
 
@@ -295,14 +359,7 @@ def reflect_negative_omega(n: int, omega) -> Polynomial:
     scale factor blows up (the family itself degenerates there).
     """
     om = as_omega(omega)
-    w = om.as_fraction()
-    if not w > 0:
-        raise DomainError(f"reflection requires omega > 0, got {om.value}")
-    den = pochhammer(1 - w, n)
-    if den == 0:
-        raise PoleError(f"reflection scale pole: poch(1-{om.value}, {n}) = 0")
-    scale = (-1) ** n * pochhammer(w, n) / den
-    return om.rounded(scale * construct(n, w - 1).reversed())
+    return _ratio_poly(om, *_reflection(n, om))
 
 
 def taylor_about_minus_one(n: int, omega) -> tuple:

@@ -335,7 +335,8 @@ def test_negative_value_separated_from_its_option(capsys, argv):
 
 
 # SHA-256 of stdout for every subcommand and format, recorded before the
-# commands shared one writer; any change to an output byte shows here.
+# commands shared one writer (the degree-12 verify cases, before every sweep
+# row ran on integer rows); any change to an output byte shows here.
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -359,6 +360,10 @@ def test_negative_value_separated_from_its_option(capsys, argv):
          0, "05f257d305a89c5b16363e36764e97e002bf48ebeceee523481aad5972604098"),
         ("verify --n-max 1 --printed-variants",
          1, "2f1edfe23a5b4689f54a97219252927b0257a5be4d2840f36b51c8bffe60613a"),
+        ("verify --n-max 12 --omega-grid 22/7,-13/9,41/2",
+         0, "1bf6ee65e8504f47c75e81b236d3eabf4b559fff4c9beb2bae7fbca978404a6e"),
+        ("verify --n-max 12 --omega-grid 22/7,-13/9,41/2 --format csv",
+         0, "dc9ad39078813c3da17d41139b8153b20946eb9c1c116c9f5c800c93348b2a99"),
         ("zeros --n 5 --omega 1/2",
          0, "daafa781f956afde48ea39771d498ca39d8353a1cd2b0750fb670f27285d0220"),
         ("zeros --n 5 --omega 1/2 --format json",

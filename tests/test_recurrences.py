@@ -297,6 +297,31 @@ class TestIdentitySuite:
                         )
         assert digest.hexdigest() == "c6542befb1b94c86e3d9f4ed5dc0ea22ac0fa5a52fb72c88bc1f20aaa6ef5a07"
 
+    @pytest.mark.parametrize(
+        "w, last_clean, message",
+        [
+            (2, 1, "moment pole: k + omega = 0 at k=-2, omega=2"),
+            (0, -1, "moment pole: k + omega = 0 at k=0, omega=0"),
+            (1, 0, "moment pole: k + omega = 0 at k=-1, omega=1"),
+            (-1, 0, "construction pole at degree 1, omega=-1: denominator rising factorial vanishes at term 1"),
+            (-3, 1, "parameter shift pole: (omega+n)(omega+n+1) = 0 at omega=-3"),
+            (-12, 4, None),  # no pole below degree 12
+        ],
+    )
+    def test_integer_omega_refusals_pinned(self, w, last_clean, message):
+        # type, text and degree of the first refusal, recorded before the rows ran on integer cores
+        if last_clean >= 0:
+            assert all(r.passed for r in run_identity_suite(last_clean, omegas=(w,)))
+        for n_max in range(last_clean + 1, 5):
+            with pytest.raises(PoleError) as exc:
+                run_identity_suite(n_max, omegas=(w,))
+            assert (type(exc.value), str(exc.value)) == (PoleError, message)
+
+    def test_float_grid_point_runs_on_its_exact_value(self):
+        reports = run_identity_suite(6, omegas=(0.37,))
+        assert reports == run_identity_suite(6, omegas=(F(0.37),))
+        assert all(r.passed for r in reports)
+
     def test_negative_degree_bound_refused(self):
         with pytest.raises(DomainError):
             run_identity_suite(n_max=-1)

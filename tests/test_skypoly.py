@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from skyburst import skypoly
 from skyburst.errors import DomainError, PoleError
 from skyburst.scalarfield import Omega, as_omega, binomial, pochhammer
 from skyburst.skypoly import (
@@ -13,6 +14,7 @@ from skyburst.skypoly import (
     construct_via_symmetry,
     derivative_at_minus_one,
     evaluate,
+    family_table,
     reflect_negative_omega,
     star,
     taylor_about_minus_one,
@@ -160,6 +162,16 @@ class TestConstruct:
     def test_eval_examples(self):
         assert construct(1, F(1, 2))(F(-1)) == F(-2, 3)
         assert construct(0, F(1, 2))(F(17)) == 1
+
+
+@pytest.mark.parametrize("grid", [GRID, (F(-13, 9), F(-5, 2), F(-1, 3))], ids=["positive", "negative"])
+def test_construct_series_is_the_member_row(grid):
+    # the identity sweep checks the integer member row; this ties it to the public route
+    for w in grid:
+        for n in range(41):
+            row, den = skypoly._member(n, w)
+            assert construct_series(n, w).coeffs == tuple(F(c, den) for c in row)
+            assert family_table(n, w)[-1] == row and row[-1] == den
 
 
 class TestSpecialValues:
