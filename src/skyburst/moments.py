@@ -8,7 +8,7 @@ All work strips the transcendental prefactor sigma = sin(pi*omega)/pi and
 computes with the reduced moments nu_k = (-1)^k / (k + omega); every identity
 downstream is then a rational identity checkable with zero tolerance.  A float
 omega is computed on its exact binary rational and each result rounded once
-(``Omega.rounded``).  Only ``moment`` (for a float omega) and
+(``Omega.rounded_ratio``).  Only ``moment`` (for a float omega) and
 ``MomentSequence`` reinstate sigma, which for determinants enters as sigma^n.
 
 The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.  The moment
@@ -17,10 +17,10 @@ one two-sided Levinson recursion on the non-Hermitian Toeplitz matrix
 (nu_{j-i}) (Baxter 1961; Simon, OPUC vol. 1, sec. 1.5): O(n^2) exact
 operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
 omega = p/q one integer L makes every moment it reads an integer multiple of
-q/L, so the recursion runs on integer vectors over one denominator each, with
-reduced rational multipliers; ``bilinear`` reads the same integer moments, and
-the closed product is likewise one integer numerator over one integer
-denominator.
+q/L, so the recursion runs on integer vectors over one denominator each and
+yields integer pairs, divided out once; ``bilinear`` reads the same integer
+moments, and the closed product is likewise one integer numerator over one
+integer denominator.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import mul
 
 from .errors import DomainError, ExistenceError, PoleError
 from .scalarfield import Omega, as_omega, conjugate
-from .skypoly import Polynomial
+from .skypoly import Polynomial, _ratio_poly
 
 __all__ = [
     "MomentSequence",
@@ -185,21 +185,21 @@ def _levinson(n: int, w: Fraction, top: int):
         a_(k+1) = z*a_k - (<a_k, z^-1> / d_k) * b_k,
         b_(k+1) = b_k - (<b_k, z^(k+1)> / d_k) * z*a_k.
 
-    Yields d_0, ..., d_(n-1), then the coefficients of a_n: O(n^2) exact
-    operations in all.  The pivots read the moments nu_(1-n)..nu_(n-1), the
-    entries of the n x n matrix, and a_n reads nu_n as well (b_n, which would
-    read nu_-n, is never formed); ``top`` is the highest index the caller
-    reads, n-1 or n.
+    Yields d_0, ..., d_(n-1), then a_n: O(n^2) exact operations in all.  The
+    pivots read the moments nu_(1-n)..nu_(n-1), the entries of the n x n
+    matrix, and a_n reads nu_n as well (b_n, which would read nu_-n, is never
+    formed); ``top`` is the highest index the caller reads, n-1 or n.
 
     The work is in integers.  ``_integer_moments`` writes every moment read,
     k = 1-n..top, as nu_k = (q/L) m_k with one integer L and integers m_k
     (the scaling ``bilinear`` uses too).  The multipliers in the two updates
     are ratios of inner products and do not see the scale, so the recursion
     runs on m; a_k and b_k are integer vectors, each over one positive
-    denominator, and each pivot is rescaled by q/L when it is yielded.  The
-    multipliers are reduced fractions and every new vector is divided by the
-    gcd of its entries and denominator, which keeps the integers from growing
-    by L at every step.
+    denominator d_a or d_b, and every new vector is divided by the gcd of its
+    entries and denominator, which keeps the integers from growing by L at
+    every step.  Each pivot is yielded as the integer pair
+    (q <a_k, z^k>_m, L d_a), its numerator and denominator, and a_n as the
+    pair (row, d_a); the caller divides out once.
     Since every moment is formed up front, the one possible pole (k = -p at
     integer omega) is raised before the recursion starts; the leading minors
     before it are nonzero, so no zero pivot can come first.  A zero pivot
@@ -214,23 +214,23 @@ def _levinson(n: int, w: Fraction, top: int):
     b, db = [1], 1
     for k in range(n):
         dot = sum(map(mul, a, m[o - k:o + 1]))
-        yield Fraction(q * dot, scale * da)
+        yield q * dot, scale * da
         if dot == 0:
             raise ExistenceError(f"singular moment system: zero pivot at order {k + 1}, omega = {w}")
-        alpha = Fraction(sum(map(mul, a, m[o + 1:o + k + 2])), dot)
         za, bz = [0, *a], [*b, 0]
-        a_next, da_next = _sub_scaled(za, da, alpha, bz, db)
+        a_next, da_next = _sub_scaled(za, da, sum(map(mul, a, m[o + 1:o + k + 2])), dot, bz, db)
         if k < n - 1:
-            beta = Fraction(sum(map(mul, b, m[o - k - 1:o])) * da, db * dot)
-            b, db = _sub_scaled(bz, db, beta, za, da)
+            b, db = _sub_scaled(bz, db, sum(map(mul, b, m[o - k - 1:o])) * da, db * dot, za, da)
         a, da = a_next, da_next
-    yield [Fraction(c, da) for c in a]
+    yield a, da
 
 
-def _sub_scaled(x: list, dx: int, f: Fraction, y: list, dy: int):
-    """x/dx - f*y/dy as a reduced integer vector over one positive denominator."""
-    den = math.lcm(dx, f.denominator * dy)
-    sx, sy = den // dx, f.numerator * (den // (f.denominator * dy))
+def _sub_scaled(x: list, dx: int, fn: int, fd: int, y: list, dy: int):
+    """x/dx - (fn/fd)*y/dy as a reduced integer vector over one positive denominator."""
+    g = math.gcd(fn, fd) * (-1 if fd < 0 else 1)  # reducing fn/fd first keeps den small
+    fn, fd = fn // g, fd // g
+    den = math.lcm(dx, fd * dy)
+    sx, sy = den // dx, fn * (den // (fd * dy))
     vec = [u * sx - v * sy for u, v in zip(x, y)]
     g = math.gcd(den, *vec)
     return [v // g for v in vec], den // g
@@ -245,7 +245,8 @@ def toeplitz_det_direct(n: int, omega):
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    return om.rounded(math.prod(islice(_levinson(n, om.as_fraction(), n - 1), n), start=Fraction(1)))
+    pivots = list(islice(_levinson(n, om.as_fraction(), n - 1), n))
+    return om.rounded_ratio(math.prod(num for num, _ in pivots), math.prod(den for _, den in pivots))
 
 
 def toeplitz_det_closed(n: int, omega):
@@ -279,19 +280,21 @@ def construct_determinantal(n: int, omega) -> Polynomial:
     """Monic polynomial solving the orthogonality system sum_j c_j nu_{j-i} = 0, i < n.
 
     Independent of the coefficient formula: the Levinson recursion reads only
-    the moments nu_(1-n)..nu_n, in O(n^2) operations.  Nonnegative integer
-    omega is refused (the full moment determinant vanishes there and the
-    family member is not defined by orthogonality).
+    the moments nu_(1-n)..nu_n, in O(n^2) operations.  A nonnegative integer
+    omega is refused in either format, 2 and 2.0 alike (the full moment
+    determinant vanishes there and the family member is not defined by
+    orthogonality).
     """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     om = as_omega(omega)
-    if n > 0 and om.is_integer and om.value >= 0:
+    w = om.as_fraction()
+    if n > 0 and w.denominator == 1 and w >= 0:
         raise ExistenceError(
             f"no orthogonal polynomial at integer omega = {om.value}; use the symmetry route"
         )
-    *_, coeffs = _levinson(n, om.as_fraction(), n)
-    return om.rounded(Polynomial(coeffs))
+    *_, (row, den) = _levinson(n, w, n)
+    return _ratio_poly(om, row, den)
 
 
 def r_nk(n: int, k: int, omega):

@@ -266,7 +266,7 @@ def genfun_compare(omega, z, T, N: int) -> float:
     """|partial sum of the generating function - closed form|.
 
     sum_{n<=N} (1+omega)_n/n! S_n^omega(z) T^n  vs  (1+T)^omega / (1-zT)^(omega+1)
-    with principal-branch powers; requires |zT| < 1 and |T| < 1.
+    with principal-branch powers; requires finite z, T, |zT| < 1 and |T| < 1.
     """
     if N < 1:
         raise DomainError("need at least one term")
@@ -274,6 +274,9 @@ def genfun_compare(omega, z, T, N: int) -> float:
     w = om.as_float()
     z = complex(z)
     T = complex(T)
+    # a NaN fails every comparison below and inf * 0 is NaN: refuse both first
+    if not (cmath.isfinite(z) and cmath.isfinite(T)):
+        raise DomainError(f"generating function needs finite z and T, got z={z}, T={T}")
     if abs(z * T) >= 1 or abs(T) >= 1:
         raise DomainError("generating function needs |zT| < 1 and |T| < 1")
     for branch_arg, name in ((1 + T, "1+T"), (1 - z * T, "1-zT")):

@@ -2,8 +2,9 @@
 
 Exact values are ``fractions.Fraction`` (arbitrary-precision integers, always
 stored reduced with a positive denominator) or plain ``int``.  Inexact values
-are ``float``/``complex``.  A float omega is an input format: formulas run on
-its exact binary rational and round the result once, in :meth:`Omega.rounded`.
+are ``float``/``complex``.  A float omega is an input format: ``Omega`` holds
+only the value, formulas run on its exact binary rational (2.0 is the integer
+2), and each result is rounded once, in :meth:`Omega.rounded_ratio`.
 """
 
 from __future__ import annotations
@@ -78,31 +79,28 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Omega:
-    """The measure parameter.
+    """The measure parameter, held as its value alone.
 
-    ``is_integer`` is detected automatically only for exact values; a float
-    Omega is never treated as an integer unless the caller asserts it.
+    Every property of omega (integrality, zero, the pole sets) is read from
+    the exact value ``as_fraction()``, so a float omega that is an integer is
+    treated as that integer.  The format of ``value`` (Fraction or float)
+    decides only how results are returned: exact, or rounded once.
     """
 
     value: Scalar
-    is_integer: bool
-    is_zero: bool
 
     @classmethod
     def exact(cls, value: int | Fraction | str) -> "Omega":
         if isinstance(value, str):
             value = parse_rational(value)
-        frac = Fraction(value)
-        return cls(value=frac, is_integer=frac.denominator == 1, is_zero=frac == 0)
+        return cls(value=Fraction(value))
 
     @classmethod
-    def inexact(cls, value: float, *, integer: bool = False) -> "Omega":
+    def inexact(cls, value: float) -> "Omega":
         value = float(value)
         if not math.isfinite(value):
             raise DomainError(f"omega must be finite, got {value}")
-        if integer and value != int(value):
-            raise DomainError(f"cannot assert integrality of {value}")
-        return cls(value=value, is_integer=integer, is_zero=value == 0.0)
+        return cls(value=value)
 
     @property
     def exact_mode(self) -> bool:
@@ -116,17 +114,11 @@ class Omega:
         return float(self.value)
 
     def rounded(self, x):
-        """``x`` computed on ``as_fraction()``, rounded once for a float omega.
-
-        Rounds a scalar, a tuple or a Polynomial; complex values pass through.
-        """
+        """The scalar ``x``, computed on ``as_fraction()``, rounded once for a
+        float omega; complex values pass through."""
         if self.exact_mode or isinstance(x, complex):
             return x
-        if isinstance(x, tuple):
-            return tuple(map(self.rounded, x))
-        if isinstance(x, (int, float, Fraction)):
-            return self.rounded_ratio(*x.as_integer_ratio())
-        return x.to_inexact()  # a Polynomial
+        return self.rounded_ratio(*x.as_integer_ratio())
 
     def rounded_ratio(self, num: int, den: int):
         """num/den as a Fraction, or for a float omega by int / int division,

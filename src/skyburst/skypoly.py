@@ -130,10 +130,6 @@ class Polynomial:
             return self
         return Polynomial((0,) * k + self.coeffs)
 
-    def reversed(self) -> "Polynomial":
-        """Coefficient reversal z^deg * p(1/z), without conjugation."""
-        return Polynomial(tuple(reversed(self.coeffs)))
-
     def to_inexact(self) -> "Polynomial":
         """Round each coefficient once to double precision; DomainError beyond its range."""
         try:
@@ -380,4 +376,4 @@ def taylor_about_minus_one(n: int, omega) -> tuple:
     for m in range(n, 0, -1):
         c = c * Fraction(-m * m * q, (n - m + 1) * (p + m * q))
         coeffs[m - 1] = c
-    return om.rounded(tuple(coeffs))
+    return tuple(map(om.rounded, coeffs))

@@ -309,6 +309,12 @@ class TestGenfun:
         code, _, err = run(capsys, "genfun", "--omega", "1/2", "--z", "0", "--t", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("z, t", [("nan", "0.1"), ("infj", "0")])
+    def test_non_finite_exit_code(self, capsys, z, t):
+        code, out, err = run(capsys, "genfun", "--omega", "1/2", "--z", z, "--t", t)
+        assert (code, out) == (2, "")
+        assert "finite z and T" in err
+
     def test_format_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["genfun", "--omega", "1/3", "--z", "0.4+0.2j", "--t", "0.5", "--format", "csv"])

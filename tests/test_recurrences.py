@@ -78,7 +78,7 @@ def _outcome(fn, n, w):
 def test_float_omega_is_exact_result_rounded_once(name):
     fn = FLOAT_PARITY[name]
     mismatches = []
-    for w in (0.37, -2.3, 5.5, 12.75, 1e-3):
+    for w in (0.37, -2.3, 5.5, 12.75, 1e-3, 2.0, 0.0, -3.0, 7.0):
         for n in range(13):
             want = _outcome(fn, n, F(w))
             got = _outcome(fn, n, w)
@@ -281,6 +281,14 @@ class TestGeneratingFunction:
             genfun_compare(F(1, 2), 0.5, -1.5, 10)  # 1+T on the cut
         with pytest.raises(DomainError):
             genfun_compare(F(1, 2), 0.5, 0.5, 0)
+
+    @pytest.mark.parametrize(
+        "z, t", [(math.nan, 0.1), (complex(0, math.inf), 0), (0.5, complex(math.nan, 0))]
+    )
+    def test_non_finite_refused(self, z, t):
+        # a NaN passes every |zT| < 1 test and inf * 0 is NaN: both printed "residual: nan"
+        with pytest.raises(DomainError, match="finite z and T"):
+            genfun_compare(F(1, 2), z, t, 10)
 
 
 class TestIdentitySuite:
