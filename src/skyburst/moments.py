@@ -200,19 +200,21 @@ def _levinson(n: int, w: Fraction, top: int):
     every step.  Each pivot is yielded as the integer pair
     (q <a_k, z^k>_m, L d_a), its numerator and denominator, and a_n as the
     pair (row, d_a); the caller divides out once.
-    Since every moment is formed up front, the one possible pole (k = -p at
-    integer omega) is raised before the recursion starts; the leading minors
+    The one possible pole (k = -p at integer omega) is left out of L and
+    raised when first read: step k reads nu_-k..nu_k, and a_n reads nu_n.  A
+    caller that takes only the first n pivots (``islice``) therefore sees the
+    pole exactly when the n x n matrix holds it.  The leading minors
     before it are nonzero, so no zero pivot can come first.  A zero pivot
     raises ExistenceError.
     """
     p, q = w.numerator, w.denominator
-    if q == 1 and 1 - n <= -p <= top:
-        reduced_moment(-p, w)  # raises the PoleError for nu_(-p)
     scale, m = _integer_moments(w, range(1 - n, top + 1))
     o = n - 1  # m[o] is m_0
     a, da = [1], 1
     b, db = [1], 1
     for k in range(n):
+        if q == 1 and abs(p) <= k:
+            reduced_moment(-p, w)  # raises the PoleError for nu_(-p)
         dot = sum(map(mul, a, m[o - k:o + 1]))
         yield q * dot, scale * da
         if dot == 0:
@@ -222,7 +224,14 @@ def _levinson(n: int, w: Fraction, top: int):
         if k < n - 1:
             b, db = _sub_scaled(bz, db, sum(map(mul, b, m[o - k - 1:o])) * da, db * dot, za, da)
         a, da = a_next, da_next
+    if q == 1 and 1 - n <= -p <= top:
+        reduced_moment(-p, w)  # a_n read nu_n
     yield a, da
+
+
+def _det(pivots) -> tuple:
+    """D_n as (numerator, denominator): the products of the integer pairs of its n pivots."""
+    return math.prod([num for num, _ in pivots]), math.prod([den for _, den in pivots])
 
 
 def _sub_scaled(x: list, dx: int, fn: int, fd: int, y: list, dy: int):
@@ -245,8 +254,7 @@ def toeplitz_det_direct(n: int, omega):
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    pivots = list(islice(_levinson(n, om.as_fraction(), n - 1), n))
-    return om.rounded_ratio(math.prod(num for num, _ in pivots), math.prod(den for _, den in pivots))
+    return om.rounded_ratio(*_det(list(islice(_levinson(n, om.as_fraction(), n - 1), n))))
 
 
 def toeplitz_det_closed(n: int, omega):

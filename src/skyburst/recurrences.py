@@ -7,11 +7,13 @@ exact binary rational and the result rounded once.
 
 Each step has an integer core: for omega = p/q it returns ``(row, den)``, an
 integer vector over one integer, the representation FLINT's ``fmpq_poly``
-uses.  The members S_n^omega it reads are integer rows over B_n from one pair
-of prefix products (``skypoly._member``); the lifting and the lowering read
-all of S_0^omega, ..., S_n^omega at once from ``family_table``.  A public
-step is its core divided out once, coefficient by coefficient (int / int for
-a float omega).  The identity sweep compares cores directly: each gap is one
+uses.  The members S_n^omega it reads are integer rows over B_n, which the
+core takes from a ``skypoly._Rows`` passed in: one pair of prefix products
+per parameter, each row formed once; the lifting and the lowering read all
+of S_0^omega, ..., S_n^omega at once from it.  A public step builds its own
+rows and divides its core out once, coefficient by coefficient (int / int
+for a float omega).  The identity sweep calls the same cores on one
+``_Rows`` for the whole call and compares them directly: each gap is one
 cross-multiplied integer vector and its residual one ``Fraction``, so no
 rational polynomial is formed on the way.
 
@@ -33,16 +35,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .moments import _moment_products, toeplitz_det_closed, toeplitz_det_direct
+from .moments import _det, _levinson, _moment_products, toeplitz_det_closed
 from .scalarfield import Omega, as_omega
 from .skypoly import (
     Polynomial,
     _derivatives_at_minus_one,
-    _member,
     _ratio_poly,
     _reflection,
+    _Rows,
     construct,
-    family_table,
     value_at_zero,
 )
 
@@ -77,15 +78,15 @@ def _add(x: list, dx: int, y: list, dy: int) -> tuple:
     return [u * dy + v * dx for u, v in zip(x, y)], dx * dy
 
 
-def _mixed(n: int, om: Omega) -> tuple:
+def _mixed(n: int, om: Omega, rows: _Rows) -> tuple:
     # omega^2/((omega+n-1)(omega+n)) = p^2 / ((p+(n-1)q)(p+nq))
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
     den = (p + (n - 1) * q) * (p + n * q)
     if den == 0:
         raise PoleError(f"mixed step pole: (omega+n-1)(omega+n) = 0 at omega={om.value}")
-    lower, d_lower = _member(n - 1, w)
-    shifted, d_shifted = _member(n - 1, w - 1)
+    lower, d_lower = rows.member(n - 1, w)
+    shifted, d_shifted = rows.member(n - 1, w - 1)
     return _add([0, *lower], d_lower, [p * p * c for c in shifted], den * d_shifted)
 
 
@@ -98,7 +99,7 @@ def step_mixed(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("mixed step needs n >= 1")
     om = as_omega(omega)
-    return _ratio_poly(om, *_mixed(n, om))
+    return _ratio_poly(om, *_mixed(n, om, _Rows(n)))
 
 
 # (k, s) for the term n^k/((omega+n)(omega+n+1)) z^s S_{n-1}^omega: the identity, then the printed forms
@@ -106,15 +107,15 @@ _OMEGA_UP = (2, 0)
 _OMEGA_UP_PRINTED = {"nz2": (1, 2), "n2z": (2, 1)}
 
 
-def _omega_up(n: int, om: Omega, form: tuple = _OMEGA_UP) -> tuple:
+def _omega_up(n: int, om: Omega, rows: _Rows, form: tuple = _OMEGA_UP) -> tuple:
     # n^k/((omega+n)(omega+n+1)) = n^k q^2 / ((p+nq)(p+(n+1)q))
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
     den = (p + n * q) * (p + (n + 1) * q)
     if den == 0:
         raise PoleError(f"parameter shift pole: (omega+n)(omega+n+1) = 0 at omega={om.value}")
-    top, d_top = _member(n, w)
-    low, d_low = _member(n - 1, w)
+    top, d_top = rows.member(n, w)
+    low, d_low = rows.member(n - 1, w)
     power, shift = form
     factor = n ** power * q * q
     return _add(top, d_top, [0] * shift + [factor * c for c in low], den * d_low)
@@ -125,7 +126,7 @@ def step_omega_up(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("parameter shift needs n >= 1")
     om = as_omega(omega)
-    return _ratio_poly(om, *_omega_up(n, om))
+    return _ratio_poly(om, *_omega_up(n, om, _Rows(n)))
 
 
 def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
@@ -139,11 +140,11 @@ def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
     if variant not in _OMEGA_UP_PRINTED:
         raise DomainError(f"unknown printed variant {variant!r}")
     om = as_omega(omega)
-    return _ratio_poly(om, *_omega_up(n, om, _OMEGA_UP_PRINTED[variant]))
+    return _ratio_poly(om, *_omega_up(n, om, _Rows(n), _OMEGA_UP_PRINTED[variant]))
 
 
-def _table_sum(n: int, w: Fraction, lift: bool, extra_z_on_last: bool = False) -> list:
-    """Integer numerator of the lifting (``lift``) or the lowering sum, from ``family_table``.
+def _table_sum(n: int, w: Fraction, rows: _Rows, lift: bool, extra_z_on_last: bool = False) -> list:
+    """Integer numerator of the lifting (``lift``) or the lowering sum, from the rows of S_0..S_n.
 
     With (1+omega)_l / l! S_l^omega = (-1)^l N_l / (q^l l!) for the integer row
     N_l of S_l, and g_l = q^(n-l) n!/l!, this is
@@ -153,30 +154,30 @@ def _table_sum(n: int, w: Fraction, lift: bool, extra_z_on_last: bool = False) -
 
     which is (-1)^n q^n n! times the right-hand side of the identity.
     """
-    rows = family_table(n, w)
+    table = rows.table(n, w)
     q = w.denominator
     acc = [0] * n
     g = 1
     for ell in range(n - 1, -1, -1):
         g *= (-q if lift else q) * (ell + 1)
-        for k, c in enumerate(rows[ell], n - ell - 1 if lift else 0):
+        for k, c in enumerate(table[ell], n - ell - 1 if lift else 0):
             acc[k] += g * c
     out = [x + y for x, y in zip(acc + [0], [0] + acc)]  # times 1+z
     if extra_z_on_last:
         out.append(0)
-    for k, c in enumerate(rows[n], extra_z_on_last):
+    for k, c in enumerate(table[n], extra_z_on_last):
         out[k] += c
     return out
 
 
-def _lifting(n: int, om: Omega, extra_z_on_last: bool = False) -> tuple:
+def _lifting(n: int, om: Omega, rows: _Rows, extra_z_on_last: bool = False) -> tuple:
     # over (-1)^n q^n (2+omega)_n
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
     scale = math.prod([(2 + i) * q + p for i in range(n)])
     if scale == 0:
         raise PoleError(f"lifting scale pole: poch(2+{om.value}, {n}) = 0")
-    return _table_sum(n, w, True, extra_z_on_last), -scale if n % 2 else scale
+    return _table_sum(n, w, rows, True, extra_z_on_last), -scale if n % 2 else scale
 
 
 def lifting(n: int, omega) -> Polynomial:
@@ -189,23 +190,23 @@ def lifting(n: int, omega) -> Polynomial:
     (-1)^n q^n (2+omega)_n, an integer for omega = p/q.
     """
     om = as_omega(omega)
-    return _ratio_poly(om, *_lifting(n, om))
+    return _ratio_poly(om, *_lifting(n, om, _Rows(n)))
 
 
 def lifting_printed(n: int, omega) -> Polynomial:
     """Faulty printed lifting (spurious z on the final term); falsification only."""
     om = as_omega(omega)
-    return _ratio_poly(om, *_lifting(n, om, extra_z_on_last=True))
+    return _ratio_poly(om, *_lifting(n, om, _Rows(n), extra_z_on_last=True))
 
 
-def _lowering(n: int, om: Omega) -> tuple:
+def _lowering(n: int, om: Omega, rows: _Rows) -> tuple:
     # over (-1)^n q^n (omega)_n
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
     scale = math.prod([p + i * q for i in range(n)])
     if scale == 0:
         raise PoleError(f"lowering scale vanishes: poch({om.value}, {n}) = 0")
-    return _table_sum(n, w, False), -scale if n % 2 else scale
+    return _table_sum(n, w, rows, False), -scale if n % 2 else scale
 
 
 def lowering(n: int, omega) -> Polynomial:
@@ -217,10 +218,10 @@ def lowering(n: int, omega) -> Polynomial:
     Computed as ``lifting`` is, over (-1)^n q^n (omega)_n.
     """
     om = as_omega(omega)
-    return _ratio_poly(om, *_lowering(n, om))
+    return _ratio_poly(om, *_lowering(n, om, _Rows(n)))
 
 
-def _differential(n: int, om: Omega) -> tuple:
+def _differential(n: int, om: Omega, rows: _Rows) -> tuple:
     # times q, for S_(n-1) = R/D: (p+nq) dS_n = sum_k n (kq + q + p) R_k z^k / D,
     # since z dS_(n-1) = sum_k k R_k z^k / D
     w = om.as_fraction()
@@ -228,7 +229,7 @@ def _differential(n: int, om: Omega) -> tuple:
     den = p + n * q
     if den == 0:
         raise PoleError(f"differential step pole at omega = {-n}")
-    lower, d_lower = _member(n - 1, w)
+    lower, d_lower = rows.member(n - 1, w)
     return [n * (k * q + q + p) * c for k, c in enumerate(lower)], den * d_lower
 
 
@@ -240,15 +241,15 @@ def differential_step(n: int, omega) -> Polynomial:
     if n < 1:
         raise DomainError("differential step needs n >= 1")
     om = as_omega(omega)
-    return _ratio_poly(om, *_differential(n, om))
+    return _ratio_poly(om, *_differential(n, om, _Rows(n)))
 
 
-def _ode(n: int, om: Omega) -> tuple:
+def _ode(n: int, om: Omega, rows: _Rows) -> tuple:
     # times q, for S = R/D: the z^k coefficient is (k+1)(q - c - kq) R_(k+1) + ((q+p)n - k(k-1)q - ck) R_k
     # with c = q(2+omega-n)
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
-    row, den = _member(n, w)
+    row, den = rows.member(n, w)
     c = 2 * q + p - n * q
     out = [((q + p) * n - k * (k - 1) * q - c * k) * r for k, r in enumerate(row)]
     for k in range(n):
@@ -259,7 +260,7 @@ def _ode(n: int, om: Omega) -> tuple:
 def ode_residual(n: int, omega) -> Polynomial:
     """-z(1+z) S'' + [1 - (2+omega-n)(z+1)] S' + (1+omega) n S; identically zero."""
     om = as_omega(omega)
-    return _ratio_poly(om, *_ode(n, om))
+    return _ratio_poly(om, *_ode(n, om, _Rows(n)))
 
 
 def genfun_compare(omega, z, T, N: int) -> float:
@@ -319,9 +320,9 @@ def _residual(lhs: tuple, rhs: tuple) -> Fraction:
     return Fraction(max(map(abs, gap), default=0), abs(den))
 
 
-def _boundary_residual(n: int, om: Omega, printed) -> Fraction:
+def _boundary_residual(n: int, om: Omega, printed, rows: _Rows) -> Fraction:
     w = om.as_fraction()
-    row, den = _member(n, w)
+    row, den = rows.member(n, w)
     # S_n^(m)(-1) = m! t_m for S_n(z) = sum_m t_m (1+z)^m: one Taylor shift of the member row
     t = row[:]
     for i in range(n):
@@ -332,9 +333,9 @@ def _boundary_residual(n: int, om: Omega, printed) -> Fraction:
     return max(derivatives, abs(value_at_zero(n, w) - Fraction(row[0], den)))
 
 
-def _orthogonality_residual(n: int, om: Omega, printed) -> Fraction:
+def _orthogonality_residual(n: int, om: Omega, printed, rows: _Rows) -> Fraction:
     w = om.as_fraction()
-    row, den = _member(n, w)
+    row, den = rows.member(n, w)
     # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row, as ``bilinear`` forms it
     scale, dots = _moment_products([(j, c) for j, c in enumerate(row) if c], w, range(n + 1))
     gap = Fraction(w.denominator * max(map(abs, dots[:n]), default=0), abs(scale * den))
@@ -342,35 +343,65 @@ def _orthogonality_residual(n: int, om: Omega, printed) -> Fraction:
     return max(gap, Fraction(dots[n] == 0))
 
 
-def _member_derivative(n: int, w: Fraction) -> tuple:
-    row, den = _member(n, w)
+def _member_derivative(n: int, w: Fraction, rows: _Rows) -> tuple:
+    row, den = rows.member(n, w)
     return [k * c for k, c in enumerate(row)][1:], den
 
 
-# identity_id -> (least degree, residual(n, om, printed)), for an exact omega.
-# Each residual is max |lhs - rhs| of two integer cores (``_residual``) and is
-# exactly 0 when the identity holds at (n, omega); ``printed`` swaps in the
-# faulty printed form where one exists.  The lambdas look the cores up at call
-# time, so a wrapper installed on a module attribute (a tracer, a mock) sees
-# every call.
+class _Sweep(_Rows):
+    """The tables of one sweep call: its member rows, and D_n per omega.
+
+    ``det(n, w)`` is the product of the first n pivots of one Levinson pass
+    up to n_max per omega.  The pivots are pulled only as far as the degrees
+    reached, so a moment pole is raised at the degree whose matrix first
+    holds it, as ``toeplitz_det_direct(n, w)`` raises it.
+    """
+
+    __slots__ = ("_passes",)
+
+    def __init__(self, n_max: int):
+        super().__init__(n_max)
+        self._passes = {}  # (p, q) -> (Levinson pass, pivots pulled so far)
+
+    def det(self, n: int, w: Fraction) -> Fraction:
+        key = (w.numerator, w.denominator)
+        if key not in self._passes:
+            self._passes[key] = _levinson(self.n_max, w, self.n_max - 1), []
+        levinson, pivots = self._passes[key]
+        while len(pivots) < n:
+            pivots.append(next(levinson))
+        return Fraction(*_det(pivots[:n]))
+
+
+# identity_id -> (least degree, residual(n, om, printed, rows)), for an exact
+# omega and the call's ``_Sweep`` rows.  Each residual is max |lhs - rhs| of two
+# integer cores (``_residual``) and is exactly 0 when the identity holds at
+# (n, omega); ``printed`` swaps in the faulty printed form where one exists.
+# The lambdas look the cores up at call time, so a wrapper installed on a
+# module attribute (a tracer, a mock) sees every call.
 _IDENTITIES = {
     "orthogonality": (0, _orthogonality_residual),
-    "cauchy_determinant": (0, lambda n, om, printed: abs(
-        toeplitz_det_closed(n, om) - toeplitz_det_direct(n, om)
+    "cauchy_determinant": (0, lambda n, om, printed, rows: abs(
+        toeplitz_det_closed(n, om) - rows.det(n, om.value)
     )),
-    "mixed_step": (1, lambda n, om, printed: _residual(_mixed(n, om), _member(n, om.value))),
-    "omega_shift": (1, lambda n, om, printed: _residual(
-        _omega_up(n, om, _OMEGA_UP_PRINTED["nz2"] if printed else _OMEGA_UP), _member(n, om.value + 1)
+    "mixed_step": (1, lambda n, om, printed, rows: _residual(_mixed(n, om, rows), rows.member(n, om.value))),
+    "omega_shift": (1, lambda n, om, printed, rows: _residual(
+        _omega_up(n, om, rows, _OMEGA_UP_PRINTED["nz2"] if printed else _OMEGA_UP),
+        rows.member(n, om.value + 1),
     )),
-    "derivative_recurrence": (1, lambda n, om, printed: _residual(
-        _differential(n, om), _member_derivative(n, om.value)
+    "derivative_recurrence": (1, lambda n, om, printed, rows: _residual(
+        _differential(n, om, rows), _member_derivative(n, om.value, rows)
     )),
-    "lifting": (0, lambda n, om, printed: _residual(_lifting(n, om, printed), _member(n, om.value + 1))),
-    "lowering": (0, lambda n, om, printed: _residual(_lowering(n, om), _member(n, om.value - 1))),
-    "ode": (0, lambda n, om, printed: _residual(_ode(n, om), ([], 1))),
+    "lifting": (0, lambda n, om, printed, rows: _residual(
+        _lifting(n, om, rows, printed), rows.member(n, om.value + 1)
+    )),
+    "lowering": (0, lambda n, om, printed, rows: _residual(
+        _lowering(n, om, rows), rows.member(n, om.value - 1)
+    )),
+    "ode": (0, lambda n, om, printed, rows: _residual(_ode(n, om, rows), ([], 1))),
     # the reflection is stated for omega > 0; a negative grid point checks it from |omega|
-    "negative_reflection": (0, lambda n, om, printed: _residual(
-        _reflection(n, as_omega(abs(om.value))), _member(n, -abs(om.value))
+    "negative_reflection": (0, lambda n, om, printed, rows: _residual(
+        _reflection(n, as_omega(abs(om.value)), rows), rows.member(n, -abs(om.value))
     )),
     "boundary_values": (0, _boundary_residual),
 }
@@ -394,21 +425,22 @@ def run_identity_suite(
     """
     if n_max < 0:
         raise DomainError(f"degree bound must be nonnegative, got {n_max}")
+    rows = _Sweep(n_max)  # every table of the call; none outlives it
     reports = []
     for w in omegas:
         om = Omega.exact(as_omega(w).as_fraction())  # a float grid point runs on its exact value
         for n in range(n_max + 1):
             for identity_id, (least, residual) in _IDENTITIES.items():
                 if n >= least:
-                    reports.append(_report(identity_id, n, om.value, residual(n, om, printed_variants)))
+                    reports.append(_report(identity_id, n, om.value, residual(n, om, printed_variants, rows)))
     for n in range(1, n_max + 1):
         for m in range(n):
             # S_n^m = z^(n-m) S_m^n: the member row (n, m) against the shifted row (m, n)
-            row, den = _member(m, n)
-            residual = _residual(_member(n, m), ([0] * (n - m) + row, den))
+            row, den = rows.member(m, n)
+            residual = _residual(rows.member(n, m), ([0] * (n - m) + row, den))
             reports.append(_report("degree_symmetry", n, Fraction(m), residual))
     half = Omega.exact(Fraction(1, 2))
     for identity_id in ("omega_shift", "lifting"):
-        residual = _IDENTITIES[identity_id][1](1, half, True)
+        residual = _IDENTITIES[identity_id][1](1, half, True, _Rows(1))
         reports.append(_report(f"{identity_id}_printed_rejected", 1, half.value, residual, rejected=True))
     return reports

@@ -34,10 +34,14 @@ def pochhammer(x: Scalar, k: int) -> Scalar:
     every downstream pole test relies on.  Never compute a rising factorial as
     a gamma ratio, which blurs those zeros.  An exact ratio of consecutive
     terms, one factor x+i at a time (as in ``construct_series``), keeps them
-    and is allowed.
+    and is allowed.  An exact base p/q is one integer product over q^k,
+    prod_{i<k} (p + iq) / q^k: the same Fraction, zeros included.
     """
     if k < 0:
         raise DomainError(f"pochhammer order must be nonnegative, got {k}")
+    if isinstance(x, (int, Fraction)):
+        p, q = x.numerator, x.denominator
+        return Fraction(math.prod([p + i * q for i in range(k)]), q ** k)
     acc = Fraction(1)
     for i in range(k):
         acc = acc * (x + i)

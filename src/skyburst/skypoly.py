@@ -214,17 +214,54 @@ def _row(ell: int, a: list, b: list) -> list:
     return [math.comb(ell, k) * a[ell - k] * b[k] for k in range(ell + 1)]
 
 
-def _member(n: int, w) -> tuple:
-    """S_n^w for a rational w as an integer row over one integer, (B_n S_n^w, B_n).
+class _Rows:
+    """Integer member rows B_l S_l^w, l <= n_max, for any rational parameter w.
 
-    Raises the PoleError of ``construct`` where B_n = 0.
+    One pair of prefix products up to n_max serves every degree of a
+    parameter, and each row is formed once, when first read.  The tables are
+    keyed by ``(numerator, denominator)`` and live as long as the instance:
+    an identity sweep shares one across its call, a public step builds its
+    own.  Rows are shared, so a reader must not mutate them.
     """
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
-    a, b = _prefix_products(n, w)
-    if b[n] == 0:
-        raise _construction_pole(n, Omega.exact(w))
-    return _row(n, a, b), b[n]
+
+    __slots__ = ("n_max", "_params")
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self._params = {}  # (p, q) -> (A, B, rows by degree)
+
+    def _tables(self, w) -> tuple:
+        key = (w.numerator, w.denominator)
+        tables = self._params.get(key)
+        if tables is None:
+            tables = self._params[key] = (*_prefix_products(self.n_max, w), [None] * (self.n_max + 1))
+        return tables
+
+    def member(self, n: int, w) -> tuple:
+        """S_n^w as an integer row over one integer, (B_n S_n^w, B_n).
+
+        Raises the PoleError of ``construct`` where B_n = 0.
+        """
+        if n < 0:
+            raise DomainError(f"degree must be nonnegative, got {n}")
+        a, b, rows = self._tables(w)
+        if b[n] == 0:
+            raise _construction_pole(n, Omega.exact(w))
+        if rows[n] is None:
+            rows[n] = _row(n, a, b)
+        return rows[n], b[n]
+
+    def table(self, n: int, w, om: Omega | None = None) -> list:
+        """The rows of S_0^w, ..., S_n^w.
+
+        Raises the PoleError of the first member with a pole, degree -w,
+        naming omega as ``om`` gives it (default: the exact w).
+        """
+        if n < 0:
+            raise DomainError(f"degree must be nonnegative, got {n}")
+        if self._tables(w)[1][n] == 0:  # else every B_l, l <= n, is nonzero
+            raise _construction_pole(-w.numerator, om or Omega.exact(w))
+        return [self.member(ell, w)[0] for ell in range(n + 1)]
 
 
 def _ratio_poly(om: Omega, row: list, den: int) -> Polynomial:
@@ -242,13 +279,7 @@ def family_table(n: int, omega) -> list:
     degree -omega.
     """
     om = as_omega(omega)
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
-    w = om.as_fraction()
-    a, b = _prefix_products(n, w)
-    if b[n] == 0:
-        raise _construction_pole(-w.numerator, om)
-    return [_row(ell, a, b) for ell in range(n + 1)]
+    return _Rows(n).table(n, om.as_fraction(), om)
 
 
 def construct(n: int, omega) -> Polynomial:
@@ -329,7 +360,7 @@ def star(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(conjugate(c) for c in reversed(p.coeffs)))
 
 
-def _reflection(n: int, om: Omega) -> tuple:
+def _reflection(n: int, om: Omega, rows: _Rows) -> tuple:
     """``reflect_negative_omega`` as an integer row over one integer.
 
     For omega = p/q the scale (-1)^n (omega)_n / (1-omega)_n is
@@ -344,7 +375,7 @@ def _reflection(n: int, om: Omega) -> tuple:
     if den == 0:
         raise PoleError(f"reflection scale pole: poch(1-{om.value}, {n}) = 0")
     scale = (-1) ** n * math.prod([p + i * q for i in range(n)])
-    row, b = _member(n, w - 1)
+    row, b = rows.member(n, w - 1)
     return [scale * c for c in reversed(row)], den * b
 
 
@@ -355,7 +386,7 @@ def reflect_negative_omega(n: int, omega) -> Polynomial:
     scale factor blows up (the family itself degenerates there).
     """
     om = as_omega(omega)
-    return _ratio_poly(om, *_reflection(n, om))
+    return _ratio_poly(om, *_reflection(n, om, _Rows(n)))
 
 
 def taylor_about_minus_one(n: int, omega) -> tuple:

@@ -164,16 +164,31 @@ def _aberth(coeffs, start=None):
     )
 
 
+def _same_bits(x: complex, y: complex) -> bool:
+    """x and y are the same double pair; unlike ==, this tells -0.0 from +0.0."""
+    return x == y and all(math.copysign(1.0, u) == math.copysign(1.0, v)
+                          for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
 def _newton_polish(coeffs, z, sweeps: int = 3):
+    """Up to ``sweeps`` Newton steps from z: the polished z and p(z), or None
+    when p was not evaluated at the z returned.
+
+    A step that leaves z the same in every bit ends the polish, since each
+    later step would repeat the same arithmetic at the same z.
+    """
     for _ in range(sweeps):
         p, dp = _horner_pair(coeffs, z)
         if p == 0 or dp == 0:
-            return z
+            return z, p
         step = p / dp
         if abs(step) > 1e-2 * (1 + abs(z)):
-            return z  # polish must not wander off a converged iterate
-        z = z - step
-    return z
+            return z, p  # polish must not wander off a converged iterate
+        z_next = z - step
+        if _same_bits(z_next, z):
+            return z, p
+        z = z_next
+    return z, None
 
 
 def find_zeros(
@@ -208,13 +223,14 @@ def find_zeros(
             f"{len(start)} start points for {len(coeffs) - 1} roots after origin deflation"
         )
 
-    found = []
+    polished = []
     sweeps = 0
     try:
         if len(coeffs) > 1:
             found, sweeps = _aberth(coeffs, start)
-            found = [_newton_polish(coeffs, z) for z in found]
-        residuals = [abs(_horner_pair(coeffs, z)[0]) for z in found]
+            polished = [_newton_polish(coeffs, z) for z in found]
+        found = [z for z, _ in polished]
+        residuals = [abs(_horner_pair(coeffs, z)[0] if p is None else p) for z, p in polished]
     except OverflowError as exc:
         raise ConvergenceError(f"root iteration overflowed: {exc}") from exc
     # the iteration can settle on NaN iterates (max() drops a NaN): refuse them

@@ -415,6 +415,15 @@ def test_non_finite_tolerance_step_and_threshold_refused(capsys, argv, message):
     assert message in captured.err
 
 
+def test_python_dash_m_package(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["coeffs", "--n", "2", "--omega", "1/2"]
+    proc = subprocess.run([sys.executable, "-m", "skyburst", *argv], capture_output=True, env=env)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+
+
 def test_process_exit_status():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -325,6 +325,30 @@ class TestIdentitySuite:
                 run_identity_suite(n_max, omegas=(w,))
             assert (type(exc.value), str(exc.value)) == (PoleError, message)
 
+    def test_integer_omega_refusals_pinned_through_degree_12(self):
+        # the first refusal (or none) at every integer omega in -14..14 and n_max in 0..12,
+        # recorded before the sweep shared one table of rows and one Levinson pass per omega
+        digest = hashlib.sha256()
+        for w in range(-14, 15):
+            for n_max in range(13):
+                try:
+                    run_identity_suite(n_max, omegas=(w,))
+                    digest.update(f"{w}|{n_max}|none\n".encode())
+                except Exception as exc:
+                    digest.update(f"{w}|{n_max}|{type(exc).__name__}|{exc}\n".encode())
+        assert digest.hexdigest() == "63dd8a76ea130f685f6716f5ceb01867cc00cbdcea36f9e3c45ad114e2f35f3c"
+
+    def test_reports_at_degree_20_pinned(self):
+        # a float and a negative grid point, recorded as the refusals above
+        digest = hashlib.sha256()
+        for printed in (False, True):
+            for r in run_identity_suite(20, (F(1, 3), 0.37, F(-13, 9)), printed):
+                digest.update(
+                    f"{r.identity_id}|{r.params!r}|{r.residual_norm}|"
+                    f"{type(r.residual_norm).__name__}|{r.passed}\n".encode()
+                )
+        assert digest.hexdigest() == "184d035541f7a42d74f7eec200532631658cc2564998f060e7efffe2276815b2"
+
     def test_float_grid_point_runs_on_its_exact_value(self):
         reports = run_identity_suite(6, omegas=(0.37,))
         assert reports == run_identity_suite(6, omegas=(F(0.37),))

@@ -49,6 +49,35 @@ class TestPochhammer:
     def test_float_mode_stays_float(self):
         assert isinstance(pochhammer(0.5, 3), float)
 
+    @staticmethod
+    def left_to_right(x, k):
+        # the termwise product, stopping at the first zero
+        acc = Fraction(1)
+        for i in range(k):
+            acc = acc * (x + i)
+            if acc == 0:
+                return acc
+        return acc
+
+    @given(st.one_of(rationals, st.integers(-40, 40)), st.integers(0, 30))
+    def test_exact_base_is_the_left_to_right_product(self, x, k):
+        got, want = pochhammer(x, k), self.left_to_right(x, k)
+        assert (got, type(got)) == (want, type(want))
+
+    @pytest.mark.parametrize("x", [0, -7, 5, Fraction(-7), Fraction(-22, 7), Fraction(7, 3), Fraction(-5, 2)])
+    def test_exact_zeros_and_types_every_order(self, x):
+        for k in range(25):
+            got, want = pochhammer(x, k), self.left_to_right(x, k)
+            assert (got, type(got)) == (want, type(want))
+
+    @pytest.mark.parametrize(
+        "x", [0.37, -2.0, -2.5, -0.0, 1e300, 0.25 + 1j, complex(-3, -0.0), complex(0.1, 1e200)]
+    )
+    def test_inexact_base_bit_for_bit(self, x):
+        for k in range(25):
+            got, want = pochhammer(x, k), self.left_to_right(x, k)
+            assert (repr(got), type(got)) == (repr(want), type(want))
+
 
 class TestBinomial:
     def test_edge(self):

@@ -169,7 +169,7 @@ def test_construct_series_is_the_member_row(grid):
     # the identity sweep checks the integer member row; this ties it to the public route
     for w in grid:
         for n in range(41):
-            row, den = skypoly._member(n, w)
+            row, den = skypoly._Rows(n).member(n, w)
             assert construct_series(n, w).coeffs == tuple(F(c, den) for c in row)
             assert family_table(n, w)[-1] == row and row[-1] == den
 

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 import os
@@ -157,6 +158,51 @@ class TestFindZeros:
             vals = zeros_of(n, w).values()
             assert min(abs(z) for z in vals) > 1e-4
             assert min(abs(z + 1) for z in vals) > 1e-4
+
+
+def test_zeros_of_pinned():
+    # repr of every root set (or the refusal) at n in 5..40, recorded before the
+    # Newton polish stopped at a fixed point and reused its last value as the residual
+    digest = hashlib.sha256()
+    for w in (F(1, 2), F(7, 3), 2.5, 0.37):
+        for n in range(5, 41):
+            try:
+                digest.update(repr(zeros_of(n, w)).encode())
+            except Exception as exc:
+                digest.update(f"{type(exc).__name__}|{exc}".encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == "1334307bcbc7067ac0fda323962ba78f4eb3c5bc3c6c087e3cf450cf9e80580d"
+
+
+def _polish_three_steps(coeffs, z):
+    # the reference polish: always up to three Newton steps
+    for _ in range(3):
+        p, dp = zeros._horner_pair(coeffs, z)
+        if p == 0 or dp == 0:
+            return z
+        step = p / dp
+        if abs(step) > 1e-2 * (1 + abs(z)):
+            return z
+        z = z - step
+    return z
+
+
+def test_newton_polish_is_the_three_step_polish_bit_for_bit():
+    for n, w in itertools.product((5, 12, 20), (F(1, 2), F(7, 3), 0.37)):
+        coeffs = list(map(complex, construct(n, w).to_inexact().coeffs))
+        roots, _ = zeros._aberth(coeffs)
+        for z0 in roots + [r * (1 + 1e-9) for r in roots]:
+            z, p = zeros._newton_polish(coeffs, z0)
+            assert repr(z) == repr(_polish_three_steps(coeffs, z0))
+            if p is not None:  # the residual find_zeros reads is p(z) at the returned z
+                assert repr(p) == repr(zeros._horner_pair(coeffs, z)[0])
+
+
+def test_polish_fixed_point_tells_signed_zeros_apart():
+    assert zeros._same_bits(complex(0.0, 1.0), complex(0.0, 1.0))
+    assert not zeros._same_bits(complex(-0.0, 1.0), complex(0.0, 1.0))
+    assert not zeros._same_bits(complex(1.0, -0.0), complex(1.0, 0.0))
+    assert not zeros._same_bits(complex(1.0, 0.0), complex(1.0, 5e-324))
 
 
 class TestClassify:
