@@ -14,6 +14,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -194,7 +195,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="skyburst",
         description="Construct, verify, and analyze the circle-orthogonal family S_n^omega.",

@@ -125,26 +125,39 @@ def _cleared(pairs: list) -> tuple:
     return [(i, c.numerator * (den // c.denominator)) for i, c in pairs], den
 
 
+def _moment_pole(w: Fraction, js: list, ks) -> None:
+    """Raises the moment pole if a pair j in js, k in ks reads nu_(-p) at integer omega = p."""
+    if w.denominator == 1 and {j + w.numerator for j in js}.intersection(ks):
+        reduced_moment(-w.numerator, w)  # raises the PoleError for nu_(-p)
+
+
 def _read_moments(w: Fraction, js: list, ks) -> tuple:
     """L, the integers m_i for every index i = j - k with j in js, k in ks, and the least such i.
 
-    Raises the moment pole if a pair reads nu_(-p) at integer omega = p.
+    Raises the moment pole (``_moment_pole``).
     """
-    if w.denominator == 1 and {j + w.numerator for j in js}.intersection(ks):
-        reduced_moment(-w.numerator, w)  # raises the PoleError for nu_(-p)
+    _moment_pole(w, js, ks)
     lo, hi = (min(js) - max(ks), max(js) - min(ks)) if js and ks else (0, -1)
     scale, m = _integer_moments(w, range(lo, hi + 1))
     return scale, m, lo
 
 
-def _moment_products(fs: list, w: Fraction, ks) -> tuple:
+def _moment_products(fs: list, w: Fraction, ks, moments: tuple | None = None) -> tuple:
     """The integer Toeplitz product of a row with the moments.
 
     For integer pairs fs = [(j, f_j)] returns L and, for each k in ks, the
     integer sum_j f_j m_(j-k), which is L/q times sum_j f_j nu_(j-k)
-    (``_integer_moments``).  The moment pole is raised as in ``_read_moments``.
+    (``_integer_moments``).  ``moments``, an (L, m, lo) triple over a range
+    holding every index read, replaces the list ``_read_moments`` would form:
+    a wider range only has a larger L, which scales every m_k, every product
+    and L alike.  The moment pole is raised as in ``_read_moments`` either way.
     """
-    scale, m, lo = _read_moments(w, [j for j, _ in fs], ks)
+    js = [j for j, _ in fs]
+    if moments is None:
+        moments = _read_moments(w, js, ks)
+    else:
+        _moment_pole(w, js, ks)
+    scale, m, lo = moments
     return scale, [sum(fj * m[j - k - lo] for j, fj in fs) for k in ks]
 
 
@@ -257,20 +270,14 @@ def toeplitz_det_direct(n: int, omega):
     return om.rounded_ratio(*_det(list(islice(_levinson(n, om.as_fraction(), n - 1), n))))
 
 
-def toeplitz_det_closed(n: int, omega):
-    """Closed product form of the reduced determinant.
+def _det_closed(n: int, w: Fraction) -> tuple:
+    """The closed product of D_n at omega = w as (numerator, denominator), both integers.
 
-    (1/omega)^n * prod_{l<n} l!^2 / prod_{k=1}^{n-1} (k^2 - omega^2)^(n-k);
-    poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.  For omega = p/q this
-    is the one fraction prod_{l<n} l!^2 * q^(n^2) over
-    p^n * prod_{k<n} (k^2 q^2 - p^2)^(n-k), both sides formed in integers, so
-    the factorials cannot overflow; a float omega skips the gcd that reduces
-    the fraction (``Omega.rounded_ratio``).
+    prod_{l<n} l!^2 * q^(n^2) over p^n * prod_{k<n} (k^2 q^2 - p^2)^(n-k) for
+    w = p/q, unreduced; a vanishing factor raises PoleError.
     """
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
-    om = as_omega(omega)
-    w = om.as_fraction()
     p, q = w.numerator, w.denominator
     if n > 0 and p == 0:
         raise PoleError("closed determinant pole at omega = 0")
@@ -280,8 +287,20 @@ def toeplitz_det_closed(n: int, omega):
         if factor == 0:
             raise PoleError(f"closed determinant pole at omega = +-{k}")
         den *= factor ** (n - k)
-    num = math.prod(math.factorial(ell) for ell in range(n)) ** 2 * q ** (n * n)
-    return om.rounded_ratio(num, den)
+    return math.prod(math.factorial(ell) for ell in range(n)) ** 2 * q ** (n * n), den
+
+
+def toeplitz_det_closed(n: int, omega):
+    """Closed product form of the reduced determinant.
+
+    (1/omega)^n * prod_{l<n} l!^2 / prod_{k=1}^{n-1} (k^2 - omega^2)^(n-k);
+    poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.  The integer core
+    ``_det_closed`` forms both sides for omega = p/q, so the factorials cannot
+    overflow, and they are divided out once: one reduced Fraction, or for a
+    float omega one int / int with no gcd (``Omega.rounded_ratio``).
+    """
+    om = as_omega(omega)
+    return om.rounded_ratio(*_det_closed(n, om.as_fraction()))
 
 
 def construct_determinantal(n: int, omega) -> Polynomial:

@@ -9,13 +9,15 @@ Each step has an integer core: for omega = p/q it returns ``(row, den)``, an
 integer vector over one integer, the representation FLINT's ``fmpq_poly``
 uses.  The members S_n^omega it reads are integer rows over B_n, which the
 core takes from a ``skypoly._Rows`` passed in: one pair of prefix products
-per parameter, each row formed once; the lifting and the lowering read all
-of S_0^omega, ..., S_n^omega at once from it.  A public step builds its own
-rows and divides its core out once, coefficient by coefficient (int / int
-for a float omega).  The identity sweep calls the same cores on one
-``_Rows`` for the whole call and compares them directly: each gap is one
-cross-multiplied integer vector and its residual one ``Fraction``, so no
-rational polynomial is formed on the way.
+per parameter, each row formed once; the lifting and the lowering extend
+one running sum over S_0^omega, ..., S_n^omega kept with them
+(``_Rows.table_sum``).  A public step builds its own rows and divides its
+core out once, coefficient by coefficient (int / int for a float omega).
+The identity sweep calls the same cores on one ``_Rows`` for the whole call,
+with the integer cores of the two determinants and of ``value_at_zero``,
+and compares them directly: each gap is one cross-multiplied integer
+vector, and only a nonzero one becomes a ``Fraction``, so no rational
+polynomial or scalar is formed on the way.
 
 Two published forms of these relations circulate with typos; the corrected
 identities used here were fixed by exact-arithmetic comparison at small
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .moments import _det, _levinson, _moment_products, toeplitz_det_closed
+from .moments import _det_closed, _integer_moments, _levinson, _moment_products
 from .scalarfield import Omega, as_omega
 from .skypoly import (
     Polynomial,
@@ -43,8 +45,8 @@ from .skypoly import (
     _ratio_poly,
     _reflection,
     _Rows,
+    _value_at_zero,
     construct,
-    value_at_zero,
 )
 
 __all__ = [
@@ -152,20 +154,14 @@ def _table_sum(n: int, w: Fraction, rows: _Rows, lift: bool, extra_z_on_last: bo
         (1+z) sum_{l<n} (-1)^(n-l) g_l z^(n-l-1) N_l + N_n   (lifting),
         (1+z) sum_{l<n} g_l N_l + N_n                        (lowering),
 
-    which is (-1)^n q^n n! times the right-hand side of the identity.
+    which is (-1)^n q^n n! times the right-hand side of the identity.  The
+    sum over l < n is the running sum ``_Rows.table_sum`` keeps.
     """
-    table = rows.table(n, w)
-    q = w.denominator
-    acc = [0] * n
-    g = 1
-    for ell in range(n - 1, -1, -1):
-        g *= (-q if lift else q) * (ell + 1)
-        for k, c in enumerate(table[ell], n - ell - 1 if lift else 0):
-            acc[k] += g * c
+    acc = rows.table_sum(n, w, lift)
     out = [x + y for x, y in zip(acc + [0], [0] + acc)]  # times 1+z
     if extra_z_on_last:
         out.append(0)
-    for k, c in enumerate(table[n], extra_z_on_last):
+    for k, c in enumerate(rows.member(n, w)[0], extra_z_on_last):
         out[k] += c
     return out
 
@@ -186,8 +182,9 @@ def lifting(n: int, omega) -> Polynomial:
     (2+omega)_n/n! * S_n^(omega+1) = (1+z) * sum_{l<n} (1+omega)_l/l! z^(n-l-1) S_l^omega
                                      + (1+omega)_n/n! * S_n^omega.
 
-    One integer sum over the rows of ``family_table`` (``_table_sum``) over
-    (-1)^n q^n (2+omega)_n, an integer for omega = p/q.
+    One integer sum over the rows of ``family_table`` (``_table_sum``),
+    walked up from degree 0, over (-1)^n q^n (2+omega)_n, an integer for
+    omega = p/q.
     """
     om = as_omega(omega)
     return _ratio_poly(om, *_lifting(n, om, _Rows(n)))
@@ -309,15 +306,20 @@ class IdentityReport:
     passed: bool
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+
+
 def _residual(lhs: tuple, rhs: tuple) -> Fraction:
-    """max |lhs - rhs| over the coefficients of two (row, den) pairs.
+    """max |lhs - rhs| over the coefficients of two (row, den) pairs; a scalar is a 1-entry row.
 
     The gap is one integer vector, lhs_row*rhs_den - rhs_row*lhs_den, over
-    lhs_den*rhs_den; only the residual is a Fraction.
+    lhs_den*rhs_den.  Only a nonzero gap builds a Fraction; a zero one, the
+    identity holding, returns the one shared ``Fraction(0)``.
     """
     (x, dx), (y, dy) = lhs, rhs
-    gap, den = _add(x, dx, [-c for c in y], dy)
-    return Fraction(max(map(abs, gap), default=0), abs(den))
+    x, y = x + [0] * (len(y) - len(x)), y + [0] * (len(x) - len(y))
+    worst = max([abs(u * dy - v * dx) for u, v in zip(x, y)], default=0)
+    return Fraction(worst, abs(dx * dy)) if worst else _ZERO
 
 
 def _boundary_residual(n: int, om: Omega, printed, rows: _Rows) -> Fraction:
@@ -330,17 +332,28 @@ def _boundary_residual(n: int, om: Omega, printed, rows: _Rows) -> Fraction:
             t[k] -= t[k + 1]
     taylor = [math.factorial(m) * c for m, c in enumerate(t)], den
     derivatives = _residual(_derivatives_at_minus_one(n, om), taylor)
-    return max(derivatives, abs(value_at_zero(n, w) - Fraction(row[0], den)))
+    num, zero_den = _value_at_zero(n, om)
+    return max(derivatives, _residual(([num], zero_den), ([row[0]], den)))
 
 
-def _orthogonality_residual(n: int, om: Omega, printed, rows: _Rows) -> Fraction:
+def _orthogonality_residual(n: int, om: Omega, printed, rows: _Sweep) -> Fraction:
     w = om.as_fraction()
     row, den = rows.member(n, w)
-    # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row, as ``bilinear`` forms it
-    scale, dots = _moment_products([(j, c) for j, c in enumerate(row) if c], w, range(n + 1))
-    gap = Fraction(w.denominator * max(map(abs, dots[:n]), default=0), abs(scale * den))
+    # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row, as ``bilinear`` forms it,
+    # on the sweep's moment list of omega: its L may be larger, and the reduced gap cancels it
+    fs = [(j, c) for j, c in enumerate(row) if c]
+    scale, dots = _moment_products(fs, w, range(n + 1), rows.moments(w))
+    worst = max(map(abs, dots[:n]), default=0)
+    gap = Fraction(w.denominator * worst, abs(scale * den)) if worst else _ZERO
     # nondegeneracy: <S_n, z^n> must not vanish; a zero there counts as a unit gap
-    return max(gap, Fraction(dots[n] == 0))
+    return max(gap, _ONE) if dots[n] == 0 else gap
+
+
+def _cauchy_residual(n: int, om: Omega, printed, rows: _Sweep) -> Fraction:
+    w = om.as_fraction()
+    closed, closed_den = _det_closed(n, w)  # first: its poles come before the moment poles
+    det, det_den = rows.det(n, w)
+    return _residual(([closed], closed_den), ([det], det_den))
 
 
 def _member_derivative(n: int, w: Fraction, rows: _Rows) -> tuple:
@@ -349,28 +362,39 @@ def _member_derivative(n: int, w: Fraction, rows: _Rows) -> tuple:
 
 
 class _Sweep(_Rows):
-    """The tables of one sweep call: its member rows, and D_n per omega.
+    """The tables of one sweep call: its member rows, and per omega D_n and the moments.
 
-    ``det(n, w)`` is the product of the first n pivots of one Levinson pass
-    up to n_max per omega.  The pivots are pulled only as far as the degrees
-    reached, so a moment pole is raised at the degree whose matrix first
-    holds it, as ``toeplitz_det_direct(n, w)`` raises it.
+    ``det(n, w)`` is D_n as an integer pair (numerator, denominator), the
+    running products of the pivots of one Levinson pass up to n_max per
+    omega.  The pivots are pulled only as far as the degrees reached, so a
+    moment pole is raised at the degree whose matrix first holds it, as
+    ``toeplitz_det_direct(n, w)`` raises it.  ``moments(w)`` is one integer
+    moment list over -n_max..n_max (``_integer_moments``), formed once per
+    omega for the orthogonality row.
     """
 
-    __slots__ = ("_passes",)
+    __slots__ = ("_passes", "_moments")
 
     def __init__(self, n_max: int):
         super().__init__(n_max)
-        self._passes = {}  # (p, q) -> (Levinson pass, pivots pulled so far)
+        self._passes = {}  # (p, q) -> (Levinson pass, D_0..D_k as integer pairs)
+        self._moments = {}  # (p, q) -> (L, m, lo)
 
-    def det(self, n: int, w: Fraction) -> Fraction:
+    def det(self, n: int, w: Fraction) -> tuple:
         key = (w.numerator, w.denominator)
         if key not in self._passes:
-            self._passes[key] = _levinson(self.n_max, w, self.n_max - 1), []
-        levinson, pivots = self._passes[key]
-        while len(pivots) < n:
-            pivots.append(next(levinson))
-        return Fraction(*_det(pivots[:n]))
+            self._passes[key] = _levinson(self.n_max, w, self.n_max - 1), [(1, 1)]
+        levinson, dets = self._passes[key]
+        while len(dets) <= n:
+            (num, den), (pn, pd) = dets[-1], next(levinson)
+            dets.append((num * pn, den * pd))
+        return dets[n]
+
+    def moments(self, w: Fraction) -> tuple:
+        key = (w.numerator, w.denominator)
+        if key not in self._moments:
+            self._moments[key] = (*_integer_moments(w, range(-self.n_max, self.n_max + 1)), -self.n_max)
+        return self._moments[key]
 
 
 # identity_id -> (least degree, residual(n, om, printed, rows)), for an exact
@@ -381,9 +405,7 @@ class _Sweep(_Rows):
 # module attribute (a tracer, a mock) sees every call.
 _IDENTITIES = {
     "orthogonality": (0, _orthogonality_residual),
-    "cauchy_determinant": (0, lambda n, om, printed, rows: abs(
-        toeplitz_det_closed(n, om) - rows.det(n, om.value)
-    )),
+    "cauchy_determinant": (0, _cauchy_residual),
     "mixed_step": (1, lambda n, om, printed, rows: _residual(_mixed(n, om, rows), rows.member(n, om.value))),
     "omega_shift": (1, lambda n, om, printed, rows: _residual(
         _omega_up(n, om, rows, _OMEGA_UP_PRINTED["nz2"] if printed else _OMEGA_UP),
@@ -433,12 +455,13 @@ def run_identity_suite(
             for identity_id, (least, residual) in _IDENTITIES.items():
                 if n >= least:
                     reports.append(_report(identity_id, n, om.value, residual(n, om, printed_variants, rows)))
+    params = [Fraction(m) for m in range(n_max)]
     for n in range(1, n_max + 1):
         for m in range(n):
             # S_n^m = z^(n-m) S_m^n: the member row (n, m) against the shifted row (m, n)
             row, den = rows.member(m, n)
             residual = _residual(rows.member(n, m), ([0] * (n - m) + row, den))
-            reports.append(_report("degree_symmetry", n, Fraction(m), residual))
+            reports.append(_report("degree_symmetry", n, params[m], residual))
     half = Omega.exact(Fraction(1, 2))
     for identity_id in ("omega_shift", "lifting"):
         residual = _IDENTITIES[identity_id][1](1, half, True, _Rows(1))

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .scalarfield import Omega, as_omega, conjugate, pochhammer
+from .scalarfield import Omega, as_omega, conjugate
 
 __all__ = [
     "Polynomial",
@@ -221,14 +221,17 @@ class _Rows:
     parameter, and each row is formed once, when first read.  The tables are
     keyed by ``(numerator, denominator)`` and live as long as the instance:
     an identity sweep shares one across its call, a public step builds its
-    own.  Rows are shared, so a reader must not mutate them.
+    own.  Rows are shared, so a reader must not mutate them.  The instance
+    also holds the running sums of the lifting and the lowering
+    (``table_sum``), extended degree by degree over the same rows.
     """
 
-    __slots__ = ("n_max", "_params")
+    __slots__ = ("n_max", "_params", "_sums")
 
     def __init__(self, n_max: int):
         self.n_max = n_max
         self._params = {}  # (p, q) -> (A, B, rows by degree)
+        self._sums = {}  # (p, q, lift) -> table sums by degree
 
     def _tables(self, w) -> tuple:
         key = (w.numerator, w.denominator)
@@ -262,6 +265,33 @@ class _Rows:
         if self._tables(w)[1][n] == 0:  # else every B_l, l <= n, is nonzero
             raise _construction_pole(-w.numerator, om or Omega.exact(w))
         return [self.member(ell, w)[0] for ell in range(n + 1)]
+
+    def table_sum(self, n: int, w, lift: bool) -> list:
+        """The integer row sum_{l<n} (-1)^(n-l) g_l z^(n-l-1) N_l (``lift``) or sum_{l<n} g_l N_l.
+
+        N_l is the member row of S_l^w and g_l = q^(n-l) n!/l! for w = p/q.
+        Both sums extend from one degree to the next, with acc_0 the empty
+        row:
+
+            acc_(l+1) = -q(l+1) (z acc_l + N_l)   (lifting),
+            acc_(l+1) =  q(l+1) (acc_l + N_l)     (lowering),
+
+        and each acc_l is kept, so a degree costs only the steps past the
+        highest one reached.  A member with a pole raises its PoleError when
+        the walk first reads it.
+        """
+        if n < 0:
+            raise DomainError(f"degree must be nonnegative, got {n}")
+        sums = self._sums.setdefault((w.numerator, w.denominator, lift), [[]])
+        q = w.denominator
+        while len(sums) <= n:
+            ell, acc = len(sums) - 1, sums[-1]
+            row = self.member(ell, w)[0]
+            if lift:
+                sums.append([-q * (ell + 1) * (u + v) for u, v in zip([0, *acc], row)])
+            else:
+                sums.append([q * (ell + 1) * (u + v) for u, v in zip([*acc, 0], row)])
+        return sums[n]
 
 
 def _ratio_poly(om: Omega, row: list, den: int) -> Polynomial:
@@ -342,17 +372,31 @@ def derivative_at_minus_one(m: int, n: int, omega):
     return om.rounded_ratio(row[m], den)
 
 
+def _value_at_zero(n: int, om: Omega) -> tuple:
+    """S_n^omega(0) as (numerator, denominator), both integers.
+
+    poch(-omega, n) / poch(-n-omega, n) is, for omega = p/q, the ratio
+    prod_{i<n} (iq - p) / prod_{i<n} ((i-n)q - p), the powers of q cancelling.
+    Its own two products: it reads neither the member rows nor their prefix
+    products, so the ``boundary_values`` row compares two routes.
+    """
+    if n < 0:
+        raise DomainError(f"degree must be nonnegative, got {n}")
+    w = om.as_fraction()
+    p, q = w.numerator, w.denominator
+    den = math.prod([(i - n) * q - p for i in range(n)])
+    if den == 0:
+        raise PoleError(f"value at 0 undefined: poch({-n}-{om.value}, {n}) = 0")
+    return math.prod([i * q - p for i in range(n)]), den
+
+
 def value_at_zero(n: int, omega):
-    """Constant term poch(-omega, n) / poch(-n-omega, n).
+    """Constant term poch(-omega, n) / poch(-n-omega, n), the integer core divided out once.
 
     Exactly zero iff omega is an integer in {0, ..., n-1}.
     """
     om = as_omega(omega)
-    w = om.as_fraction()
-    den = pochhammer(-n - w, n)
-    if den == 0:
-        raise PoleError(f"value at 0 undefined: poch({-n}-{om.value}, {n}) = 0")
-    return om.rounded(pochhammer(-w, n) / den)
+    return om.rounded_ratio(*_value_at_zero(n, om))
 
 
 def star(p: Polynomial) -> Polynomial:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from skyburst.cli import main
+from skyburst.cli import _build_parser, main
 from skyburst.moments import toeplitz_det_closed
 from skyburst.zeros import zeros_of
 
@@ -413,6 +413,39 @@ def test_non_finite_tolerance_step_and_threshold_refused(capsys, argv, message):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert message in captured.err
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_matches_fresh_parsers(capsys):
+    # one parser serves every call of a process; each call must see what a new parser would give
+    argvs = [
+        ("verify", "--n-max", "1", "--omega-grid", "1/3,22/7"),
+        ("verify", "--n-max", "1"),
+        ("coeffs", "--n", "x", "--omega", "1/2"),  # an argparse error: usage on stderr, exit 2
+        ("coeffs", "--n", "3", "--omega", "-13/9", "--format", "csv"),
+        ("detn", "--n", "3", "--omega", "1/2"),
+        ("frobnicate",),
+        ("zeros", "--n", "3", "--omega", "1/2"),
+        ("coeffs", "--n", "3", "--omega", "-2"),
+        ("coeffs", "--n", "2", "--omega", "1/2"),
+    ]
+    reused = [_outcome(capsys, argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 2, 0, 2, 0]
+    assert "usage: skyburst coeffs" in reused[2][2]
+    assert _build_parser() is _build_parser()
 
 
 def test_python_dash_m_package(capsys):

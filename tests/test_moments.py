@@ -205,6 +205,42 @@ class TestDeterminants:
                 det(-1, F(1, 2))
 
 
+def _closed_product(n: int, w: Fraction) -> Fraction:
+    """The closed product of D_n in Fraction arithmetic, factor by factor."""
+    if n > 0 and w == 0:
+        raise PoleError("closed determinant pole at omega = 0")
+    out = F(math.prod(math.factorial(ell) for ell in range(n)) ** 2) / w ** n
+    for k in range(1, n):
+        if k * k == w * w:
+            raise PoleError(f"closed determinant pole at omega = +-{k}")
+        out /= (k * k - w * w) ** (n - k)
+    return out
+
+
+@pytest.mark.parametrize(
+    "w", [F(1, 3), F(22, 7), F(-13, 9), F(-5, 2), F(0), F(2), F(-3), 0.37, 1e-300, 2.0, -3.0, 0.0]
+)
+def test_closed_equals_fraction_product(w):
+    # value and type, or the PoleError text, against the Fraction formula; a float omega rounded once
+    for n in range(10):
+        try:
+            want = _closed_product(n, F(w))
+        except PoleError as exc:
+            with pytest.raises(PoleError) as got:
+                toeplitz_det_closed(n, w)
+            assert str(got.value) == str(exc)
+            continue
+        if isinstance(w, float):
+            try:
+                want = float(want)
+            except OverflowError:
+                with pytest.raises(DomainError, match="double range"):
+                    toeplitz_det_closed(n, w)
+                continue
+        got = toeplitz_det_closed(n, w)
+        assert (type(got), got) == (type(want), want), n
+
+
 class TestDeterminantalRoute:
     def test_degree_one(self):
         # 1x1 system: c0 * nu_0 = -nu_1  =>  c0 = (2/3) / 2 = 1/3

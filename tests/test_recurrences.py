@@ -291,6 +291,49 @@ class TestGeneratingFunction:
             genfun_compare(F(1, 2), z, t, 10)
 
 
+def _gap(p: Polynomial, q: Polynomial) -> Fraction:
+    """max |coefficient| of p - q."""
+    return max(map(abs, (p - q).coeffs), default=F(0))
+
+
+def _public_residual(identity_id: str, n: int, w: Fraction, printed: bool) -> Fraction:
+    """The residual of one sweep row from the public functions, each a rational Polynomial or value."""
+    if identity_id == "orthogonality":
+        s = construct(n, w)
+        worst = max((abs(moments.bilinear(s, _zpow(k), w)) for k in range(n)), default=F(0))
+        return max(worst, F(1)) if moments.bilinear(s, _zpow(n), w) == 0 else worst
+    if identity_id == "cauchy_determinant":
+        return abs(moments.toeplitz_det_closed(n, w) - moments.toeplitz_det_direct(n, w))
+    if identity_id == "boundary_values":
+        s = d = construct(n, w)
+        worst = abs(skypoly.value_at_zero(n, w) - s(F(0)))
+        for m in range(n + 1):
+            worst = max(worst, abs(skypoly.derivative_at_minus_one(m, n, w) - d(F(-1))))
+            d = d.derivative()
+        return worst
+    if identity_id == "degree_symmetry":
+        return _gap(construct(n, w), skypoly.construct_via_symmetry(n, int(w)))
+    if identity_id in ("omega_shift_printed_rejected", "lifting_printed_rejected"):
+        printed_form = step_omega_up_printed(n, w, "nz2") if identity_id.startswith("omega") else lifting_printed(n, w)
+        return _gap(printed_form, construct(n, w + 1))
+    steps = {
+        "mixed_step": lambda: _gap(step_mixed(n, w), construct(n, w)),
+        "omega_shift": lambda: _gap(
+            step_omega_up_printed(n, w, "nz2") if printed else step_omega_up(n, w), construct(n, w + 1)
+        ),
+        "derivative_recurrence": lambda: _gap(differential_step(n, w), construct(n, w).derivative()),
+        "lifting": lambda: _gap(lifting_printed(n, w) if printed else lifting(n, w), construct(n, w + 1)),
+        "lowering": lambda: _gap(lowering(n, w), construct(n, w - 1)),
+        "ode": lambda: _gap(ode_residual(n, w), Polynomial()),
+        "negative_reflection": lambda: _gap(skypoly.reflect_negative_omega(n, abs(w)), construct(n, -abs(w))),
+    }
+    return steps[identity_id]()
+
+
+def _zpow(k: int) -> Polynomial:
+    return Polynomial((0,) * k + (1,))
+
+
 class TestIdentitySuite:
     def test_reports_match_pinned_digest(self):
         # SHA-256 of every report over these sweeps, recorded before the sweep ran on integer rows
@@ -348,6 +391,16 @@ class TestIdentitySuite:
                     f"{type(r.residual_norm).__name__}|{r.passed}\n".encode()
                 )
         assert digest.hexdigest() == "184d035541f7a42d74f7eec200532631658cc2564998f060e7efffe2276815b2"
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_residuals_equal_public_step_oracle(self, printed):
+        # every residual recomputed with the public steps in Fraction arithmetic: zero gaps,
+        # and with the printed forms swapped in, the nonzero cross-multiplied ones
+        reports = run_identity_suite(8, DEFAULT_OMEGA_GRID + (F(-13, 9), F(41, 2)), printed)
+        assert {r.residual_norm != 0 for r in reports} == {False, True}
+        for r in reports:
+            assert type(r.residual_norm) is Fraction
+            assert r.residual_norm == _public_residual(r.identity_id, *r.params, printed), r
 
     def test_float_grid_point_runs_on_its_exact_value(self):
         reports = run_identity_suite(6, omegas=(0.37,))

@@ -219,6 +219,27 @@ class TestSpecialValues:
                 assert value_at_zero(n, w) == construct(n, w)(F(0)) != 0
 
 
+@pytest.mark.parametrize(
+    "w", [F(1, 3), F(22, 7), F(-13, 9), F(-5, 2), F(0), F(2), F(-3), 0.37, 1e-300, 2.0, -3.0, 0.0]
+)
+def test_value_at_zero_equals_pochhammer_ratio(w):
+    # value and type, or the PoleError text, against poch(-w, n) / poch(-n-w, n) in Fractions
+    for n in range(10):
+        den = pochhammer(-n - F(w), n)
+        if den == 0:
+            with pytest.raises(PoleError) as got:
+                value_at_zero(n, w)
+            assert str(got.value) == f"value at 0 undefined: poch({-n}-{w}, {n}) = 0"
+            continue
+        want = pochhammer(-F(w), n) / den
+        if isinstance(w, float):
+            want = float(want)
+        got = value_at_zero(n, w)
+        assert (type(got), got) == (type(want), want), n
+    with pytest.raises(DomainError):
+        value_at_zero(-1, w)
+
+
 class TestStar:
     def test_monomial_collapses(self):
         assert star(zpow(5)) == Polynomial((1,))
