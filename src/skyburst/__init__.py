@@ -14,8 +14,6 @@ from .errors import (
     TrackingError,
 )
 from .moments import (
-    MomentSequence,
-    ToeplitzMomentMatrix,
     bilinear,
     construct_determinantal,
     moment,
@@ -38,18 +36,16 @@ from .recurrences import (
     step_omega_up,
     step_omega_up_printed,
 )
-from .scalarfield import Omega, as_omega, binomial, parse_rational, pochhammer, to_float
+from .scalarfield import Omega, as_omega, parse_rational, pochhammer
 from .skypoly import (
     Polynomial,
     construct,
     construct_series,
     construct_via_symmetry,
     derivative_at_minus_one,
-    evaluate,
     reflect_negative_omega,
     star,
     taylor_about_minus_one,
-    value_at_minus_one,
     value_at_zero,
 )
 from .zeros import (

@@ -8,8 +8,8 @@ All work strips the transcendental prefactor sigma = sin(pi*omega)/pi and
 computes with the reduced moments nu_k = (-1)^k / (k + omega); every identity
 downstream is then a rational identity checkable with zero tolerance.  A float
 omega is computed on its exact binary rational and each result rounded once
-(``Omega.rounded_ratio``).  Only ``moment`` (for a float omega) and
-``MomentSequence`` reinstate sigma, which for determinants enters as sigma^n.
+(``Omega.rounded_ratio``).  Only ``moment`` (for a float omega) reinstates
+sigma, which for determinants enters as sigma^n.
 
 The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.  The moment
 determinant and the monic polynomial defined by orthogonality both come from
@@ -35,8 +35,6 @@ from .scalarfield import Omega, as_omega, conjugate
 from .skypoly import Polynomial, _ratio_poly
 
 __all__ = [
-    "MomentSequence",
-    "ToeplitzMomentMatrix",
     "moment",
     "reduced_moment",
     "bilinear",
@@ -66,44 +64,6 @@ def moment(k: int, omega):
     om = as_omega(omega)
     nu = reduced_moment(k, om)
     return nu if om.exact_mode else _sigma(om) * nu
-
-
-class MomentSequence:
-    """Reduced moments of one parameter plus the common prefactor bookkeeping."""
-
-    def __init__(self, omega):
-        self.omega = as_omega(omega)
-
-    def reduced(self, k: int):
-        return reduced_moment(k, self.omega)
-
-    def full(self, k: int) -> float:
-        return _sigma(self.omega) * float(reduced_moment(k, self.omega))
-
-    @property
-    def prefactor_kind(self) -> str:
-        # exact mode carries sigma = sin(pi*omega)/pi symbolically
-        return "symbolic" if self.omega.exact_mode else "numeric"
-
-    @property
-    def prefactor(self):
-        return None if self.omega.exact_mode else _sigma(self.omega)
-
-
-class ToeplitzMomentMatrix:
-    """n x n matrix with entries(i, j) = nu_{j-i}; constant along diagonals."""
-
-    def __init__(self, n: int, omega):
-        self.n = n
-        self.omega = as_omega(omega)
-
-    def entry(self, i: int, j: int):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError((i, j))
-        return reduced_moment(j - i, self.omega)
-
-    def rows(self) -> list:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
 
 def _integer_moments(w: Fraction, ks: range) -> tuple:
@@ -261,8 +221,8 @@ def _sub_scaled(x: list, dx: int, fn: int, fd: int, y: list, dy: int):
 def toeplitz_det_direct(n: int, omega):
     """Reduced Toeplitz moment determinant D_n, the product of the n Levinson pivots.
 
-    Reads only the moments nu_(1-n)..nu_(n-1) of the matrix.  The sigma^n
-    prefactor is reported separately (see MomentSequence.prefactor).
+    Reads only the moments nu_(1-n)..nu_(n-1) of the matrix.  The full
+    determinant is sigma^n times this value.
     """
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")

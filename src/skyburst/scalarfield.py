@@ -51,25 +51,6 @@ def pochhammer(x: Scalar, k: int) -> Scalar:
     return acc
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; k must satisfy 0 <= k <= n."""
-    if k < 0 or n < 0:
-        raise DomainError(f"binomial arguments must be nonnegative, got ({n}, {k})")
-    if k > n:
-        raise DomainError(f"binomial requires k <= n, got ({n}, {k})")
-    return math.comb(n, k)
-
-
-def to_float(s: Scalar) -> complex:
-    """Nearest-double conversion of any scalar, as a complex value.
-
-    Raises OverflowError if the value exceeds the double range.
-    """
-    if isinstance(s, complex):
-        return s
-    return complex(float(s), 0.0)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (optional sign on p, q > 0) or the integer shorthand "p"."""
     text = text.strip()

@@ -25,8 +25,6 @@ __all__ = [
     "construct_series",
     "family_table",
     "construct_via_symmetry",
-    "evaluate",
-    "value_at_minus_one",
     "derivative_at_minus_one",
     "value_at_zero",
     "star",
@@ -147,10 +145,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-def evaluate(p: Polynomial, z):
-    return p(z)
 
 
 def _prefix_products(n: int, w) -> tuple:
@@ -332,11 +326,6 @@ def construct_via_symmetry(n: int, m: int) -> Polynomial:
     return construct_series(m, Omega.exact(n)).shifted(n - m)
 
 
-def value_at_minus_one(n: int, omega):
-    """(-1)^n n! / poch(1+omega, n) = construct(n, omega)(-1), the order-0 derivative at -1."""
-    return derivative_at_minus_one(0, n, omega)
-
-
 def _derivatives_at_minus_one(n: int, om: Omega) -> tuple:
     """All n+1 derivatives of S_n^omega at z = -1 as one integer row over one integer.
 
@@ -348,7 +337,7 @@ def _derivatives_at_minus_one(n: int, om: Omega) -> tuple:
     w = om.as_fraction()
     p, q = w.numerator, w.denominator
     if q == 1 and -n <= p <= -1:
-        raise PoleError(f"derivative at -1 undefined: poch(1+{om.value}, {n}) = 0")
+        raise PoleError(f"derivative at -1 undefined: poch(1+{w}, {n}) = 0")
     prefix = [1]
     for i in range(n):
         prefix.append(prefix[i] * (p + q * (1 + i)))
@@ -436,19 +425,11 @@ def reflect_negative_omega(n: int, omega) -> Polynomial:
 def taylor_about_minus_one(n: int, omega) -> tuple:
     """Coefficients c_m with S_n^omega(z) = sum_m c_m (1+z)^m, c_m exact.
 
-    c_m = (m-th derivative at -1) / m!; monicity forces c_n = 1, and the
-    closed form gives the ratio c_(m-1) = -c_m m^2 / ((n-m+1)(omega+m)), so
-    one walk down from c_n is O(n).  The only pole, poch(1+omega, n) = 0, is
-    omega in {-n, ..., -1}.
+    c_m is the m-th derivative at -1 over m!: entry m of the integer row of
+    ``_derivatives_at_minus_one`` over m! times its denominator, divided out
+    once.  Monicity gives c_n = 1.  The only pole, poch(1+omega, n) = 0 at
+    omega in {-n, ..., -1}, is raised by that row.
     """
     om = as_omega(omega)
-    w = om.as_fraction()
-    if w.denominator == 1 and -n <= w <= -1:
-        raise PoleError(f"derivative at -1 undefined: poch(1+{w}, {n}) = 0")
-    p, q = w.numerator, w.denominator
-    c = Fraction(1)
-    coeffs = [c] * (n + 1)
-    for m in range(n, 0, -1):
-        c = c * Fraction(-m * m * q, (n - m + 1) * (p + m * q))
-        coeffs[m - 1] = c
-    return tuple(map(om.rounded, coeffs))
+    row, den = _derivatives_at_minus_one(n, om)
+    return tuple(om.rounded_ratio(c, math.factorial(m) * den) for m, c in enumerate(row))

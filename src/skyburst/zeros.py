@@ -297,7 +297,9 @@ def fizzle_gap(n: int, omega) -> float:
 
     Found from the expansion about -1 (exact coefficients, rounded once): for
     large omega the roots cluster at -1, where the shifted basis stays well
-    conditioned while the monomial basis loses most of its accuracy.
+    conditioned while the monomial basis loses most of its accuracy.  Every
+    zero lies in (-1, 0) here, so a gap of 1 or more (or NaN) is wrong and
+    raises ConvergenceError.
     """
     om = as_omega(omega)
     if not om.as_float() > n:
@@ -306,7 +308,10 @@ def fizzle_gap(n: int, omega) -> float:
         return 0.0
     shifted = Polynomial(taylor_about_minus_one(n, om)).to_inexact()
     zs = find_zeros(shifted, tol=1e-9)
-    return max(abs(t) for t in zs.values())
+    gap = max(abs(t) for t in zs.values())
+    if not gap < 1:
+        raise ConvergenceError(f"fizzle gap {gap} at n={n}, omega={om.value} is not below 1", best=zs.values())
+    return gap
 
 
 def simplicity_margin(zs: ZeroSet) -> float:

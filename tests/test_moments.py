@@ -9,8 +9,6 @@ import pytest
 import skyburst
 from skyburst.errors import DomainError, ExistenceError, PoleError
 from skyburst.moments import (
-    MomentSequence,
-    ToeplitzMomentMatrix,
     bilinear,
     construct_determinantal,
     moment,
@@ -50,35 +48,19 @@ class TestMoments:
 
     def test_sequence_invariant(self):
         for w in GRID:
-            seq = MomentSequence(w)
             for k in range(-10, 11):
-                assert seq.reduced(k) * (k + w) == (-1) ** (k % 2)
+                assert reduced_moment(k, w) * (k + w) == (-1) ** (k % 2)
 
     def test_full_matches_formula(self):
-        seq = MomentSequence(0.37)
         for k in range(-6, 7):
             want = (-1) ** (k % 2) * math.sin(math.pi * 0.37) / (math.pi * (k + 0.37))
-            assert seq.full(k) == pytest.approx(want, rel=1e-14)
+            assert moment(k, 0.37) == pytest.approx(want, rel=1e-14)
 
     def test_prefactor_bookkeeping(self):
-        assert MomentSequence(F(1, 2)).prefactor_kind == "symbolic"
-        assert MomentSequence(F(1, 2)).prefactor is None
-        seq = MomentSequence(0.5)
-        assert seq.prefactor_kind == "numeric"
-        assert seq.prefactor == pytest.approx(1 / math.pi)
-
-
-class TestToeplitzMatrix:
-    def test_constant_diagonals(self):
-        mat = ToeplitzMomentMatrix(5, F(1, 3))
-        for i in range(4):
-            for j in range(4):
-                assert mat.entry(i, j) == mat.entry(i + 1, j + 1)
-
-    def test_entry_is_reduced_moment(self):
-        mat = ToeplitzMomentMatrix(3, F(1, 2))
-        assert mat.entry(0, 2) == reduced_moment(2, F(1, 2))
-        assert mat.entry(2, 0) == reduced_moment(-2, F(1, 2))
+        # an exact moment leaves sigma = sin(pi w)/pi out; a float one carries it
+        for k in range(-4, 5):
+            assert moment(k, F(1, 2)) == reduced_moment(k, F(1, 2))
+            assert moment(k, 0.5) / reduced_moment(k, 0.5) == pytest.approx(1 / math.pi)
 
 
 class TestBilinear:

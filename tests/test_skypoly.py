@@ -6,19 +6,17 @@ import pytest
 
 from skyburst import skypoly
 from skyburst.errors import DomainError, PoleError
-from skyburst.scalarfield import as_omega, binomial, pochhammer
+from skyburst.scalarfield import as_omega, pochhammer
 from skyburst.skypoly import (
     Polynomial,
     construct,
     construct_series,
     construct_via_symmetry,
     derivative_at_minus_one,
-    evaluate,
     family_table,
     reflect_negative_omega,
     star,
     taylor_about_minus_one,
-    value_at_minus_one,
     value_at_zero,
 )
 
@@ -32,7 +30,7 @@ def zpow(k):
 
 
 def rising_factorial_series(n, w):
-    """Reference: each coefficient binomial(n, l) poch(-w, l) / poch(-n-w, l) from fresh products."""
+    """Reference: each coefficient C(n, l) poch(-w, l) / poch(-n-w, l) from fresh products."""
     coeffs = [F(0)] * n + [F(1)]
     for ell in range(1, n + 1):
         den = pochhammer(-n - w, ell)
@@ -41,7 +39,7 @@ def rising_factorial_series(n, w):
                 f"construction pole at degree {n}, omega={w}: "
                 f"denominator rising factorial vanishes at term {ell}"
             )
-        coeffs[n - ell] = binomial(n, ell) * pochhammer(-w, ell) / den
+        coeffs[n - ell] = math.comb(n, ell) * pochhammer(-w, ell) / den
     return Polynomial(coeffs)
 
 
@@ -73,7 +71,7 @@ class TestPolynomial:
     def test_horner_exact(self):
         p = Polynomial((F(-1, 15), F(2, 5), F(1)))
         assert p(F(2)) == F(-1, 15) + F(4, 5) + 4
-        assert evaluate(p, F(0)) == F(-1, 15)
+        assert p(F(0)) == F(-1, 15)
 
     def test_arithmetic(self):
         p = Polynomial((1, 2))
@@ -175,19 +173,23 @@ def test_construct_series_is_the_member_row(grid):
 
 
 class TestSpecialValues:
+    # S_n(-1) is the order-0 derivative at -1
     def test_value_at_minus_one_examples(self):
-        assert value_at_minus_one(0, F(1, 2)) == 1
-        assert value_at_minus_one(3, F(1, 2)) == F(-16, 35)
-        assert value_at_minus_one(2, F(1)) == F(1, 3)
+        assert derivative_at_minus_one(0, 0, F(1, 2)) == 1
+        assert derivative_at_minus_one(0, 3, F(1, 2)) == F(-16, 35)
+        assert derivative_at_minus_one(0, 2, F(1)) == F(1, 3)
 
     def test_value_at_minus_one_matches_eval(self):
+        # (-1)^n n! / poch(1+w, n) = S_n(-1), on both sides of every pole -n..-1
         for n in range(11):
-            for w in GRID:
-                assert value_at_minus_one(n, w) == construct(n, w)(F(-1))
-
-    def test_value_at_minus_one_pole(self):
-        with pytest.raises(PoleError):
-            value_at_minus_one(2, F(-2))
+            for w in RATIO_GRID:
+                den = pochhammer(1 + w, n)
+                if den == 0:
+                    with pytest.raises(PoleError):
+                        derivative_at_minus_one(0, n, w)
+                    continue
+                want = (-1) ** n * math.factorial(n) / den
+                assert derivative_at_minus_one(0, n, w) == want == construct(n, w)(F(-1))
 
     def test_derivative_closed_form_matches_formal_derivative(self):
         for n in range(11):
@@ -198,7 +200,7 @@ class TestSpecialValues:
                     p = p.derivative()
 
     def test_derivative_examples(self):
-        assert derivative_at_minus_one(0, 4, F(1, 3)) == value_at_minus_one(4, F(1, 3))
+        assert derivative_at_minus_one(0, 4, F(1, 3)) == F(243, 455)
         for n in range(7):
             assert derivative_at_minus_one(n, n, F(2, 3)) == math.factorial(n)
         assert derivative_at_minus_one(1, 2, F(1, 2)) == F(-8, 5)
@@ -320,18 +322,22 @@ class TestTaylorAboutMinusOne:
         assert taylor_about_minus_one(1, F(1, 2)) == (F(-2, 3), F(1))
 
     def test_equals_scaled_derivatives(self):
+        # the formal derivatives of construct at -1, a route the Taylor row does not share
         for w in (F(1, 3), F(-13, 9), F(22, 7)):
-            for n in range(41):
-                expected = tuple(
-                    derivative_at_minus_one(m, n, w) / math.factorial(m) for m in range(n + 1)
-                )
-                assert taylor_about_minus_one(n, w) == expected
+            for n in range(21):
+                p, expected = construct(n, w), []
+                for m in range(n + 1):
+                    expected.append(p(F(-1)) / math.factorial(m))
+                    p = p.derivative()
+                assert taylor_about_minus_one(n, w) == tuple(expected)
 
     def test_pole_refused_up_front(self):
         for n, w in [(3, -2), (3, -2.0), (5, F(-3)), (4, -1), (4, F(-4))]:
             text = rf"^derivative at -1 undefined: poch\(1\+{int(w)}, {n}\) = 0$"
             with pytest.raises(PoleError, match=text):
                 taylor_about_minus_one(n, w)
+            with pytest.raises(PoleError, match=text):
+                derivative_at_minus_one(0, n, w)
         assert taylor_about_minus_one(3, -4)[-1] == 1  # -4 is past the last factor
 
     def test_round_trip(self):

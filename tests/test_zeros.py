@@ -174,6 +174,21 @@ def test_zeros_of_pinned():
     assert digest.hexdigest() == "1334307bcbc7067ac0fda323962ba78f4eb3c5bc3c6c087e3cf450cf9e80580d"
 
 
+@pytest.mark.xfail(strict=True, reason="Aberth misses two real roots in (-1, 0); "
+                   "ROADMAP Directions 1-2 (exact census, certified roots) mend it")
+def test_thirty_at_twenty_one_halves_has_eleven_roots_in_unit_interval():
+    assert classify(zeros_of(30, F(21, 2))).neg_unit == 11
+
+
+@pytest.mark.xfail(strict=True, reason="3 upper and 4 lower off-axis roots; "
+                   "ROADMAP Directions 1-2 (exact census, certified roots) mend it")
+def test_root_set_is_conjugate_symmetric_at_fifteen():
+    vals = zeros_of(15, 7.9985).values(include_origin=False)
+    upper = sum(z.imag > AXIS_TOL * (1 + abs(z)) for z in vals)
+    lower = sum(z.imag < -AXIS_TOL * (1 + abs(z)) for z in vals)
+    assert upper == lower
+
+
 def _polish_three_steps(coeffs, z):
     # the reference polish: always up to three Newton steps
     for _ in range(3):
@@ -276,6 +291,18 @@ class TestFizzle:
     def test_requires_fizzle_regime(self):
         with pytest.raises(DomainError):
             fizzle_gap(3, F(2))
+
+    @pytest.mark.parametrize("n, w", [(30, F(61, 2)), (40, F(81, 2))])
+    def test_gap_of_one_or_more_refused(self, n, w):
+        # every zero lies in (-1, 0) for w > n; mpmath gives 0.99739 and 0.99851 here
+        with pytest.raises(ConvergenceError, match="not below 1"):
+            fizzle_gap(n, w)
+
+    def test_small_degree_gaps_pinned(self):
+        # repr of each gap at n <= 12, where every gap is below 1: the refusal leaves them bit for bit
+        gaps = [fizzle_gap(n, w) for n in range(1, 13) for w in (n + F(1, 2), 2 * n + F(1, 3), 5 * n + F(1, 2))]
+        digest = hashlib.sha256(repr(gaps).encode()).hexdigest()
+        assert digest == "c19100a7379c6c56424ed13ae0c157d4b7264c24dc81907775bcc4d05c7bbe5a"
 
 
 class TestSimplicity:
