@@ -24,9 +24,9 @@ from fractions import Fraction
 from .errors import ConvergenceError, DomainError, TrackingError
 from .moments import toeplitz_det_closed, toeplitz_det_direct
 from .recurrences import DEFAULT_OMEGA_GRID, genfun_compare, run_identity_suite
-from .scalarfield import Omega, parse_rational
+from .scalarfield import as_omega, parse_rational
 from .skypoly import construct
-from .zeros import _tag_root, trace, zeros_of
+from .zeros import _tag_root, find_zeros, trace
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,14 +38,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_omega(args: argparse.Namespace) -> Omega:
-    """Exact Omega whenever the text parses as p/q; float otherwise."""
+def _parse_omega(args: argparse.Namespace) -> Fraction | float:
+    """A Fraction whenever the text parses as p/q; a finite float otherwise."""
     try:
-        return Omega.exact(parse_rational(args.omega))
+        return parse_rational(args.omega)
     except ValueError:
         if args.exact:
             raise
-        return Omega.inexact(float(args.omega))
+        return as_omega(float(args.omega))
 
 
 # argparse types; argparse names them in its usage errors
@@ -75,14 +75,14 @@ def _write(args: argparse.Namespace, payload, lines: list) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _omega_str(om: Omega) -> str:
-    return str(om.value) if om.exact_mode else _fmt(om.value)
+def _omega_str(om) -> str:
+    return str(om) if isinstance(om, Fraction) else _fmt(om)
 
 
 def cmd_coeffs(args: argparse.Namespace):
     om = args.omega
     coeffs = construct(args.n, om).coeffs
-    if om.exact_mode:
+    if isinstance(om, Fraction):
         entries = [
             {"pow": j, "num": str(c.numerator), "den": str(c.denominator)}
             for j, c in enumerate(coeffs)
@@ -130,8 +130,8 @@ def cmd_verify(args: argparse.Namespace):
 
 def cmd_zeros(args: argparse.Namespace):
     om = args.omega
-    zs = zeros_of(args.n, om, tol=args.tolerance)
-    p = construct(args.n, om).to_inexact()  # the member zeros_of solved
+    p = construct(args.n, om).to_inexact()  # converted once: solved, then evaluated for the residuals
+    zs = find_zeros(p, tol=args.tolerance, omega=float(om))
     roots = [
         {"index": idx, "re": _fmt(z.real), "im": _fmt(z.imag), "tag": tag.value, "residual": _fmt(abs(p(z)))}
         for idx, (z, tag) in enumerate(zs.roots)
@@ -142,7 +142,7 @@ def cmd_zeros(args: argparse.Namespace):
         "residual_max": _fmt(zs.residual_max),
         "roots": roots,
     }
-    w = _fmt(om.as_float())
+    w = _fmt(float(om))
     lines = ["omega,index,re,im,tag,residual"] + [",".join([w, *map(str, e.values())]) for e in roots]
     return EXIT_OK, payload, lines
 
@@ -175,7 +175,7 @@ def cmd_detn(args: argparse.Namespace):
     direct = toeplitz_det_direct(args.n, om)
     closed = toeplitz_det_closed(args.n, om)
     # both are exact values, rounded once in float mode, so they compare exactly
-    fmt = str if om.exact_mode else _fmt
+    fmt = str if isinstance(om, Fraction) else _fmt
     verdict = "EQUAL" if direct == closed else "DIFFER"
     return EXIT_OK, None, [f"direct: {fmt(direct)}", f"closed: {fmt(closed)}", f"verdict: {verdict}"]
 

@@ -8,7 +8,7 @@ All work strips the transcendental prefactor sigma = sin(pi*omega)/pi and
 computes with the reduced moments nu_k = (-1)^k / (k + omega); every identity
 downstream is then a rational identity checkable with zero tolerance.  A float
 omega is computed on its exact binary rational and each result rounded once
-(``Omega.rounded_ratio``).  Only ``moment`` (for a float omega) reinstates
+(``scalarfield.rounded_ratio``).  Only ``moment`` (for a float omega) reinstates
 sigma, which for determinants enters as sigma^n.
 
 The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.  The moment
@@ -31,7 +31,7 @@ from itertools import islice
 from operator import mul
 
 from .errors import DomainError, ExistenceError, PoleError
-from .scalarfield import Omega, as_omega, conjugate
+from .scalarfield import as_fraction, as_omega, conjugate, rounded, rounded_ratio
 from .skypoly import Polynomial, _ratio_poly
 
 __all__ = [
@@ -48,22 +48,17 @@ __all__ = [
 def reduced_moment(k: int, omega):
     """nu_k = (-1)^k / (k + omega), in the format of omega; k may be negative."""
     om = as_omega(omega)
-    den = k + om.as_fraction()
+    den = k + as_fraction(om)
     if den == 0:
-        raise PoleError(f"moment pole: k + omega = 0 at k={k}, omega={om.value}")
-    return om.rounded((-1 if k % 2 else 1) / den)
-
-
-def _sigma(om: Omega) -> float:
-    """The moment prefactor sin(pi*omega)/pi, in floats."""
-    return math.sin(math.pi * om.as_float()) / math.pi
+        raise PoleError(f"moment pole: k + omega = 0 at k={k}, omega={om}")
+    return rounded(om, (-1 if k % 2 else 1) / den)
 
 
 def moment(k: int, omega):
     """Reduced moment in exact mode; the full moment sigma*nu_k in float mode."""
     om = as_omega(omega)
     nu = reduced_moment(k, om)
-    return nu if om.exact_mode else _sigma(om) * nu
+    return nu if isinstance(om, Fraction) else math.sin(math.pi * om) / math.pi * nu
 
 
 def _integer_moments(w: Fraction, ks: range) -> tuple:
@@ -133,18 +128,18 @@ def bilinear(f: Polynomial, g: Polynomial, omega):
     such a pair raises the moment pole.
     """
     om = as_omega(omega)
-    w = om.as_fraction()
+    w = as_fraction(om)
     fs = [(j, fj) for j, fj in enumerate(f.coeffs) if fj != 0]
     gs = [(k, conjugate(gk)) for k, gk in enumerate(g.coeffs) if gk != 0]
     if f.scalar_kind == g.scalar_kind == "rational":
         (fs, df), (gs, dg) = _cleared(fs), _cleared(gs)
         scale, dots = _moment_products(fs, w, [k for k, _ in gs])
         total = sum(gk * dot for (_, gk), dot in zip(gs, dots))
-        return om.rounded_ratio(w.denominator * total, scale * df * dg)
+        return rounded_ratio(om, w.denominator * total, scale * df * dg)
     # float or complex coefficients meet each moment as an exact fraction, pair by pair
     scale, m, lo = _read_moments(w, [j for j, _ in fs], [k for k, _ in gs])
     nu = [Fraction(w.denominator * mk, scale) for mk in m]
-    return om.rounded(sum((fj * gk * nu[j - k - lo] for j, fj in fs for k, gk in gs), Fraction(0)))
+    return rounded(om, sum((fj * gk * nu[j - k - lo] for j, fj in fs for k, gk in gs), Fraction(0)))
 
 
 def _levinson(n: int, w: Fraction, top: int):
@@ -227,7 +222,7 @@ def toeplitz_det_direct(n: int, omega):
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    return om.rounded_ratio(*_det(list(islice(_levinson(n, om.as_fraction(), n - 1), n))))
+    return rounded_ratio(om, *_det(list(islice(_levinson(n, as_fraction(om), n - 1), n))))
 
 
 def _det_closed(n: int, w: Fraction) -> tuple:
@@ -257,10 +252,10 @@ def toeplitz_det_closed(n: int, omega):
     poles at omega = 0 and omega in {+-1, ..., +-(n-1)}.  The integer core
     ``_det_closed`` forms both sides for omega = p/q, so the factorials cannot
     overflow, and they are divided out once: one reduced Fraction, or for a
-    float omega one int / int with no gcd (``Omega.rounded_ratio``).
+    float omega one int / int with no gcd (``rounded_ratio``).
     """
     om = as_omega(omega)
-    return om.rounded_ratio(*_det_closed(n, om.as_fraction()))
+    return rounded_ratio(om, *_det_closed(n, as_fraction(om)))
 
 
 def construct_determinantal(n: int, omega) -> Polynomial:
@@ -275,10 +270,10 @@ def construct_determinantal(n: int, omega) -> Polynomial:
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     om = as_omega(omega)
-    w = om.as_fraction()
+    w = as_fraction(om)
     if n > 0 and w.denominator == 1 and w >= 0:
         raise ExistenceError(
-            f"no orthogonal polynomial at integer omega = {om.value}; use the symmetry route"
+            f"no orthogonal polynomial at integer omega = {om}; use the symmetry route"
         )
     *_, (row, den) = _levinson(n, w, n)
     return _ratio_poly(om, row, den)
@@ -301,14 +296,14 @@ def r_nk(n: int, k: int, omega):
     vanishing denominator factor raises PoleError at the first term it enters.
     """
     om = as_omega(omega)
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     dens = [(ell + 1) * ((ell - n) * q - p) * ((k - n + 1 + ell) * q - p) for ell in range(n)]
     for ell, d in enumerate(dens):
         if d == 0:
-            raise PoleError(f"r_nk pole at term {ell + 1} for (n={n}, k={k}, omega={om.value})")
+            raise PoleError(f"r_nk pole at term {ell + 1} for (n={n}, k={k}, omega={om})")
     num, den = (1, 1) if n >= 0 else (0, 1)  # the sum over l = 0..n is empty for n < 0
     for ell in range(n - 1, -1, -1):
         ratio_num = -(n - ell) * (ell * q - p) * ((k - n + ell) * q - p)
         num, den = den * dens[ell] + ratio_num * num, den * dens[ell]
-    return om.rounded_ratio(num, den)
+    return rounded_ratio(om, num, den)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .moments import _det_closed, _integer_moments, _levinson, _moment_products
-from .scalarfield import Omega, as_omega
+from .scalarfield import as_fraction, as_omega
 from .skypoly import (
     Polynomial,
     _derivatives_at_minus_one,
@@ -80,13 +80,13 @@ def _add(x: list, dx: int, y: list, dy: int) -> tuple:
     return [u * dy + v * dx for u, v in zip(x, y)], dx * dy
 
 
-def _mixed(n: int, om: Omega, rows: _Rows) -> tuple:
+def _mixed(n: int, om, rows: _Rows) -> tuple:
     # omega^2/((omega+n-1)(omega+n)) = p^2 / ((p+(n-1)q)(p+nq))
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     den = (p + (n - 1) * q) * (p + n * q)
     if den == 0:
-        raise PoleError(f"mixed step pole: (omega+n-1)(omega+n) = 0 at omega={om.value}")
+        raise PoleError(f"mixed step pole: (omega+n-1)(omega+n) = 0 at omega={om}")
     lower, d_lower = rows.member(n - 1, w)
     shifted, d_shifted = rows.member(n - 1, w - 1)
     return _add([0, *lower], d_lower, [p * p * c for c in shifted], den * d_shifted)
@@ -109,13 +109,13 @@ _OMEGA_UP = (2, 0)
 _OMEGA_UP_PRINTED = {"nz2": (1, 2), "n2z": (2, 1)}
 
 
-def _omega_up(n: int, om: Omega, rows: _Rows, form: tuple = _OMEGA_UP) -> tuple:
+def _omega_up(n: int, om, rows: _Rows, form: tuple = _OMEGA_UP) -> tuple:
     # n^k/((omega+n)(omega+n+1)) = n^k q^2 / ((p+nq)(p+(n+1)q))
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     den = (p + n * q) * (p + (n + 1) * q)
     if den == 0:
-        raise PoleError(f"parameter shift pole: (omega+n)(omega+n+1) = 0 at omega={om.value}")
+        raise PoleError(f"parameter shift pole: (omega+n)(omega+n+1) = 0 at omega={om}")
     top, d_top = rows.member(n, w)
     low, d_low = rows.member(n - 1, w)
     power, shift = form
@@ -166,13 +166,13 @@ def _table_sum(n: int, w: Fraction, rows: _Rows, lift: bool, extra_z_on_last: bo
     return out
 
 
-def _lifting(n: int, om: Omega, rows: _Rows, extra_z_on_last: bool = False) -> tuple:
+def _lifting(n: int, om, rows: _Rows, extra_z_on_last: bool = False) -> tuple:
     # over (-1)^n q^n (2+omega)_n
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     scale = math.prod([(2 + i) * q + p for i in range(n)])
     if scale == 0:
-        raise PoleError(f"lifting scale pole: poch(2+{om.value}, {n}) = 0")
+        raise PoleError(f"lifting scale pole: poch(2+{om}, {n}) = 0")
     return _table_sum(n, w, rows, True, extra_z_on_last), -scale if n % 2 else scale
 
 
@@ -182,7 +182,7 @@ def lifting(n: int, omega) -> Polynomial:
     (2+omega)_n/n! * S_n^(omega+1) = (1+z) * sum_{l<n} (1+omega)_l/l! z^(n-l-1) S_l^omega
                                      + (1+omega)_n/n! * S_n^omega.
 
-    One integer sum over the rows of ``family_table`` (``_table_sum``),
+    One integer sum over the member rows of S_0^omega ... S_n^omega (``_table_sum``),
     walked up from degree 0, over (-1)^n q^n (2+omega)_n, an integer for
     omega = p/q.
     """
@@ -196,13 +196,13 @@ def lifting_printed(n: int, omega) -> Polynomial:
     return _ratio_poly(om, *_lifting(n, om, _Rows(n), extra_z_on_last=True))
 
 
-def _lowering(n: int, om: Omega, rows: _Rows) -> tuple:
+def _lowering(n: int, om, rows: _Rows) -> tuple:
     # over (-1)^n q^n (omega)_n
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     scale = math.prod([p + i * q for i in range(n)])
     if scale == 0:
-        raise PoleError(f"lowering scale vanishes: poch({om.value}, {n}) = 0")
+        raise PoleError(f"lowering scale vanishes: poch({om}, {n}) = 0")
     return _table_sum(n, w, rows, False), -scale if n % 2 else scale
 
 
@@ -218,10 +218,10 @@ def lowering(n: int, omega) -> Polynomial:
     return _ratio_poly(om, *_lowering(n, om, _Rows(n)))
 
 
-def _differential(n: int, om: Omega, rows: _Rows) -> tuple:
+def _differential(n: int, om, rows: _Rows) -> tuple:
     # times q, for S_(n-1) = R/D: (p+nq) dS_n = sum_k n (kq + q + p) R_k z^k / D,
     # since z dS_(n-1) = sum_k k R_k z^k / D
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     den = p + n * q
     if den == 0:
@@ -241,10 +241,10 @@ def differential_step(n: int, omega) -> Polynomial:
     return _ratio_poly(om, *_differential(n, om, _Rows(n)))
 
 
-def _ode(n: int, om: Omega, rows: _Rows) -> tuple:
+def _ode(n: int, om, rows: _Rows) -> tuple:
     # times q, for S = R/D: the z^k coefficient is (k+1)(q - c - kq) R_(k+1) + ((q+p)n - k(k-1)q - ck) R_k
     # with c = q(2+omega-n)
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     row, den = rows.member(n, w)
     c = 2 * q + p - n * q
@@ -269,7 +269,7 @@ def genfun_compare(omega, z, T, N: int) -> float:
     if N < 1:
         raise DomainError("need at least one term")
     om = as_omega(omega)
-    w = om.as_float()
+    w = float(om)
     z = complex(z)
     T = complex(T)
     # a NaN fails every comparison below and inf * 0 is NaN: refuse both first
@@ -322,8 +322,7 @@ def _residual(lhs: tuple, rhs: tuple) -> Fraction:
     return Fraction(worst, abs(dx * dy)) if worst else _ZERO
 
 
-def _boundary_residual(n: int, om: Omega, printed, rows: _Rows) -> Fraction:
-    w = om.as_fraction()
+def _boundary_residual(n: int, w: Fraction, printed, rows: _Rows) -> Fraction:
     row, den = rows.member(n, w)
     # S_n^(m)(-1) = m! t_m for S_n(z) = sum_m t_m (1+z)^m: one Taylor shift of the member row
     t = row[:]
@@ -331,13 +330,12 @@ def _boundary_residual(n: int, om: Omega, printed, rows: _Rows) -> Fraction:
         for k in range(n - 1, i - 1, -1):
             t[k] -= t[k + 1]
     taylor = [math.factorial(m) * c for m, c in enumerate(t)], den
-    derivatives = _residual(_derivatives_at_minus_one(n, om), taylor)
-    num, zero_den = _value_at_zero(n, om)
+    derivatives = _residual(_derivatives_at_minus_one(n, w), taylor)
+    num, zero_den = _value_at_zero(n, w)
     return max(derivatives, _residual(([num], zero_den), ([row[0]], den)))
 
 
-def _orthogonality_residual(n: int, om: Omega, printed, rows: _Sweep) -> Fraction:
-    w = om.as_fraction()
+def _orthogonality_residual(n: int, w: Fraction, printed, rows: _Sweep) -> Fraction:
     row, den = rows.member(n, w)
     # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row, as ``bilinear`` forms it,
     # on the sweep's moment list of omega: its L may be larger, and the reduced gap cancels it
@@ -349,8 +347,7 @@ def _orthogonality_residual(n: int, om: Omega, printed, rows: _Sweep) -> Fractio
     return max(gap, _ONE) if dots[n] == 0 else gap
 
 
-def _cauchy_residual(n: int, om: Omega, printed, rows: _Sweep) -> Fraction:
-    w = om.as_fraction()
+def _cauchy_residual(n: int, w: Fraction, printed, rows: _Sweep) -> Fraction:
     closed, closed_den = _det_closed(n, w)  # first: its poles come before the moment poles
     det, det_den = rows.det(n, w)
     return _residual(([closed], closed_den), ([det], det_den))
@@ -397,8 +394,8 @@ class _Sweep(_Rows):
         return self._moments[key]
 
 
-# identity_id -> (least degree, residual(n, om, printed, rows)), for an exact
-# omega and the call's ``_Sweep`` rows.  Each residual is max |lhs - rhs| of two
+# identity_id -> (least degree, residual(n, w, printed, rows)), for an exact
+# omega w and the call's ``_Sweep`` rows.  Each residual is max |lhs - rhs| of two
 # integer cores (``_residual``) and is exactly 0 when the identity holds at
 # (n, omega); ``printed`` swaps in the faulty printed form where one exists.
 # The lambdas look the cores up at call time, so a wrapper installed on a
@@ -406,24 +403,24 @@ class _Sweep(_Rows):
 _IDENTITIES = {
     "orthogonality": (0, _orthogonality_residual),
     "cauchy_determinant": (0, _cauchy_residual),
-    "mixed_step": (1, lambda n, om, printed, rows: _residual(_mixed(n, om, rows), rows.member(n, om.value))),
-    "omega_shift": (1, lambda n, om, printed, rows: _residual(
-        _omega_up(n, om, rows, _OMEGA_UP_PRINTED["nz2"] if printed else _OMEGA_UP),
-        rows.member(n, om.value + 1),
+    "mixed_step": (1, lambda n, w, printed, rows: _residual(_mixed(n, w, rows), rows.member(n, w))),
+    "omega_shift": (1, lambda n, w, printed, rows: _residual(
+        _omega_up(n, w, rows, _OMEGA_UP_PRINTED["nz2"] if printed else _OMEGA_UP),
+        rows.member(n, w + 1),
     )),
-    "derivative_recurrence": (1, lambda n, om, printed, rows: _residual(
-        _differential(n, om, rows), _member_derivative(n, om.value, rows)
+    "derivative_recurrence": (1, lambda n, w, printed, rows: _residual(
+        _differential(n, w, rows), _member_derivative(n, w, rows)
     )),
-    "lifting": (0, lambda n, om, printed, rows: _residual(
-        _lifting(n, om, rows, printed), rows.member(n, om.value + 1)
+    "lifting": (0, lambda n, w, printed, rows: _residual(
+        _lifting(n, w, rows, printed), rows.member(n, w + 1)
     )),
-    "lowering": (0, lambda n, om, printed, rows: _residual(
-        _lowering(n, om, rows), rows.member(n, om.value - 1)
+    "lowering": (0, lambda n, w, printed, rows: _residual(
+        _lowering(n, w, rows), rows.member(n, w - 1)
     )),
-    "ode": (0, lambda n, om, printed, rows: _residual(_ode(n, om, rows), ([], 1))),
+    "ode": (0, lambda n, w, printed, rows: _residual(_ode(n, w, rows), ([], 1))),
     # the reflection is stated for omega > 0; a negative grid point checks it from |omega|
-    "negative_reflection": (0, lambda n, om, printed, rows: _residual(
-        _reflection(n, as_omega(abs(om.value)), rows), rows.member(n, -abs(om.value))
+    "negative_reflection": (0, lambda n, w, printed, rows: _residual(
+        _reflection(n, abs(w), rows), rows.member(n, -abs(w))
     )),
     "boundary_values": (0, _boundary_residual),
 }
@@ -450,11 +447,11 @@ def run_identity_suite(
     rows = _Sweep(n_max)  # every table of the call; none outlives it
     reports = []
     for w in omegas:
-        om = Omega.exact(as_omega(w).as_fraction())  # a float grid point runs on its exact value
+        w = as_fraction(as_omega(w))  # a float grid point runs on its exact value
         for n in range(n_max + 1):
             for identity_id, (least, residual) in _IDENTITIES.items():
                 if n >= least:
-                    reports.append(_report(identity_id, n, om.value, residual(n, om, printed_variants, rows)))
+                    reports.append(_report(identity_id, n, w, residual(n, w, printed_variants, rows)))
     params = [Fraction(m) for m in range(n_max)]
     for n in range(1, n_max + 1):
         for m in range(n):
@@ -462,8 +459,8 @@ def run_identity_suite(
             row, den = rows.member(m, n)
             residual = _residual(rows.member(n, m), ([0] * (n - m) + row, den))
             reports.append(_report("degree_symmetry", n, params[m], residual))
-    half = Omega.exact(Fraction(1, 2))
+    half = Fraction(1, 2)
     for identity_id in ("omega_shift", "lifting"):
         residual = _IDENTITIES[identity_id][1](1, half, True, _Rows(1))
-        reports.append(_report(f"{identity_id}_printed_rejected", 1, half.value, residual, rejected=True))
+        reports.append(_report(f"{identity_id}_printed_rejected", 1, half, residual, rejected=True))
     return reports

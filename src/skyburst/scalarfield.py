@@ -2,16 +2,16 @@
 
 Exact values are ``fractions.Fraction`` (arbitrary-precision integers, always
 stored reduced with a positive denominator) or plain ``int``.  Inexact values
-are ``float``/``complex``.  A float omega is an input format: ``Omega`` holds
-only the value, formulas run on its exact binary rational (2.0 is the integer
-2), and each result is rounded once, in :meth:`Omega.rounded_ratio`.
+are ``float``/``complex``.  The parameter omega is a number (``as_omega``): a
+Fraction, or a float as an input format, whose formulas run on its exact
+binary rational (2.0 is the integer 2) with each result rounded once, in
+``rounded_ratio``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -62,73 +62,48 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"zero denominator in {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class Omega:
-    """The measure parameter, held as its value alone.
+def as_omega(value) -> Fraction | float:
+    """The measure parameter as a number: a Fraction for an int, a Fraction or
+    a "p/q" string, a float for a (finite) float.
 
     Every property of omega (integrality, zero, the pole sets) is read from
-    the exact value ``as_fraction()``, so a float omega that is an integer is
-    treated as that integer.  The format of ``value`` (Fraction or float)
-    decides only how results are returned: exact, or rounded once.
+    the exact value ``as_fraction(omega)``, so a float omega that is an
+    integer is treated as that integer.  The format decides only how results
+    are returned: exact, or rounded once.
     """
-
-    value: Scalar
-
-    @classmethod
-    def exact(cls, value: int | Fraction | str) -> "Omega":
-        if isinstance(value, str):
-            value = parse_rational(value)
-        return cls(value=Fraction(value))
-
-    @classmethod
-    def inexact(cls, value: float) -> "Omega":
-        value = float(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, float):
+        value = float(value)  # a subclass such as numpy.float64 prints as a plain float
         if not math.isfinite(value):
             raise DomainError(f"omega must be finite, got {value}")
-        return cls(value=value)
-
-    @property
-    def exact_mode(self) -> bool:
-        return isinstance(self.value, Fraction)
-
-    def as_fraction(self) -> Fraction:
-        """The exact value; a float omega is an exact binary rational."""
-        return self.value if self.exact_mode else Fraction(self.value)
-
-    def as_float(self) -> float:
-        return float(self.value)
-
-    def rounded(self, x):
-        """The scalar ``x``, computed on ``as_fraction()``, rounded once for a
-        float omega; complex values pass through."""
-        if self.exact_mode or isinstance(x, complex):
-            return x
-        return self.rounded_ratio(*x.as_integer_ratio())
-
-    def rounded_ratio(self, num: int, den: int):
-        """num/den as a Fraction, or for a float omega by int / int division,
-        which rounds correctly with no gcd; DomainError outside the double range."""
-        if self.exact_mode:
-            return Fraction(num, den)
-        if den < 0:  # 0 / -d would be -0.0, where float(Fraction(0)) is 0.0
-            num, den = -num, -den
-        try:
-            return num / den
-        except OverflowError:
-            raise DomainError(f"result at omega={self.value} lies outside the double range") from None
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def as_omega(value) -> Omega:
-    """Coerce a raw scalar (or Omega) to Omega with the standard detection rules."""
-    if isinstance(value, Omega):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Omega.exact(value)
-    if isinstance(value, float):
-        return Omega.inexact(value)
-    if isinstance(value, str):
-        return Omega.exact(value)
     raise DomainError(f"cannot interpret {value!r} as omega")
+
+
+def as_fraction(omega: Fraction | float) -> Fraction:
+    """The exact value of an ``as_omega`` result; a float is an exact binary rational."""
+    return omega if isinstance(omega, Fraction) else Fraction(omega)
+
+
+def rounded_ratio(omega: Fraction | float, num: int, den: int):
+    """num/den as a Fraction, or for a float omega by int / int division,
+    which rounds correctly with no gcd; DomainError outside the double range."""
+    if isinstance(omega, Fraction):
+        return Fraction(num, den)
+    if den < 0:  # 0 / -d would be -0.0, where float(Fraction(0)) is 0.0
+        num, den = -num, -den
+    try:
+        return num / den
+    except OverflowError:
+        raise DomainError(f"result at omega={omega} lies outside the double range") from None
+
+
+def rounded(omega: Fraction | float, x):
+    """The scalar ``x``, computed on ``as_fraction(omega)``, rounded once for a
+    float omega; complex values pass through."""
+    if isinstance(omega, Fraction) or isinstance(x, complex):
+        return x
+    return rounded_ratio(omega, *x.as_integer_ratio())

@@ -8,7 +8,7 @@ z^(n-l) is
 
 a terminating hypergeometric sum.  Everything here is exact: a float omega is
 computed on its exact binary rational and the result rounded once
-(``Omega.rounded``).
+(``scalarfield.rounded_ratio``).
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .scalarfield import Omega, as_omega, conjugate
+from .scalarfield import as_fraction, as_omega, conjugate, rounded_ratio
 
 __all__ = [
     "Polynomial",
     "construct",
     "construct_series",
-    "family_table",
     "construct_via_symmetry",
     "derivative_at_minus_one",
     "value_at_zero",
@@ -160,11 +159,11 @@ def _prefix_products(n: int, w) -> tuple:
     return a, b
 
 
-def _construction_pole(n: int, om: Omega) -> PoleError:
+def _construction_pole(n: int, om) -> PoleError:
     # only an integer omega = p in [-n, -1] has a pole; its factor is term n+1+p of the sum
     return PoleError(
-        f"construction pole at degree {n}, omega={om.value}: "
-        f"denominator rising factorial vanishes at term {n + 1 + om.as_fraction().numerator}"
+        f"construction pole at degree {n}, omega={om}: "
+        f"denominator rising factorial vanishes at term {n + 1 + as_fraction(om).numerator}"
     )
 
 
@@ -184,12 +183,12 @@ def construct_series(n: int, omega) -> Polynomial:
     negative integer in [-n, -1], which raises PoleError naming the vanishing
     term n+omega+1 of the denominator rising factorial.  A float omega runs on
     its exact binary rational and each coefficient is rounded once, by
-    int / int (``Omega.rounded_ratio``).
+    int / int (``rounded_ratio``).
     """
     om = as_omega(omega)
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     a, b = _prefix_products(n, w)
     if b[n] == 0:
@@ -197,7 +196,7 @@ def construct_series(n: int, omega) -> Polynomial:
     coeffs = [0] * (n + 1)
     binom, tail = 1, 1  # C(n, k) and B_n / B_k
     for k in range(n, -1, -1):
-        coeffs[k] = om.rounded_ratio(binom * a[n - k], tail)
+        coeffs[k] = rounded_ratio(om, binom * a[n - k], tail)
         binom = binom * k // (n - k + 1)
         tail *= -(k * q + p)
     return Polynomial(coeffs)
@@ -243,22 +242,10 @@ class _Rows:
             raise DomainError(f"degree must be nonnegative, got {n}")
         a, b, rows = self._tables(w)
         if b[n] == 0:
-            raise _construction_pole(n, Omega.exact(w))
+            raise _construction_pole(n, w)
         if rows[n] is None:
             rows[n] = _row(n, a, b)
         return rows[n], b[n]
-
-    def table(self, n: int, w, om: Omega | None = None) -> list:
-        """The rows of S_0^w, ..., S_n^w.
-
-        Raises the PoleError of the first member with a pole, degree -w,
-        naming omega as ``om`` gives it (default: the exact w).
-        """
-        if n < 0:
-            raise DomainError(f"degree must be nonnegative, got {n}")
-        if self._tables(w)[1][n] == 0:  # else every B_l, l <= n, is nonzero
-            raise _construction_pole(-w.numerator, om or Omega.exact(w))
-        return [self.member(ell, w)[0] for ell in range(n + 1)]
 
     def table_sum(self, n: int, w, lift: bool) -> list:
         """The integer row sum_{l<n} (-1)^(n-l) g_l z^(n-l-1) N_l (``lift``) or sum_{l<n} g_l N_l.
@@ -288,22 +275,9 @@ class _Rows:
         return sums[n]
 
 
-def _ratio_poly(om: Omega, row: list, den: int) -> Polynomial:
+def _ratio_poly(om, row: list, den: int) -> Polynomial:
     """The polynomial row / den, each coefficient rounded once for a float omega."""
-    return Polynomial([om.rounded_ratio(c, den) for c in row])
-
-
-def family_table(n: int, omega) -> list:
-    """S_0^omega, ..., S_n^omega in integers: row l is B_l S_l^omega.
-
-    Row l holds C(l, k) A_(l-k) B_k at z^k (A and B as in
-    ``construct_series``), so every row comes from one pair of prefix
-    products; the last row is the member row of S_n^omega.  Raises the
-    PoleError that ``construct`` raises for the first member with a pole,
-    degree -omega.
-    """
-    om = as_omega(omega)
-    return _Rows(n).table(n, om.as_fraction(), om)
+    return Polynomial([rounded_ratio(om, c, den) for c in row])
 
 
 def construct(n: int, omega) -> Polynomial:
@@ -323,10 +297,10 @@ def construct_via_symmetry(n: int, m: int) -> Polynomial:
         raise DomainError("symmetry route needs integer degree and parameter")
     if not 0 <= m < n:
         raise DomainError(f"symmetry route requires 0 <= m < n, got (n={n}, m={m})")
-    return construct_series(m, Omega.exact(n)).shifted(n - m)
+    return construct_series(m, n).shifted(n - m)
 
 
-def _derivatives_at_minus_one(n: int, om: Omega) -> tuple:
+def _derivatives_at_minus_one(n: int, om) -> tuple:
     """All n+1 derivatives of S_n^omega at z = -1 as one integer row over one integer.
 
     The m-th is (-1)^(n-m) n! C(n, m) (1+omega)_m / (1+omega)_n, which for
@@ -334,7 +308,7 @@ def _derivatives_at_minus_one(n: int, om: Omega) -> tuple:
     products P_k = prod_{i<k} (p + q(1+i)); the row holds the numerators, P_n
     is the denominator.
     """
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     if q == 1 and -n <= p <= -1:
         raise PoleError(f"derivative at -1 undefined: poch(1+{w}, {n}) = 0")
@@ -358,10 +332,10 @@ def derivative_at_minus_one(m: int, n: int, omega):
         raise DomainError(f"derivative order must satisfy 0 <= m <= n, got (m={m}, n={n})")
     om = as_omega(omega)
     row, den = _derivatives_at_minus_one(n, om)
-    return om.rounded_ratio(row[m], den)
+    return rounded_ratio(om, row[m], den)
 
 
-def _value_at_zero(n: int, om: Omega) -> tuple:
+def _value_at_zero(n: int, om) -> tuple:
     """S_n^omega(0) as (numerator, denominator), both integers.
 
     poch(-omega, n) / poch(-n-omega, n) is, for omega = p/q, the ratio
@@ -371,11 +345,11 @@ def _value_at_zero(n: int, om: Omega) -> tuple:
     """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
-    w = om.as_fraction()
+    w = as_fraction(om)
     p, q = w.numerator, w.denominator
     den = math.prod([(i - n) * q - p for i in range(n)])
     if den == 0:
-        raise PoleError(f"value at 0 undefined: poch({-n}-{om.value}, {n}) = 0")
+        raise PoleError(f"value at 0 undefined: poch({-n}-{om}, {n}) = 0")
     return math.prod([i * q - p for i in range(n)]), den
 
 
@@ -385,7 +359,7 @@ def value_at_zero(n: int, omega):
     Exactly zero iff omega is an integer in {0, ..., n-1}.
     """
     om = as_omega(omega)
-    return om.rounded_ratio(*_value_at_zero(n, om))
+    return rounded_ratio(om, *_value_at_zero(n, om))
 
 
 def star(p: Polynomial) -> Polynomial:
@@ -393,20 +367,20 @@ def star(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(conjugate(c) for c in reversed(p.coeffs)))
 
 
-def _reflection(n: int, om: Omega, rows: _Rows) -> tuple:
+def _reflection(n: int, om, rows: _Rows) -> tuple:
     """``reflect_negative_omega`` as an integer row over one integer.
 
     For omega = p/q the scale (-1)^n (omega)_n / (1-omega)_n is
     (-1)^n prod_{i<n} (p + iq) / prod_{i<n} ((i+1)q - p), and S_n^(omega-1)
     is the member row over B_n.
     """
-    w = om.as_fraction()
+    w = as_fraction(om)
     if not w > 0:
-        raise DomainError(f"reflection requires omega > 0, got {om.value}")
+        raise DomainError(f"reflection requires omega > 0, got {om}")
     p, q = w.numerator, w.denominator
     den = math.prod([(i + 1) * q - p for i in range(n)])
     if den == 0:
-        raise PoleError(f"reflection scale pole: poch(1-{om.value}, {n}) = 0")
+        raise PoleError(f"reflection scale pole: poch(1-{om}, {n}) = 0")
     scale = (-1) ** n * math.prod([p + i * q for i in range(n)])
     row, b = rows.member(n, w - 1)
     return [scale * c for c in reversed(row)], den * b
@@ -432,4 +406,4 @@ def taylor_about_minus_one(n: int, omega) -> tuple:
     """
     om = as_omega(omega)
     row, den = _derivatives_at_minus_one(n, om)
-    return tuple(om.rounded_ratio(c, math.factorial(m) * den) for m, c in enumerate(row))
+    return tuple(rounded_ratio(om, c, math.factorial(m) * den) for m, c in enumerate(row))

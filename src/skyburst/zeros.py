@@ -256,11 +256,10 @@ def zeros_of(n: int, omega, tol: float = DEFAULT_TOL, start=None) -> ZeroSet:
     ``start`` seeds the root iteration as in ``find_zeros``.
     """
     om = as_omega(omega)
-    p = construct(n, om).to_inexact()
-    return find_zeros(p, tol=tol, omega=om.as_float(), start=start)
+    return find_zeros(construct(n, om), tol=tol, omega=float(om), start=start)
 
 
-def classify(zs: ZeroSet, omega=None) -> ZeroCounts:
+def classify(zs: ZeroSet) -> ZeroCounts:
     """Tag counts.  For non-integer omega in (m, m+1) with m <= n-1 the family
     puts m+1 roots in (-1, 0), one positive-real root iff n-m is even, and the
     rest off-axis; for omega > n all n roots are in (-1, 0)."""
@@ -302,15 +301,14 @@ def fizzle_gap(n: int, omega) -> float:
     raises ConvergenceError.
     """
     om = as_omega(omega)
-    if not om.as_float() > n:
-        raise DomainError(f"fizzle regime needs omega > n, got omega={om.value}, n={n}")
+    if not float(om) > n:
+        raise DomainError(f"fizzle regime needs omega > n, got omega={om}, n={n}")
     if n == 0:
         return 0.0
-    shifted = Polynomial(taylor_about_minus_one(n, om)).to_inexact()
-    zs = find_zeros(shifted, tol=1e-9)
+    zs = find_zeros(Polynomial(taylor_about_minus_one(n, om)), tol=1e-9)
     gap = max(abs(t) for t in zs.values())
     if not gap < 1:
-        raise ConvergenceError(f"fizzle gap {gap} at n={n}, omega={om.value} is not below 1", best=zs.values())
+        raise ConvergenceError(f"fizzle gap {gap} at n={n}, omega={om} is not below 1", best=zs.values())
     return gap
 
 

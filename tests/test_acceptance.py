@@ -171,12 +171,12 @@ def test_criterion_8_zero_count_schedule():
         p = construct(9, w).to_inexact()
         scale = 1 + max(abs(c) for c in p.coeffs)
         zs = zeros_of(9, w)
-        counts = classify(zs, float(w))
+        counts = classify(zs)
         if counts.neg_unit != m + 1 or zs.residual_max > 1e-10 * scale:
             ok = False
         details.append(f"omega={m}.5: {counts.neg_unit} in (-1,0)")
     zs = zeros_of(9, F(19, 2))
-    counts = classify(zs, 9.5)
+    counts = classify(zs)
     if counts.neg_unit != 9:
         ok = False
     assert report("8 zero count schedule", ok, "; ".join(details) + f"; omega=9.5: {counts.neg_unit} in (-1,0)")

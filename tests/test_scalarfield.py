@@ -1,15 +1,17 @@
-import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from skyburst.errors import DomainError
 from skyburst.scalarfield import (
-    Omega,
+    as_fraction,
     as_omega,
     parse_rational,
     pochhammer,
+    rounded,
+    rounded_ratio,
 )
 from skyburst.skypoly import Polynomial
 
@@ -136,34 +138,40 @@ class TestParsing:
 class TestOmega:
     def test_integer_detection_exact(self):
         # integrality is read from the value, in either format
-        assert Omega.exact(Fraction(4, 2)).as_fraction() == Omega.inexact(2.0).as_fraction() == 2
-        assert [f.name for f in dataclasses.fields(Omega)] == ["value"]
+        assert as_fraction(as_omega(Fraction(4, 2))) == as_fraction(as_omega(2.0)) == 2
+        assert as_fraction(as_omega(2.0)).denominator == 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_refused(self, value):
-        with pytest.raises(DomainError):
-            Omega.inexact(value)
+        with pytest.raises(DomainError, match="omega must be finite"):
+            as_omega(value)
 
     def test_as_fraction_both_modes(self):
-        assert Omega.exact(Fraction(1, 3)).as_fraction() == Fraction(1, 3)
+        third = Fraction(1, 3)
+        assert as_fraction(third) is third
         # a float is an exact binary rational
-        assert Omega.inexact(0.37).as_fraction() == Fraction(0.37) == Fraction(3332663724254167, 2**53)
+        assert as_fraction(0.37) == Fraction(0.37) == Fraction(3332663724254167, 2**53)
 
     def test_rounded_once_for_a_float_omega(self):
         third = Fraction(1, 3)
-        exact, inexact = Omega.exact(third), Omega.inexact(0.37)
-        assert exact.rounded(third) is third
-        assert exact.rounded_ratio(2, 6) == third
-        assert inexact.rounded(third) == 1 / 3
-        assert inexact.rounded(2) == 2.0 and inexact.rounded(0.5j) == 0.5j
-        assert inexact.rounded_ratio(2, 6) == 1 / 3
+        assert rounded(third, third) is third
+        assert rounded_ratio(third, 2, 6) == third
+        assert rounded(0.37, third) == 1 / 3
+        assert rounded(0.37, 2) == 2.0 and rounded(0.37, 0.5j) == 0.5j
+        assert rounded_ratio(0.37, 2, 6) == 1 / 3
+        # the sign goes to the numerator: 0 over a negative integer is 0.0, not -0.0
+        assert str(rounded_ratio(0.37, 0, -3)) == "0.0"
         with pytest.raises(DomainError, match="double range"):
-            inexact.rounded(Fraction(10) ** 400)
+            rounded(0.37, Fraction(10) ** 400)
         with pytest.raises(DomainError, match="double range"):
-            inexact.rounded_ratio(10 ** 400, 3)
+            rounded_ratio(0.37, 10 ** 400, 3)
 
     def test_as_omega(self):
-        assert as_omega(Fraction(1, 3)).exact_mode
-        assert not as_omega(0.25).exact_mode
-        om = as_omega(Fraction(5, 4))
-        assert as_omega(om) is om
+        # exact forms become a Fraction, a float stays a plain float
+        for value in (Fraction(1, 3), 3, "1/3", "3"):
+            assert type(as_omega(value)) is Fraction and as_omega(value) == Fraction(value)
+        assert type(as_omega(np.float64(0.25))) is float and as_omega(0.25) == 0.25
+        assert as_omega(as_omega(Fraction(5, 4))) == Fraction(5, 4)
+        for bad in (None, 1j, [1]):
+            with pytest.raises(DomainError, match="cannot interpret"):
+                as_omega(bad)

@@ -6,14 +6,13 @@ import pytest
 
 from skyburst import skypoly
 from skyburst.errors import DomainError, PoleError
-from skyburst.scalarfield import as_omega, pochhammer
+from skyburst.scalarfield import pochhammer
 from skyburst.skypoly import (
     Polynomial,
     construct,
     construct_series,
     construct_via_symmetry,
     derivative_at_minus_one,
-    family_table,
     reflect_negative_omega,
     star,
     taylor_about_minus_one,
@@ -151,7 +150,7 @@ class TestConstruct:
         "n, w", [(12, 0.3), (7, 22 / 7), (20, -1.3), (30, 2.7), (9, 4.0), (5, 2.0)]
     )
     def test_float_omega_is_exact_value_rounded_once(self, n, w):
-        want = construct_series(n, as_omega(w).as_fraction()).to_inexact()
+        want = construct_series(n, F(w)).to_inexact()
         for build in (construct, construct_series):
             got = build(n, w)
             assert got.scalar_kind == "complex_float"
@@ -169,7 +168,7 @@ def test_construct_series_is_the_member_row(grid):
         for n in range(41):
             row, den = skypoly._Rows(n).member(n, w)
             assert construct_series(n, w).coeffs == tuple(F(c, den) for c in row)
-            assert family_table(n, w)[-1] == row and row[-1] == den
+            assert row[-1] == den
 
 
 class TestSpecialValues:

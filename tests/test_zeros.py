@@ -222,23 +222,23 @@ def test_polish_fixed_point_tells_signed_zeros_apart():
 
 class TestClassify:
     def test_quadratic(self):
-        counts = classify(zeros_of(2, F(1, 2)), 0.5)
+        counts = classify(zeros_of(2, F(1, 2)))
         assert (counts.neg_unit, counts.pos_real, counts.complex_offaxis) == (1, 1, 0)
 
     def test_degree_nine_first_burst(self):
-        counts = classify(zeros_of(9, F(1, 2)), 0.5)
+        counts = classify(zeros_of(9, F(1, 2)))
         assert counts.neg_unit == 1
         assert counts.pos_real + counts.complex_offaxis == 8
 
     def test_fizzle_regime(self):
-        counts = classify(zeros_of(5, F(15, 2)), 7.5)
+        counts = classify(zeros_of(5, F(15, 2)))
         assert counts.neg_unit == 5
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_count_schedule(self, n):
         # brute-force-confirmed: m+1 roots in (-1,0); a positive-real root iff n-m even
         for m in range(n):
-            counts = classify(zeros_of(n, F(2 * m + 1, 2)), m + 0.5)
+            counts = classify(zeros_of(n, F(2 * m + 1, 2)))
             assert counts.neg_unit == m + 1
             assert counts.pos_real == (1 if (n - m) % 2 == 0 else 0)
             assert counts.complex_offaxis == n - m - 1 - counts.pos_real
