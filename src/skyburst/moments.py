@@ -31,7 +31,7 @@ from itertools import islice
 from operator import mul
 
 from .errors import DomainError, ExistenceError, PoleError
-from .scalarfield import as_fraction, as_omega, conjugate, rounded, rounded_ratio
+from .scalarfield import as_fraction, as_omega, rounded, rounded_ratio
 from .skypoly import Polynomial, _ratio_poly
 
 __all__ = [
@@ -130,7 +130,7 @@ def bilinear(f: Polynomial, g: Polynomial, omega):
     om = as_omega(omega)
     w = as_fraction(om)
     fs = [(j, fj) for j, fj in enumerate(f.coeffs) if fj != 0]
-    gs = [(k, conjugate(gk)) for k, gk in enumerate(g.coeffs) if gk != 0]
+    gs = [(k, gk.conjugate()) for k, gk in enumerate(g.coeffs) if gk != 0]
     if f.scalar_kind == g.scalar_kind == "rational":
         (fs, df), (gs, dg) = _cleared(fs), _cleared(gs)
         scale, dots = _moment_products(fs, w, [k for k, _ in gs])

@@ -11,23 +11,16 @@ binary rational (2.0 is the integer 2) with each result rounded once, in
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from fractions import Fraction
 
 from .errors import DomainError
 
-Scalar = int | Fraction | float | complex
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def conjugate(x: Scalar) -> Scalar:
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
-def pochhammer(x: Scalar, k: int) -> Scalar:
+def pochhammer(x: int | Fraction | float | complex, k: int):
     """Rising factorial x(x+1)...(x+k-1) as an explicit left-to-right product.
 
     The termwise product keeps zeros at nonpositive-integer bases exact, which
@@ -63,8 +56,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_omega(value) -> Fraction | float:
-    """The measure parameter as a number: a Fraction for an int, a Fraction or
-    a "p/q" string, a float for a (finite) float.
+    """The measure parameter as a number: a Fraction for an integer (any
+    ``numbers.Integral`` but a bool), a Fraction or a "p/q" string, a float for
+    a (finite) float.
 
     Every property of omega (integrality, zero, the pole sets) is read from
     the exact value ``as_fraction(omega)``, so a float omega that is an
@@ -73,13 +67,15 @@ def as_omega(value) -> Fraction | float:
     """
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
         return Fraction(value)
     if isinstance(value, float):
         value = float(value)  # a subclass such as numpy.float64 prints as a plain float
         if not math.isfinite(value):
             raise DomainError(f"omega must be finite, got {value}")
         return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return Fraction(int(value))  # int(): a numpy integer numerator could overflow
     raise DomainError(f"cannot interpret {value!r} as omega")
 
 

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .scalarfield import as_fraction, as_omega, conjugate, rounded_ratio
+from .scalarfield import as_fraction, as_omega, rounded_ratio
 
 __all__ = [
     "Polynomial",
@@ -364,7 +364,7 @@ def value_at_zero(n: int, omega):
 
 def star(p: Polynomial) -> Polynomial:
     """Reversed-and-conjugated polynomial z^deg * conj(p(1/conj(z)))."""
-    return Polynomial(tuple(conjugate(c) for c in reversed(p.coeffs)))
+    return Polynomial(tuple(c.conjugate() for c in reversed(p.coeffs)))
 
 
 def _reflection(n: int, om, rows: _Rows) -> tuple:

@@ -89,10 +89,14 @@ class ZeroCounts:
     origin: int
 
 
+def _on_axis(z: complex) -> bool:
+    return abs(z.imag) <= AXIS_TOL * (1 + abs(z))
+
+
 def _tag_root(z: complex) -> ZeroTag:
     if abs(z) <= ORIGIN_TOL:
         return ZeroTag.ORIGIN
-    if abs(z.imag) <= AXIS_TOL * (1 + abs(z)):
+    if _on_axis(z):
         if -1 < z.real < 0:
             return ZeroTag.NEG_UNIT
         if z.real > 0:
@@ -171,8 +175,7 @@ def _same_bits(x: complex, y: complex) -> bool:
 
 
 def _newton_polish(coeffs, z, sweeps: int = 3):
-    """Up to ``sweeps`` Newton steps from z: the polished z and p(z), or None
-    when p was not evaluated at the z returned.
+    """Up to ``sweeps`` Newton steps from z: the polished z and p(z).
 
     A step that leaves z the same in every bit ends the polish, since each
     later step would repeat the same arithmetic at the same z.
@@ -188,7 +191,7 @@ def _newton_polish(coeffs, z, sweeps: int = 3):
         if _same_bits(z_next, z):
             return z, p
         z = z_next
-    return z, None
+    return z, _horner_pair(coeffs, z)[0]
 
 
 def find_zeros(
@@ -230,7 +233,7 @@ def find_zeros(
             found, sweeps = _aberth(coeffs, start)
             polished = [_newton_polish(coeffs, z) for z in found]
         found = [z for z, _ in polished]
-        residuals = [abs(_horner_pair(coeffs, z)[0] if p is None else p) for z, p in polished]
+        residuals = [abs(p) for _, p in polished]
     except OverflowError as exc:
         raise ConvergenceError(f"root iteration overflowed: {exc}") from exc
     # the iteration can settle on NaN iterates (max() drops a NaN): refuse them
@@ -359,43 +362,30 @@ class TrajectoryBundle:
         return out
 
 
-@dataclass(frozen=True)
-class _Config:
-    """Conjugate-symmetrized root layout: reals, then (upper, lower) pairs."""
-
-    reals: tuple
-    uppers: tuple
-
-    def flat(self) -> list:
-        out = [complex(r, 0.0) for r in self.reals]
-        for u in self.uppers:
-            out.append(u)
-            out.append(u.conjugate())
-        return out
-
-
-def _symmetrize(values) -> _Config:
+def _symmetrize(values):
+    """(layout, r): the r sorted reals as complex(x, 0.0), then each upper root,
+    averaged with its nearest mirrored lower, in (real, imag) order and followed
+    by its conjugate.  An off-axis root left unpaired counts as real."""
     reals, uppers, lowers = [], [], []
     for z in values:
-        if abs(z.imag) <= AXIS_TOL * (1 + abs(z)):
+        if _on_axis(z):
             reals.append(z.real)
         elif z.imag > 0:
             uppers.append(z)
         else:
             lowers.append(z)
-    # pair each upper with its mirror image and store the exact average
     paired = []
-    lowers_left = list(lowers)
     for u in sorted(uppers, key=lambda z: (z.real, z.imag)):
-        if lowers_left:
-            j = min(range(len(lowers_left)), key=lambda j: abs(lowers_left[j].conjugate() - u))
-            mate = lowers_left.pop(j)
-            paired.append((u + mate.conjugate()) / 2)
+        if lowers:
+            j = min(range(len(lowers)), key=lambda j: abs(lowers[j].conjugate() - u))
+            paired.append((u + lowers.pop(j).conjugate()) / 2)
         else:
             reals.append(u.real)
-    for leftover in lowers_left:
-        reals.append(leftover.real)
-    return _Config(reals=tuple(sorted(reals)), uppers=tuple(sorted(paired, key=lambda z: (z.real, z.imag))))
+    reals += [z.real for z in lowers]
+    layout = [complex(x, 0.0) for x in sorted(reals)]
+    for u in sorted(paired, key=lambda z: (z.real, z.imag)):
+        layout += (u, u.conjugate())
+    return layout, len(reals)
 
 
 def _assign(xs, ys) -> list:
@@ -446,25 +436,25 @@ def _assign(xs, ys) -> list:
     return perm
 
 
-def _match(src: _Config, tgt: _Config, crossing: bool):
-    """Permutation of flat indices src -> tgt, and the largest displacement.
+def _match(src, tgt, crossing: bool):
+    """Permutation of layout indices src -> tgt, and the largest displacement.
 
-    Within a segment, reals are matched in sorted order (optimal in one
-    dimension), upper representatives by minimum total distance, and lowers
+    src and tgt are (layout, r) pairs from ``_symmetrize``.  Within a segment,
+    reals are matched in sorted order (optimal in one dimension), upper
+    representatives ``layout[r::2]`` by minimum total distance, and lowers
     mirror their uppers, so conjugate paths stay partners.  At a burst
     crossing, or when the real count changed, the minimum-total-distance
-    assignment runs on the raw flat positions.
+    assignment runs on the whole layouts.
     """
-    src_flat, tgt_flat = src.flat(), tgt.flat()
-    r = len(src.reals)
-    if crossing or r != len(tgt.reals):
-        perm = _assign(src_flat, tgt_flat)
+    (xs, r), (ys, r_tgt) = src, tgt
+    if crossing or r != r_tgt:
+        perm = _assign(xs, ys)
     else:
-        perm = list(range(r)) + [0] * (2 * len(src.uppers))
-        for j, tj in enumerate(_assign(src.uppers, tgt.uppers)):
+        perm = list(range(len(xs)))
+        for j, tj in enumerate(_assign(xs[r::2], ys[r::2])):
             perm[r + 2 * j] = r + 2 * tj
             perm[r + 2 * j + 1] = r + 2 * tj + 1
-    disp = max((abs(z - tgt_flat[j]) for z, j in zip(src_flat, perm)), default=0.0)
+    disp = max((abs(z - ys[j]) for z, j in zip(xs, perm)), default=0.0)
     return perm, disp
 
 
@@ -523,7 +513,7 @@ def trace(
     if start >= end:
         raise DomainError("empty range after integer-offset clamping")
 
-    def config_at(w: float, seed=None) -> _Config:
+    def solve(w: float, seed=None):
         if seed is not None:
             try:
                 return _symmetrize(zeros_of(n, w, tol=tol, start=seed).values())
@@ -532,40 +522,20 @@ def trace(
         return _symmetrize(zeros_of(n, w, tol=tol).values())
 
     current = start
-    cfg = config_at(current)
+    roots, r = solve(current)
     grid = [current]
     events = []
-    paths = [[z] for z in cfg.flat()]
+    paths = [[z] for z in roots]
     positions = list(range(len(paths)))
     h = base_step
-
-    def advance(target: float, crossing: bool) -> float:
-        nonlocal cfg
-        new_cfg = config_at(target, None if crossing else cfg.flat())
-        perm, disp = _match(cfg, new_cfg, crossing)
-        if not crossing and disp >= match_threshold:
-            return disp
-        flat = new_cfg.flat()
-        for i in range(len(paths)):
-            positions[i] = perm[positions[i]]
-            paths[i].append(flat[positions[i]])
-        grid.append(target)
-        cfg = new_cfg
-        return -1.0
-
     while current < end - 1e-12:
         next_int = math.floor(current) + 1
         pre_boundary = next_int - INTEGER_OFFSET
-        if abs(current - pre_boundary) < 1e-12 and pre_boundary < end:
-            target = next_int + INTEGER_OFFSET
-            advance(target, crossing=True)
-            events.append(next_int)
-            current = target
-            h = base_step
-            continue
-        target = min(current + h, pre_boundary, end)
-        disp = advance(target, crossing=False)
-        if disp >= 0:
+        crossing = abs(current - pre_boundary) < 1e-12 and pre_boundary < end
+        target = next_int + INTEGER_OFFSET if crossing else min(current + h, pre_boundary, end)
+        new_roots, new_r = solve(target, None if crossing else roots)
+        perm, disp = _match((roots, r), (new_roots, new_r), crossing)
+        if not crossing and disp >= match_threshold:
             if target - current <= MIN_STEP:
                 raise TrackingError(
                     f"root sets at omega={current:.6f} and {target:.6f} moved {disp:.3f}, "
@@ -574,8 +544,14 @@ def trace(
                 )
             h = (target - current) / 2
             continue
-        current = target
-        h = min(base_step, 2 * h)
+        for i, path in enumerate(paths):
+            positions[i] = perm[positions[i]]
+            path.append(new_roots[positions[i]])
+        grid.append(target)
+        if crossing:
+            events.append(next_int)
+        current, roots, r = target, new_roots, new_r
+        h = base_step if crossing else min(base_step, 2 * h)
 
     return TrajectoryBundle(
         omega_grid=tuple(grid),

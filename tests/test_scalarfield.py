@@ -13,7 +13,7 @@ from skyburst.scalarfield import (
     rounded,
     rounded_ratio,
 )
-from skyburst.skypoly import Polynomial
+from skyburst.skypoly import Polynomial, construct
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -175,3 +175,18 @@ class TestOmega:
         for bad in (None, 1j, [1]):
             with pytest.raises(DomainError, match="cannot interpret"):
                 as_omega(bad)
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.int8(-3), np.uint64(2**63 + 1)])
+    def test_numpy_integers_become_int_fractions(self, value):
+        omega = as_omega(value)
+        assert type(omega) is Fraction and omega == int(value)
+        # int(): a numpy numerator would wrap on overflow
+        assert type(omega.numerator) is int and type(omega.denominator) is int
+        assert construct(2, value) == construct(2, int(value))
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_bool_refused(self, value):
+        with pytest.raises(DomainError, match="cannot interpret"):
+            as_omega(value)
+        with pytest.raises(DomainError, match="cannot interpret"):
+            construct(2, value)
