@@ -104,6 +104,9 @@ def _tag_root(z: complex) -> ZeroTag:
     return ZeroTag.COMPLEX
 
 
+_ONE = 1 + 0j  # 1 / dz gives the same bits but coerces the int on every term
+
+
 def _horner_pair(coeffs, z):
     """Value and derivative at z for an ascending coefficient list."""
     p = coeffs[-1]
@@ -123,10 +126,24 @@ def _aberth(coeffs, start=None):
     radian to break symmetry, and takes some 25 sweeps at small degree.  Given
     start points near the roots (one per root, as ``trace`` passes the roots
     of the previous grid point) it settles in a few sweeps.
+
+    Every pinned root set depends on the order of the arithmetic here, which
+    is the same as that of ``_horner_pair`` and a loop over j:
+    - Gauss-Seidel order: root i is updated in place, so it sees the roots
+      j < i of this sweep and the roots j > i of the last one.
+    - The correction sum over j != i is accumulated left to right from 0j,
+      and a difference of exactly 0 is replaced by 1e-20.  ``sum()`` is not
+      used: from Python 3.12 it sums floats with compensation, so the roots
+      would depend on the Python version.
+    - Every root is swept until all have settled, converged ones included:
+      skipping one would change the sums the others see.
+    ``test_zeros_of_pinned``, ``TestTrace::test_grid_and_bursts_pinned`` and
+    the ``test_aberth_*_is_the_reference_sweep_bit_for_bit`` tests enforce it.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
     c = [x / lead for x in coeffs]
+    top, rest = c[-1], c[-2::-1]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
     if start is None:
         radius = 1.0 + max(abs(x) for x in c[:-1])
@@ -136,10 +153,15 @@ def _aberth(coeffs, start=None):
     for sweep in range(1, MAX_ITERATIONS + 1):
         biggest = 0.0
         worst_value = 0.0
-        for i in range(d):
-            z = roots[i]
-            p, dp = _horner_pair(c, z)
-            worst_value = max(worst_value, abs(p))
+        for i, z in enumerate(roots):
+            p, dp = top, 0j
+            for a in rest:
+                dp = dp * z + p
+                p = p * z + a
+            # a NaN never enters worst_value or biggest: NaN > x is false
+            value = abs(p)
+            if value > worst_value:
+                worst_value = value
             if p == 0:
                 continue
             if dp == 0:
@@ -148,17 +170,14 @@ def _aberth(coeffs, start=None):
                 continue
             ratio = p / dp
             s = 0j
-            for j in range(d):
-                if j == i:
-                    continue
-                dz = z - roots[j]
-                if dz == 0:
-                    dz = 1e-20
-                s += 1 / dz
+            for w in roots[:i] + roots[i + 1:]:
+                s += _ONE / (z - w or 1e-20)
             denom = 1 - ratio * s
             step = ratio if denom == 0 else ratio / denom
-            roots[i] = z - step
-            biggest = max(biggest, abs(step) / (1 + abs(roots[i])))
+            z = roots[i] = z - step
+            rel = abs(step) / (1 + abs(z))
+            if rel > biggest:
+                biggest = rel
         # step criterion, or machine-level residuals at every iterate (a strict
         # step bound can limit-cycle in the last ulp near clustered roots)
         if biggest < 1e-14 or worst_value < resid_floor:
@@ -170,8 +189,9 @@ def _aberth(coeffs, start=None):
 
 def _same_bits(x: complex, y: complex) -> bool:
     """x and y are the same double pair; unlike ==, this tells -0.0 from +0.0."""
-    return x == y and all(math.copysign(1.0, u) == math.copysign(1.0, v)
-                          for u, v in ((x.real, y.real), (x.imag, y.imag)))
+    return (x == y
+            and math.copysign(1.0, x.real) == math.copysign(1.0, y.real)
+            and math.copysign(1.0, x.imag) == math.copysign(1.0, y.imag))
 
 
 def _newton_polish(coeffs, z, sweeps: int = 3):

@@ -220,6 +220,100 @@ def test_newton_polish_is_the_three_step_polish_bit_for_bit():
             assert repr(p) == repr(zeros._horner_pair(coeffs, z)[0])
 
 
+def _aberth_reference(coeffs, start=None):
+    # the reference sweep: _horner_pair and a loop over j, in the order _aberth keeps
+    d = len(coeffs) - 1
+    lead = coeffs[-1]
+    c = [x / lead for x in coeffs]
+    resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
+    if start is None:
+        radius = 1.0 + max(abs(x) for x in c[:-1])
+        roots = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.5)) for k in range(d)]
+    else:
+        roots = [complex(z) for z in start]
+    for sweep in range(1, zeros.MAX_ITERATIONS + 1):
+        biggest = 0.0
+        worst_value = 0.0
+        for i in range(d):
+            z = roots[i]
+            p, dp = zeros._horner_pair(c, z)
+            worst_value = max(worst_value, abs(p))
+            if p == 0:
+                continue
+            if dp == 0:
+                roots[i] = z * 1.0000001 + 1e-12
+                biggest = math.inf
+                continue
+            ratio = p / dp
+            s = 0j
+            for j in range(d):
+                if j == i:
+                    continue
+                dz = z - roots[j]
+                if dz == 0:
+                    dz = 1e-20
+                s += 1 / dz
+            denom = 1 - ratio * s
+            step = ratio if denom == 0 else ratio / denom
+            roots[i] = z - step
+            biggest = max(biggest, abs(step) / (1 + abs(roots[i])))
+        if biggest < 1e-14 or worst_value < resid_floor:
+            return roots, sweep
+    raise ConvergenceError(
+        f"root iteration did not settle in {zeros.MAX_ITERATIONS} sweeps", best=roots
+    )
+
+
+def _aberth_outcome(solver, coeffs, start=None):
+    try:
+        return repr(solver(coeffs, start))
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc), getattr(exc, "best", None)))
+
+
+def _member_coeffs(n, w):
+    return list(map(complex, construct(n, w).to_inexact().coeffs))
+
+
+def _assert_reference_outcome(coeffs, start=None):
+    assert _aberth_outcome(zeros._aberth, coeffs, start) == _aberth_outcome(
+        _aberth_reference, coeffs, start)
+
+
+# the pins stop at n = 40 and zeros_scan goes to 60; at 61/2 some solves run
+# out of sweeps, and from n = 56 on every iterate is NaN after one sweep (the
+# non-finite refusal of zeros_of(60, 61/2))
+@pytest.mark.parametrize("w", [F(1, 2), F(7, 3), F(61, 2), 2.5, 0.37], ids=str)
+@pytest.mark.parametrize("n", range(41, 61))
+def test_aberth_cold_solve_is_the_reference_sweep_bit_for_bit(n, w):
+    _assert_reference_outcome(_member_coeffs(n, w))
+
+
+def test_aberth_guards_and_seeds_are_the_reference_sweep_bit_for_bit():
+    # the last accepted step of a continuation: its seeds and its target omega
+    bundle = trace(9, 0.05, 0.5)
+    _assert_reference_outcome(_member_coeffs(9, bundle.omega_grid[-1]),
+                              [path[-2] for path in bundle.paths])
+    _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0.5, 0.5])  # coincident starts
+    _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0, 0.5])    # zero derivative
+
+
+def test_coincident_seeds_are_not_certified():
+    # the 1e-20 guard makes the step ~1e-20, so Aberth "converges" at the
+    # non-roots 0.5 and 0.5 after one sweep; the residual bound refuses them
+    roots, sweeps = zeros._aberth([-1 + 0j, 0j, 1 + 0j], [0.5, 0.5])
+    assert sweeps == 1 and roots[0] == roots[1] == 0.5
+    with pytest.raises(ConvergenceError, match="residual"):
+        find_zeros(Polynomial((-1.0, 0.0, 1.0)), start=[0.5, 0.5])
+
+
+@pytest.mark.xfail(strict=True, reason="coincident seeds near a root both settle on it "
+                   "with residual 0; ROADMAP Direction 2 (inclusion certificate) mends it")
+def test_coincident_seeds_at_a_root_do_not_hide_the_other_root():
+    vals = find_zeros(Polynomial((-1.0, 0.0, 1.0)), start=[1.0000001, 1.0000001]).values()
+    assert sorted(z.real for z in vals) == [-1.0, 1.0]
+
+
 def test_polish_fixed_point_tells_signed_zeros_apart():
     assert zeros._same_bits(complex(0.0, 1.0), complex(0.0, 1.0))
     assert not zeros._same_bits(complex(-0.0, 1.0), complex(0.0, 1.0))
