@@ -18,9 +18,10 @@ one two-sided Levinson recursion on the non-Hermitian Toeplitz matrix
 operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
 omega = p/q one integer L makes every moment it reads an integer multiple of
 q/L, so the recursion runs on integer vectors over one denominator each and
-yields integer pairs, divided out once; ``bilinear`` reads the same integer
-moments, and the closed product is likewise one integer numerator over one
-integer denominator.
+yields integer pairs, divided out once, and the closed product is likewise
+one integer numerator over one integer denominator.  ``bilinear`` and the
+sweep's ``orthogonality`` row each form their own moment list and product;
+they share only ``_integer_moments`` and ``_moment_pole``.
 """
 
 from __future__ import annotations
@@ -86,58 +87,29 @@ def _moment_pole(w: Fraction, js: list, ks) -> None:
         reduced_moment(-w.numerator, w)  # raises the PoleError for nu_(-p)
 
 
-def _read_moments(w: Fraction, js: list, ks) -> tuple:
-    """L, the integers m_i for every index i = j - k with j in js, k in ks, and the least such i.
-
-    Raises the moment pole (``_moment_pole``).
-    """
-    _moment_pole(w, js, ks)
-    lo, hi = (min(js) - max(ks), max(js) - min(ks)) if js and ks else (0, -1)
-    scale, m = _integer_moments(w, range(lo, hi + 1))
-    return scale, m, lo
-
-
-def _moment_products(fs: list, w: Fraction, ks, moments: tuple | None = None) -> tuple:
-    """The integer Toeplitz product of a row with the moments.
-
-    For integer pairs fs = [(j, f_j)] returns L and, for each k in ks, the
-    integer sum_j f_j m_(j-k), which is L/q times sum_j f_j nu_(j-k)
-    (``_integer_moments``).  ``moments``, an (L, m, lo) triple over a range
-    holding every index read, replaces the list ``_read_moments`` would form:
-    a wider range only has a larger L, which scales every m_k, every product
-    and L alike.  The moment pole is raised as in ``_read_moments`` either way.
-    """
-    js = [j for j, _ in fs]
-    if moments is None:
-        moments = _read_moments(w, js, ks)
-    else:
-        _moment_pole(w, js, ks)
-    scale, m, lo = moments
-    return scale, [sum(fj * m[j - k - lo] for j, fj in fs) for k in ks]
-
-
 def bilinear(f: Polynomial, g: Polynomial, omega):
     """Reduced bilinear form sum_{j,k} f_j conj(g_k) nu_{j-k}.
 
     Multiply by sigma for the full form; a global scalar does not affect any
-    orthogonality statement.  The moments are formed once, as integers over
-    one scale (``_integer_moments``).  Rational coefficients are cleared to
-    integers too, so the exact form is the Toeplitz product of f with the
-    moments (``_moment_products``) summed against g: one integer sum over one
-    denominator.  Only pairs of nonzero coefficients read a moment, so only
-    such a pair raises the moment pole.
+    orthogonality statement.  The moments nu_(j-k) of every pair are formed
+    once, as integers over one scale (``_integer_moments``).  Rational
+    coefficients are cleared to integers too, so the exact form is one
+    integer sum over one denominator; float or complex coefficients meet
+    each moment as an exact fraction, pair by pair.  Only pairs of nonzero
+    coefficients read a moment, so only such a pair raises the moment pole.
     """
     om = as_omega(omega)
     w = as_fraction(om)
     fs = [(j, fj) for j, fj in enumerate(f.coeffs) if fj != 0]
     gs = [(k, gk.conjugate()) for k, gk in enumerate(g.coeffs) if gk != 0]
+    js, ks = [j for j, _ in fs], [k for k, _ in gs]
+    _moment_pole(w, js, ks)
+    lo, hi = (min(js) - max(ks), max(js) - min(ks)) if fs and gs else (0, -1)
+    scale, m = _integer_moments(w, range(lo, hi + 1))
     if f.scalar_kind == g.scalar_kind == "rational":
         (fs, df), (gs, dg) = _cleared(fs), _cleared(gs)
-        scale, dots = _moment_products(fs, w, [k for k, _ in gs])
-        total = sum(gk * dot for (_, gk), dot in zip(gs, dots))
+        total = sum(gk * sum(fj * m[j - k - lo] for j, fj in fs) for k, gk in gs)
         return rounded_ratio(om, w.denominator * total, scale * df * dg)
-    # float or complex coefficients meet each moment as an exact fraction, pair by pair
-    scale, m, lo = _read_moments(w, [j for j, _ in fs], [k for k, _ in gs])
     nu = [Fraction(w.denominator * mk, scale) for mk in m]
     return rounded(om, sum((fj * gk * nu[j - k - lo] for j, fj in fs for k, gk in gs), Fraction(0)))
 
@@ -197,11 +169,6 @@ def _levinson(n: int, w: Fraction, top: int):
     yield a, da
 
 
-def _det(pivots) -> tuple:
-    """D_n as (numerator, denominator): the products of the integer pairs of its n pivots."""
-    return math.prod([num for num, _ in pivots]), math.prod([den for _, den in pivots])
-
-
 def _sub_scaled(x: list, dx: int, fn: int, fd: int, y: list, dy: int):
     """x/dx - (fn/fd)*y/dy as a reduced integer vector over one positive denominator."""
     g = math.gcd(fn, fd) * (-1 if fd < 0 else 1)  # reducing fn/fd first keeps den small
@@ -222,7 +189,8 @@ def toeplitz_det_direct(n: int, omega):
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     om = as_omega(omega)
-    return rounded_ratio(om, *_det(list(islice(_levinson(n, as_fraction(om), n - 1), n))))
+    pivots = list(islice(_levinson(n, as_fraction(om), n - 1), n))
+    return rounded_ratio(om, math.prod([num for num, _ in pivots]), math.prod([den for _, den in pivots]))
 
 
 def _det_closed(n: int, w: Fraction) -> tuple:

@@ -9,11 +9,11 @@ Each step has an integer core: for omega = p/q it returns ``(row, den)``, an
 integer vector over one integer, the representation FLINT's ``fmpq_poly``
 uses.  The members S_n^omega it reads are integer rows over B_n, which the
 core takes from a ``skypoly._Rows`` passed in: one pair of prefix products
-per parameter, each row formed once; the lifting and the lowering extend
-one running sum over S_0^omega, ..., S_n^omega kept with them
-(``_Rows.table_sum``).  A public step builds its own rows and divides its
-core out once, coefficient by coefficient (int / int for a float omega).
-The identity sweep calls the same cores on one ``_Rows`` for the whole call,
+per parameter, each row formed once.  The lifting and the lowering take a
+``_Sweep``, the rows with one running sum over them (``_Sweep.table_sum``).
+A public step builds its own tables and divides its core out once,
+coefficient by coefficient (int / int for a float omega).  The identity
+sweep calls the same cores on one ``_Sweep`` for the whole call,
 with the integer cores of the two determinants and of ``value_at_zero``,
 and compares them directly: each gap is one cross-multiplied integer
 vector, and only a nonzero one becomes a ``Fraction``, so no rational
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .moments import _det_closed, _integer_moments, _levinson, _moment_products
+from .moments import _det_closed, _integer_moments, _levinson, _moment_pole
 from .scalarfield import as_fraction, as_omega
 from .skypoly import (
     Polynomial,
@@ -78,6 +78,84 @@ def _add(x: list, dx: int, y: list, dy: int) -> tuple:
     """x/dx + y/dy for integer rows over integers: the row x*dy + y*dx over dx*dy."""
     x, y = x + [0] * (len(y) - len(x)), y + [0] * (len(x) - len(y))
     return [u * dy + v * dx for u, v in zip(x, y)], dx * dy
+
+
+class _Sweep(_Rows):
+    """The member rows and the tables read off them: the lifting and lowering sums, D_n, the moments.
+
+    ``table_sum`` extends one running sum over the rows of S_0, S_1, ...
+    per omega and direction.  ``det(n, w)`` is D_n as an integer pair
+    (numerator, denominator), the running products of the pivots of one
+    Levinson pass up to n_max per omega.  The pivots are pulled only as far
+    as the degrees reached, so a moment pole is raised at the degree whose
+    matrix first holds it, as ``toeplitz_det_direct(n, w)`` raises it.
+    ``moments(w)`` is (L, m), one integer moment list over -n_max..n_max
+    (``_integer_moments``) with m_0 at index n_max, formed once per omega for
+    the orthogonality row.
+    """
+
+    __slots__ = ("_sums", "_passes", "_moments")
+
+    def __init__(self, n_max: int):
+        super().__init__(n_max)
+        self._sums = {}  # (p, q, lift) -> running sums by degree
+        self._passes = {}  # (p, q) -> (Levinson pass, D_0..D_k as integer pairs)
+        self._moments = {}  # (p, q) -> (L, m)
+
+    def table_sum(self, n: int, w: Fraction, lift: bool, extra_z_on_last: bool = False) -> list:
+        """Integer numerator of the lifting (``lift``) or the lowering sum, from the rows of S_0..S_n.
+
+        With (1+omega)_l / l! S_l^omega = (-1)^l N_l / (q^l l!) for the integer
+        row N_l of S_l, and g_l = q^(n-l) n!/l!, this is
+
+            (1+z) sum_{l<n} (-1)^(n-l) g_l z^(n-l-1) N_l + N_n   (lifting),
+            (1+z) sum_{l<n} g_l N_l + N_n                        (lowering),
+
+        which is (-1)^n q^n n! times the right-hand side of the identity.  The
+        sum over l < n extends from one degree to the next, with acc_0 the
+        empty row:
+
+            acc_(l+1) = -q(l+1) (z acc_l + N_l)   (lifting),
+            acc_(l+1) =  q(l+1) (acc_l + N_l)     (lowering),
+
+        and each acc_l is kept, so a degree costs only the steps past the
+        highest one reached.  A member with a pole raises its PoleError when
+        the walk first reads it.
+        """
+        if n < 0:
+            raise DomainError(f"degree must be nonnegative, got {n}")
+        sums = self._sums.setdefault((w.numerator, w.denominator, lift), [[]])
+        q = w.denominator
+        while len(sums) <= n:
+            ell, acc = len(sums) - 1, sums[-1]
+            row = self.member(ell, w)[0]
+            if lift:
+                sums.append([-q * (ell + 1) * (u + v) for u, v in zip([0, *acc], row)])
+            else:
+                sums.append([q * (ell + 1) * (u + v) for u, v in zip([*acc, 0], row)])
+        acc = sums[n]
+        out = [x + y for x, y in zip(acc + [0], [0] + acc)]  # times 1+z
+        if extra_z_on_last:
+            out.append(0)
+        for k, c in enumerate(self.member(n, w)[0], extra_z_on_last):
+            out[k] += c
+        return out
+
+    def det(self, n: int, w: Fraction) -> tuple:
+        key = (w.numerator, w.denominator)
+        if key not in self._passes:
+            self._passes[key] = _levinson(self.n_max, w, self.n_max - 1), [(1, 1)]
+        levinson, dets = self._passes[key]
+        while len(dets) <= n:
+            (num, den), (pn, pd) = dets[-1], next(levinson)
+            dets.append((num * pn, den * pd))
+        return dets[n]
+
+    def moments(self, w: Fraction) -> tuple:
+        key = (w.numerator, w.denominator)
+        if key not in self._moments:
+            self._moments[key] = _integer_moments(w, range(-self.n_max, self.n_max + 1))
+        return self._moments[key]
 
 
 def _mixed(n: int, om, rows: _Rows) -> tuple:
@@ -145,35 +223,14 @@ def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
     return _ratio_poly(om, *_omega_up(n, om, _Rows(n), _OMEGA_UP_PRINTED[variant]))
 
 
-def _table_sum(n: int, w: Fraction, rows: _Rows, lift: bool, extra_z_on_last: bool = False) -> list:
-    """Integer numerator of the lifting (``lift``) or the lowering sum, from the rows of S_0..S_n.
-
-    With (1+omega)_l / l! S_l^omega = (-1)^l N_l / (q^l l!) for the integer row
-    N_l of S_l, and g_l = q^(n-l) n!/l!, this is
-
-        (1+z) sum_{l<n} (-1)^(n-l) g_l z^(n-l-1) N_l + N_n   (lifting),
-        (1+z) sum_{l<n} g_l N_l + N_n                        (lowering),
-
-    which is (-1)^n q^n n! times the right-hand side of the identity.  The
-    sum over l < n is the running sum ``_Rows.table_sum`` keeps.
-    """
-    acc = rows.table_sum(n, w, lift)
-    out = [x + y for x, y in zip(acc + [0], [0] + acc)]  # times 1+z
-    if extra_z_on_last:
-        out.append(0)
-    for k, c in enumerate(rows.member(n, w)[0], extra_z_on_last):
-        out[k] += c
-    return out
-
-
-def _lifting(n: int, om, rows: _Rows, extra_z_on_last: bool = False) -> tuple:
+def _lifting(n: int, om, rows: _Sweep, extra_z_on_last: bool = False) -> tuple:
     # over (-1)^n q^n (2+omega)_n
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     scale = math.prod([(2 + i) * q + p for i in range(n)])
     if scale == 0:
         raise PoleError(f"lifting scale pole: poch(2+{om}, {n}) = 0")
-    return _table_sum(n, w, rows, True, extra_z_on_last), -scale if n % 2 else scale
+    return rows.table_sum(n, w, True, extra_z_on_last), -scale if n % 2 else scale
 
 
 def lifting(n: int, omega) -> Polynomial:
@@ -182,28 +239,28 @@ def lifting(n: int, omega) -> Polynomial:
     (2+omega)_n/n! * S_n^(omega+1) = (1+z) * sum_{l<n} (1+omega)_l/l! z^(n-l-1) S_l^omega
                                      + (1+omega)_n/n! * S_n^omega.
 
-    One integer sum over the member rows of S_0^omega ... S_n^omega (``_table_sum``),
+    One integer sum over the member rows of S_0^omega ... S_n^omega (``_Sweep.table_sum``),
     walked up from degree 0, over (-1)^n q^n (2+omega)_n, an integer for
     omega = p/q.
     """
     om = as_omega(omega)
-    return _ratio_poly(om, *_lifting(n, om, _Rows(n)))
+    return _ratio_poly(om, *_lifting(n, om, _Sweep(n)))
 
 
 def lifting_printed(n: int, omega) -> Polynomial:
     """Faulty printed lifting (spurious z on the final term); falsification only."""
     om = as_omega(omega)
-    return _ratio_poly(om, *_lifting(n, om, _Rows(n), extra_z_on_last=True))
+    return _ratio_poly(om, *_lifting(n, om, _Sweep(n), extra_z_on_last=True))
 
 
-def _lowering(n: int, om, rows: _Rows) -> tuple:
+def _lowering(n: int, om, rows: _Sweep) -> tuple:
     # over (-1)^n q^n (omega)_n
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     scale = math.prod([p + i * q for i in range(n)])
     if scale == 0:
         raise PoleError(f"lowering scale vanishes: poch({om}, {n}) = 0")
-    return _table_sum(n, w, rows, False), -scale if n % 2 else scale
+    return rows.table_sum(n, w, False), -scale if n % 2 else scale
 
 
 def lowering(n: int, omega) -> Polynomial:
@@ -215,7 +272,7 @@ def lowering(n: int, omega) -> Polynomial:
     Computed as ``lifting`` is, over (-1)^n q^n (omega)_n.
     """
     om = as_omega(omega)
-    return _ratio_poly(om, *_lowering(n, om, _Rows(n)))
+    return _ratio_poly(om, *_lowering(n, om, _Sweep(n)))
 
 
 def _differential(n: int, om, rows: _Rows) -> tuple:
@@ -336,10 +393,12 @@ def _boundary_residual(n: int, w: Fraction, printed, rows: _Rows) -> Fraction:
 
 def _orthogonality_residual(n: int, w: Fraction, printed, rows: _Sweep) -> Fraction:
     row, den = rows.member(n, w)
-    # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row, as ``bilinear`` forms it,
-    # on the sweep's moment list of omega: its L may be larger, and the reduced gap cancels it
+    # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row on the sweep's
+    # moment list of omega; only a nonzero coefficient reads a moment, and so raises its pole
     fs = [(j, c) for j, c in enumerate(row) if c]
-    scale, dots = _moment_products(fs, w, range(n + 1), rows.moments(w))
+    _moment_pole(w, [j for j, _ in fs], range(n + 1))
+    scale, m = rows.moments(w)
+    dots = [sum(c * m[rows.n_max + j - k] for j, c in fs) for k in range(n + 1)]
     worst = max(map(abs, dots[:n]), default=0)
     gap = Fraction(w.denominator * worst, abs(scale * den)) if worst else _ZERO
     # nondegeneracy: <S_n, z^n> must not vanish; a zero there counts as a unit gap
@@ -355,42 +414,6 @@ def _cauchy_residual(n: int, w: Fraction, printed, rows: _Sweep) -> Fraction:
 def _member_derivative(n: int, w: Fraction, rows: _Rows) -> tuple:
     row, den = rows.member(n, w)
     return [k * c for k, c in enumerate(row)][1:], den
-
-
-class _Sweep(_Rows):
-    """The tables of one sweep call: its member rows, and per omega D_n and the moments.
-
-    ``det(n, w)`` is D_n as an integer pair (numerator, denominator), the
-    running products of the pivots of one Levinson pass up to n_max per
-    omega.  The pivots are pulled only as far as the degrees reached, so a
-    moment pole is raised at the degree whose matrix first holds it, as
-    ``toeplitz_det_direct(n, w)`` raises it.  ``moments(w)`` is one integer
-    moment list over -n_max..n_max (``_integer_moments``), formed once per
-    omega for the orthogonality row.
-    """
-
-    __slots__ = ("_passes", "_moments")
-
-    def __init__(self, n_max: int):
-        super().__init__(n_max)
-        self._passes = {}  # (p, q) -> (Levinson pass, D_0..D_k as integer pairs)
-        self._moments = {}  # (p, q) -> (L, m, lo)
-
-    def det(self, n: int, w: Fraction) -> tuple:
-        key = (w.numerator, w.denominator)
-        if key not in self._passes:
-            self._passes[key] = _levinson(self.n_max, w, self.n_max - 1), [(1, 1)]
-        levinson, dets = self._passes[key]
-        while len(dets) <= n:
-            (num, den), (pn, pd) = dets[-1], next(levinson)
-            dets.append((num * pn, den * pd))
-        return dets[n]
-
-    def moments(self, w: Fraction) -> tuple:
-        key = (w.numerator, w.denominator)
-        if key not in self._moments:
-            self._moments[key] = (*_integer_moments(w, range(-self.n_max, self.n_max + 1)), -self.n_max)
-        return self._moments[key]
 
 
 # identity_id -> (least degree, residual(n, w, printed, rows)), for an exact
@@ -460,6 +483,6 @@ def run_identity_suite(
             reports.append(_report("degree_symmetry", n, params[m], residual))
     half = Fraction(1, 2)
     for identity_id in ("omega_shift", "lifting"):
-        residual = _IDENTITIES[identity_id][1](1, half, True, _Rows(1))
+        residual = _IDENTITIES[identity_id][1](1, half, True, _Sweep(1))
         reports.append(_report(f"{identity_id}_printed_rejected", 1, half, residual, rejected=True))
     return reports

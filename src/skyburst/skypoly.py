@@ -214,17 +214,15 @@ class _Rows:
     parameter, and each row is formed once, when first read.  The tables are
     keyed by ``(numerator, denominator)`` and live as long as the instance:
     an identity sweep shares one across its call, a public step builds its
-    own.  Rows are shared, so a reader must not mutate them.  The instance
-    also holds the running sums of the lifting and the lowering
-    (``table_sum``), extended degree by degree over the same rows.
+    own.  Rows are shared, so a reader must not mutate them.  The tables
+    read off the rows live with them in ``recurrences._Sweep``.
     """
 
-    __slots__ = ("n_max", "_params", "_sums")
+    __slots__ = ("n_max", "_params")
 
     def __init__(self, n_max: int):
         self.n_max = n_max
         self._params = {}  # (p, q) -> (A, B, rows by degree)
-        self._sums = {}  # (p, q, lift) -> table sums by degree
 
     def _tables(self, w) -> tuple:
         key = (w.numerator, w.denominator)
@@ -246,33 +244,6 @@ class _Rows:
         if rows[n] is None:
             rows[n] = _row(n, a, b)
         return rows[n], b[n]
-
-    def table_sum(self, n: int, w, lift: bool) -> list:
-        """The integer row sum_{l<n} (-1)^(n-l) g_l z^(n-l-1) N_l (``lift``) or sum_{l<n} g_l N_l.
-
-        N_l is the member row of S_l^w and g_l = q^(n-l) n!/l! for w = p/q.
-        Both sums extend from one degree to the next, with acc_0 the empty
-        row:
-
-            acc_(l+1) = -q(l+1) (z acc_l + N_l)   (lifting),
-            acc_(l+1) =  q(l+1) (acc_l + N_l)     (lowering),
-
-        and each acc_l is kept, so a degree costs only the steps past the
-        highest one reached.  A member with a pole raises its PoleError when
-        the walk first reads it.
-        """
-        if n < 0:
-            raise DomainError(f"degree must be nonnegative, got {n}")
-        sums = self._sums.setdefault((w.numerator, w.denominator, lift), [[]])
-        q = w.denominator
-        while len(sums) <= n:
-            ell, acc = len(sums) - 1, sums[-1]
-            row = self.member(ell, w)[0]
-            if lift:
-                sums.append([-q * (ell + 1) * (u + v) for u, v in zip([0, *acc], row)])
-            else:
-                sums.append([q * (ell + 1) * (u + v) for u, v in zip([*acc, 0], row)])
-        return sums[n]
 
 
 def _ratio_poly(om, row: list, den: int) -> Polynomial:
@@ -308,6 +279,8 @@ def _derivatives_at_minus_one(n: int, om) -> tuple:
     products P_k = prod_{i<k} (p + q(1+i)); the row holds the numerators, P_n
     is the denominator.
     """
+    if n < 0:
+        raise DomainError(f"degree must be nonnegative, got {n}")
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     if q == 1 and -n <= p <= -1:

@@ -194,13 +194,13 @@ def _same_bits(x: complex, y: complex) -> bool:
             and math.copysign(1.0, x.imag) == math.copysign(1.0, y.imag))
 
 
-def _newton_polish(coeffs, z, sweeps: int = 3):
-    """Up to ``sweeps`` Newton steps from z: the polished z and p(z).
+def _newton_polish(coeffs, z):
+    """Up to three Newton steps from z: the polished z and p(z).
 
     A step that leaves z the same in every bit ends the polish, since each
     later step would repeat the same arithmetic at the same z.
     """
-    for _ in range(sweeps):
+    for _ in range(3):
         p, dp = _horner_pair(coeffs, z)
         if p == 0 or dp == 0:
             return z, p
@@ -222,15 +222,15 @@ def find_zeros(
     Origin roots are deflated analytically first whenever the constant term is
     exactly zero.  ``start``, if given, holds one Aberth start point per root
     left after that deflation (DomainError otherwise); without it the solve
-    starts cold.  Raises DomainError for a non-finite tol or a coefficient
-    outside the double range, and ConvergenceError (carrying the best
-    iterate) if the residual bound tol * (1 + max|coeff|) cannot be
+    starts cold.  Raises DomainError for a negative or non-finite tol or a
+    coefficient outside the double range, and ConvergenceError (carrying the
+    best iterate) if the residual bound tol * (1 + max|coeff|) cannot be
     certified, or if an iterate or residual overflows or is not finite.
     """
     if p.is_zero or p.degree < 1:
         raise DomainError("root finding needs a nonzero polynomial of degree >= 1")
-    if not math.isfinite(tol):
-        raise DomainError(f"tolerance must be finite, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
     # complex throughout: Horner steps mixing float and complex ran ~7% slower
     coeffs = list(map(complex, p.to_inexact().coeffs))
     n = len(coeffs) - 1

@@ -89,15 +89,20 @@ class TestBilinear:
         # <1, i> = conj(i) * nu_0 = -i * 2 at omega = 1/2
         assert bilinear(f, g, 0.5) == -2j
 
-    @pytest.mark.parametrize("w", [0.37, -2.3])
+    @pytest.mark.parametrize("w", [0.37, -2.3, pytest.param(F(1, 3), id="1/3")])
     def test_float_coefficients_summed_pair_by_pair(self, w):
-        # reference: each pair against its exact moment, in the order of the pairs
-        f, g = construct(12, w), Polynomial((1.5, 2j, -0.25))
-        want = F(0)
-        for j, fj in enumerate(f.coeffs):
-            for k, gk in enumerate(g.coeffs):
-                want = want + fj * gk.conjugate() * reduced_moment(j - k, F(w))
-        assert bilinear(f, g, w) == want
+        # reference: each pair against its exact moment, in the order of the pairs; rational f and g
+        # (the integer branch) sum exactly, rounded once for a float omega
+        floating = construct(12, w), Polynomial((1.5, 2j, -0.25))
+        rational = construct(12, F(w)), Polynomial((F(3, 2), 2, F(-1, 4)))
+        for f, g in (floating, rational):
+            want = F(0)
+            for j, fj in enumerate(f.coeffs):
+                for k, gk in enumerate(g.coeffs):
+                    want = want + fj * gk.conjugate() * reduced_moment(j - k, F(w))
+            if isinstance(want, F) and isinstance(w, float):
+                want = float(want)
+            assert bilinear(f, g, w) == want
 
 
 class TestDeterminants:

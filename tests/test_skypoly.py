@@ -207,6 +207,8 @@ class TestSpecialValues:
     def test_derivative_domain(self):
         with pytest.raises(DomainError):
             derivative_at_minus_one(3, 2, F(1, 2))
+        with pytest.raises(DomainError, match="degree must be nonnegative, got -1"):
+            taylor_about_minus_one(-1, F(1, 2))
 
     def test_value_at_zero(self):
         for w in GRID:

@@ -119,9 +119,9 @@ class TestFindZeros:
         with pytest.raises(DomainError, match="double range"):
             find_zeros(Polynomial([Fraction(10) ** 400, 1]))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_non_finite_tolerance_refused(self, tol):
-        # NaN or inf in the residual bound would certify any iterate
+        # NaN or inf in the residual bound would certify any iterate; a negative one none
         with pytest.raises(DomainError, match="tolerance"):
             find_zeros(construct(5, F(1, 2)).to_inexact(), tol=tol)
 
@@ -392,6 +392,8 @@ class TestFizzle:
     def test_requires_fizzle_regime(self):
         with pytest.raises(DomainError):
             fizzle_gap(3, F(2))
+        with pytest.raises(DomainError, match="degree must be nonnegative, got -1"):
+            fizzle_gap(-1, F(1, 2))
 
     @pytest.mark.parametrize("n, w", [(30, F(61, 2)), (40, F(81, 2))])
     def test_gap_of_one_or_more_refused(self, n, w):
