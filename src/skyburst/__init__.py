@@ -36,7 +36,7 @@ from .recurrences import (
     step_omega_up,
     step_omega_up_printed,
 )
-from .scalarfield import as_omega, parse_rational, pochhammer
+from .scalarfield import as_degree, as_omega, parse_rational, pochhammer
 from .skypoly import (
     Polynomial,
     construct,

@@ -31,8 +31,8 @@ from fractions import Fraction
 from itertools import islice
 from operator import mul
 
-from .errors import DomainError, ExistenceError, PoleError
-from .scalarfield import as_fraction, as_omega, rounded, rounded_ratio
+from .errors import ExistenceError, PoleError
+from .scalarfield import as_fraction, as_integer, as_member, as_omega, rounded, rounded_ratio
 from .skypoly import Polynomial, _ratio_poly
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 
 def reduced_moment(k: int, omega):
     """nu_k = (-1)^k / (k + omega), in the format of omega; k may be negative."""
-    om = as_omega(omega)
+    k, om = as_integer(k, "an index"), as_omega(omega)
     den = k + as_fraction(om)
     if den == 0:
         raise PoleError(f"moment pole: k + omega = 0 at k={k}, omega={om}")
@@ -186,9 +186,7 @@ def toeplitz_det_direct(n: int, omega):
     Reads only the moments nu_(1-n)..nu_(n-1) of the matrix.  The full
     determinant is sigma^n times this value.
     """
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     pivots = list(islice(_levinson(n, as_fraction(om), n - 1), n))
     return rounded_ratio(om, math.prod([num for num, _ in pivots]), math.prod([den for _, den in pivots]))
 
@@ -199,8 +197,6 @@ def _det_closed(n: int, w: Fraction) -> tuple:
     prod_{l<n} l!^2 * q^(n^2) over p^n * prod_{k<n} (k^2 q^2 - p^2)^(n-k) for
     w = p/q, unreduced; a vanishing factor raises PoleError.
     """
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
     p, q = w.numerator, w.denominator
     if n > 0 and p == 0:
         raise PoleError("closed determinant pole at omega = 0")
@@ -222,7 +218,7 @@ def toeplitz_det_closed(n: int, omega):
     overflow, and they are divided out once: one reduced Fraction, or for a
     float omega one int / int with no gcd (``rounded_ratio``).
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return rounded_ratio(om, *_det_closed(n, as_fraction(om)))
 
 
@@ -235,9 +231,7 @@ def construct_determinantal(n: int, omega) -> Polynomial:
     determinant vanishes there and the family member is not defined by
     orthogonality).
     """
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     w = as_fraction(om)
     if n > 0 and w.denominator == 1 and w >= 0:
         raise ExistenceError(
@@ -263,14 +257,14 @@ def r_nk(n: int, k: int, omega):
     so the sum nests (Horner) into one integer fraction, reduced once.  A
     vanishing denominator factor raises PoleError at the first term it enters.
     """
-    om = as_omega(omega)
+    (n, om), k = as_member(n, omega), as_integer(k, "an index")
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     dens = [(ell + 1) * ((ell - n) * q - p) * ((k - n + 1 + ell) * q - p) for ell in range(n)]
     for ell, d in enumerate(dens):
         if d == 0:
             raise PoleError(f"r_nk pole at term {ell + 1} for (n={n}, k={k}, omega={om})")
-    num, den = (1, 1) if n >= 0 else (0, 1)  # the sum over l = 0..n is empty for n < 0
+    num, den = 1, 1
     for ell in range(n - 1, -1, -1):
         ratio_num = -(n - ell) * (ell * q - p) * ((k - n + ell) * q - p)
         num, den = den * dens[ell] + ratio_num * num, den * dens[ell]

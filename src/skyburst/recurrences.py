@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .moments import _det_closed, _integer_moments, _levinson, _moment_pole
-from .scalarfield import as_fraction, as_omega
+from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega
 from .skypoly import (
     Polynomial,
     _derivatives_at_minus_one,
@@ -122,8 +122,6 @@ class _Sweep(_Rows):
         highest one reached.  A member with a pole raises its PoleError when
         the walk first reads it.
         """
-        if n < 0:
-            raise DomainError(f"degree must be nonnegative, got {n}")
         sums = self._sums.setdefault((w.numerator, w.denominator, lift), [[]])
         q = w.denominator
         while len(sums) <= n:
@@ -176,7 +174,7 @@ def step_mixed(n: int, omega) -> Polynomial:
     Equals construct(n, omega); the parameter-shifted companion replaces the
     reversed-conjugate polynomial of the classical circle recurrence.
     """
-    if n < 1:
+    if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("mixed step needs n >= 1")
     om = as_omega(omega)
     return _ratio_poly(om, *_mixed(n, om, _Rows(n)))
@@ -203,7 +201,7 @@ def _omega_up(n: int, om, rows: _Rows, form: tuple = _OMEGA_UP) -> tuple:
 
 def step_omega_up(n: int, omega) -> Polynomial:
     """S_n^omega + n^2/((omega+n)(omega+n+1)) * S_{n-1}^omega = S_n^(omega+1)."""
-    if n < 1:
+    if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("parameter shift needs n >= 1")
     om = as_omega(omega)
     return _ratio_poly(om, *_omega_up(n, om, _Rows(n)))
@@ -215,7 +213,7 @@ def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
     variant "nz2": factor n*z^2; variant "n2z": factor n^2*z.  Neither
     reproduces S_n^(omega+1).
     """
-    if n < 1:
+    if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("parameter shift needs n >= 1")
     if variant not in _OMEGA_UP_PRINTED:
         raise DomainError(f"unknown printed variant {variant!r}")
@@ -243,13 +241,13 @@ def lifting(n: int, omega) -> Polynomial:
     walked up from degree 0, over (-1)^n q^n (2+omega)_n, an integer for
     omega = p/q.
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return _ratio_poly(om, *_lifting(n, om, _Sweep(n)))
 
 
 def lifting_printed(n: int, omega) -> Polynomial:
     """Faulty printed lifting (spurious z on the final term); falsification only."""
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return _ratio_poly(om, *_lifting(n, om, _Sweep(n), extra_z_on_last=True))
 
 
@@ -271,7 +269,7 @@ def lowering(n: int, omega) -> Polynomial:
 
     Computed as ``lifting`` is, over (-1)^n q^n (omega)_n.
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return _ratio_poly(om, *_lowering(n, om, _Sweep(n)))
 
 
@@ -292,7 +290,7 @@ def differential_step(n: int, omega) -> Polynomial:
 
     (omega+n) * dS_n = n z dS_{n-1} + n (1+omega) S_{n-1}.
     """
-    if n < 1:
+    if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("differential step needs n >= 1")
     om = as_omega(omega)
     return _ratio_poly(om, *_differential(n, om, _Rows(n)))
@@ -313,7 +311,7 @@ def _ode(n: int, om, rows: _Rows) -> tuple:
 
 def ode_residual(n: int, omega) -> Polynomial:
     """-z(1+z) S'' + [1 - (2+omega-n)(z+1)] S' + (1+omega) n S; identically zero."""
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return _ratio_poly(om, *_ode(n, om, _Rows(n)))
 
 
@@ -325,7 +323,7 @@ def genfun_compare(omega, z, T, N: int) -> float:
     Neither power then meets its branch cut: Re(1+T) >= 1 - |T| > 0, and
     Re(1-zT) >= 1 - |zT| > 0 for the same rounded zT that the check reads.
     """
-    if N < 1:
+    if (N := as_integer(N, "a term count")) < 1:
         raise DomainError("need at least one term")
     om = as_omega(omega)
     w = float(om)
@@ -464,8 +462,7 @@ def run_identity_suite(
     variants produce a nonzero residual.  ``printed_variants=True`` swaps the
     faulty forms into the main families (so the sweep must then fail).
     """
-    if n_max < 0:
-        raise DomainError(f"degree bound must be nonnegative, got {n_max}")
+    n_max = as_degree(n_max)
     rows = _Sweep(n_max)  # every table of the call; none outlives it
     reports = []
     for w in omegas:

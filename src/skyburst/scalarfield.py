@@ -5,7 +5,9 @@ stored reduced with a positive denominator) or plain ``int``.  Inexact values
 are ``float``/``complex``.  The parameter omega is a number (``as_omega``): a
 Fraction, or a float as an input format, whose formulas run on its exact
 binary rational (2.0 is the integer 2) with each result rounded once, in
-``rounded_ratio``.
+``rounded_ratio``.  A degree is an ``int`` (``as_degree``): any nonnegative
+``numbers.Integral`` but a bool; an index that may be negative passes the same
+type test (``as_integer``), and ``as_member`` gates a degree and an omega.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ def pochhammer(x: int | Fraction | float | complex, k: int):
     and is allowed.  An exact base p/q is one integer product over q^k,
     prod_{i<k} (p + iq) / q^k: the same Fraction, zeros included.
     """
-    if k < 0:
-        raise DomainError(f"pochhammer order must be nonnegative, got {k}")
+    k = as_degree(k)
     if isinstance(x, (int, Fraction)):
         p, q = x.numerator, x.denominator
         return Fraction(math.prod([p + i * q for i in range(k)]), q ** k)
@@ -74,9 +75,27 @@ def as_omega(value) -> Fraction | float:
         if not math.isfinite(value):
             raise DomainError(f"omega must be finite, got {value}")
         return value
+    return Fraction(as_integer(value, "omega"))
+
+
+def as_integer(value, name: str) -> int:
+    """A plain ``int`` for any ``numbers.Integral`` but a bool, else DomainError: a numpy
+    integer would wrap, unrefused, in the products it meets, and True is not a degree."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return Fraction(int(value))  # int(): a numpy integer numerator could overflow
-    raise DomainError(f"cannot interpret {value!r} as omega")
+        return int(value)
+    raise DomainError(f"cannot interpret {value!r} as {name}")
+
+
+def as_degree(value) -> int:
+    """A degree or an order: a nonnegative ``as_integer``."""
+    if (n := as_integer(value, "a degree")) < 0:
+        raise DomainError(f"degree must be nonnegative, got {n}")
+    return n
+
+
+def as_member(n, omega) -> tuple:
+    """(degree, omega) of a family member S_n^omega, each through its gate, the degree first."""
+    return as_degree(n), as_omega(omega)
 
 
 def as_fraction(omega: Fraction | float) -> Fraction:

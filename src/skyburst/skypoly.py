@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .scalarfield import as_fraction, as_omega, rounded_ratio
+from .scalarfield import as_degree, as_fraction, as_integer, as_member, rounded_ratio
 
 __all__ = [
     "Polynomial",
@@ -121,11 +121,8 @@ class Polynomial:
 
     def shifted(self, k: int) -> "Polynomial":
         """Multiply by z^k."""
-        if k < 0:
-            raise DomainError("shift must be nonnegative")
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
+        k = as_degree(k)
+        return self if self.is_zero else Polynomial((0,) * k + self.coeffs)
 
     def to_inexact(self) -> "Polynomial":
         """Round each coefficient once to double precision; DomainError beyond its range."""
@@ -185,9 +182,7 @@ def construct_series(n: int, omega) -> Polynomial:
     its exact binary rational and each coefficient is rounded once, by
     int / int (``rounded_ratio``).
     """
-    om = as_omega(omega)
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
+    n, om = as_member(n, omega)
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     a, b = _prefix_products(n, w)
@@ -236,8 +231,6 @@ class _Rows:
 
         Raises the PoleError of ``construct`` where B_n = 0.
         """
-        if n < 0:
-            raise DomainError(f"degree must be nonnegative, got {n}")
         a, b, rows = self._tables(w)
         if b[n] == 0:
             raise _construction_pole(n, w)
@@ -264,9 +257,8 @@ def construct(n: int, omega) -> Polynomial:
 
 def construct_via_symmetry(n: int, m: int) -> Polynomial:
     """z^(n-m) * S_m^n, the value of the family at integer parameter m < n."""
-    if not (isinstance(n, int) and isinstance(m, int)):
-        raise DomainError("symmetry route needs integer degree and parameter")
-    if not 0 <= m < n:
+    n, m = as_degree(n), as_degree(m)
+    if not m < n:
         raise DomainError(f"symmetry route requires 0 <= m < n, got (n={n}, m={m})")
     return construct_series(m, n).shifted(n - m)
 
@@ -279,8 +271,6 @@ def _derivatives_at_minus_one(n: int, om) -> tuple:
     products P_k = prod_{i<k} (p + q(1+i)); the row holds the numerators, P_n
     is the denominator.
     """
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     if q == 1 and -n <= p <= -1:
@@ -301,9 +291,9 @@ def derivative_at_minus_one(m: int, n: int, omega):
     (-1)^(n-m) n! C(n, m) (1+omega)_m / (1+omega)_n, one entry of the integer
     row of ``_derivatives_at_minus_one``.
     """
+    m, (n, om) = as_integer(m, "a derivative order"), as_member(n, omega)
     if m < 0 or m > n:
         raise DomainError(f"derivative order must satisfy 0 <= m <= n, got (m={m}, n={n})")
-    om = as_omega(omega)
     row, den = _derivatives_at_minus_one(n, om)
     return rounded_ratio(om, row[m], den)
 
@@ -316,8 +306,6 @@ def _value_at_zero(n: int, om) -> tuple:
     Its own two products: it reads neither the member rows nor their prefix
     products, so the ``boundary_values`` row compares two routes.
     """
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     den = math.prod([(i - n) * q - p for i in range(n)])
@@ -331,7 +319,7 @@ def value_at_zero(n: int, omega):
 
     Exactly zero iff omega is an integer in {0, ..., n-1}.
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return rounded_ratio(om, *_value_at_zero(n, om))
 
 
@@ -365,7 +353,7 @@ def reflect_negative_omega(n: int, omega) -> Polynomial:
     Requires omega > 0 and omega not in {1, ..., n}; at those integers the
     scale factor blows up (the family itself degenerates there).
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return _ratio_poly(om, *_reflection(n, om, _Rows(n)))
 
 
@@ -377,6 +365,6 @@ def taylor_about_minus_one(n: int, omega) -> tuple:
     once.  Monicity gives c_n = 1.  The only pole, poch(1+omega, n) = 0 at
     omega in {-n, ..., -1}, is raised by that row.
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     row, den = _derivatives_at_minus_one(n, om)
     return tuple(rounded_ratio(om, c, math.factorial(m) * den) for m, c in enumerate(row))

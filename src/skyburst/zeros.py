@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError, TrackingError
-from .scalarfield import as_omega
+from .scalarfield import as_degree, as_integer, as_member
 from .skypoly import Polynomial, construct, taylor_about_minus_one
 
 __all__ = [
@@ -278,7 +278,7 @@ def zeros_of(n: int, omega, tol: float = DEFAULT_TOL, start=None) -> ZeroSet:
 
     ``start`` seeds the root iteration as in ``find_zeros``.
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     return find_zeros(construct(n, om), tol=tol, omega=float(om), start=start)
 
 
@@ -304,7 +304,8 @@ def emergence_angles(n: int, m: int, eps: float) -> tuple:
     (Newton polygon of S_n^(m+eps) at 0) and its deviation from the limit
     rays is O(eps^(1/(n-m))), about 0.06..0.08 rad at eps = 0.01.
     """
-    if not (isinstance(n, int) and isinstance(m, int) and 0 <= m <= n - 1):
+    n, m = as_degree(n), as_integer(m, "an integer parameter")
+    if not 0 <= m <= n - 1:
         raise DomainError(f"need integers 0 <= m <= n-1, got (n={n}, m={m})")
     if not 0 < eps <= 0.05:
         raise DomainError(f"offset must lie in (0, 0.05], got {eps}")
@@ -323,7 +324,7 @@ def fizzle_gap(n: int, omega) -> float:
     zero lies in (-1, 0) here, so a gap of 1 or more (or NaN) is wrong and
     raises ConvergenceError.
     """
-    om = as_omega(omega)
+    n, om = as_member(n, omega)
     if not float(om) > n:
         raise DomainError(f"fizzle regime needs omega > n, got omega={om}, n={n}")
     if n == 0:
@@ -515,7 +516,7 @@ def trace(
     origin: the k = n-j roots collapsing at the integer j sit at radius
     ~|c_0/c_k|^(1/k) ~ offset^(1/k) there (0.19 for n = 9, j = 1 at 1e-3).
     """
-    if n < 1:
+    if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("continuation needs degree >= 1")
     if not (math.isfinite(omega_start) and math.isfinite(omega_end)):
         raise DomainError(f"omega range must be finite, got [{omega_start}, {omega_end}]")

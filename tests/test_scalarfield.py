@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 
 from skyburst.errors import DomainError
 from skyburst.scalarfield import (
+    as_degree,
     as_fraction,
+    as_integer,
+    as_member,
     as_omega,
     parse_rational,
     pochhammer,
@@ -190,3 +193,31 @@ class TestOmega:
             as_omega(value)
         with pytest.raises(DomainError, match="cannot interpret"):
             construct(2, value)
+
+
+class TestDegree:
+    @pytest.mark.parametrize("value", [0, 7, np.int32(7), np.int64(7), np.uint8(7)])
+    def test_integers_become_int(self, value):
+        assert type(as_degree(value)) is int and as_degree(value) == int(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, 2.5, np.float64(2.0),
+                                       Fraction(2), "3", None])
+    def test_non_integers_refused(self, value):
+        with pytest.raises(DomainError, match="cannot interpret .* as a degree"):
+            as_degree(value)
+        with pytest.raises(DomainError, match="cannot interpret .* as an index"):
+            as_integer(value, "an index")
+
+    def test_negative_degree_refused_negative_index_accepted(self):
+        for value in (-1, np.int64(-1)):
+            with pytest.raises(DomainError, match="degree must be nonnegative, got -1"):
+                as_degree(value)
+            assert type(as_integer(value, "an index")) is int and as_integer(value, "an index") == -1
+
+    def test_member_gates_the_degree_first(self):
+        n, omega = as_member(np.int64(3), np.int64(2))
+        assert type(n) is int and n == 3 and type(omega) is Fraction and omega == 2
+        with pytest.raises(DomainError, match="as a degree"):
+            as_member(2.0, "abc")
+        with pytest.raises(DomainError, match="as omega"):
+            as_member(3, True)
