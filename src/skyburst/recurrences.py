@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .moments import _det_closed, _integer_moments, _levinson, _moment_pole
-from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega
+from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega, as_point, as_real
 from .skypoly import (
     Polynomial,
     _derivatives_at_minus_one,
@@ -325,10 +325,9 @@ def genfun_compare(omega, z, T, N: int) -> float:
     """
     if (N := as_integer(N, "a term count")) < 1:
         raise DomainError("need at least one term")
-    om = as_omega(omega)
-    w = float(om)
-    z = complex(z)
-    T = complex(T)
+    om, z, T = as_omega(omega), as_point(z, "z"), as_point(T, "T")
+    if math.isinf(w := as_real(om, "omega")):
+        raise DomainError(f"omega={om} lies outside the double range")
     # a NaN fails every comparison below and inf * 0 is NaN: refuse both first
     if not (cmath.isfinite(z) and cmath.isfinite(T)):
         raise DomainError(f"generating function needs finite z and T, got z={z}, T={T}")

@@ -1,13 +1,14 @@
 """Scalar layer: exact rationals, complex floats, and the combinatorial primitives.
 
 Exact values are ``fractions.Fraction`` (arbitrary-precision integers, always
-stored reduced with a positive denominator) or plain ``int``.  Inexact values
-are ``float``/``complex``.  The parameter omega is a number (``as_omega``): a
-Fraction, or a float as an input format, whose formulas run on its exact
-binary rational (2.0 is the integer 2) with each result rounded once, in
-``rounded_ratio``.  A degree is an ``int`` (``as_degree``): any nonnegative
-``numbers.Integral`` but a bool; an index that may be negative passes the same
-type test (``as_integer``), and ``as_member`` gates a degree and an omega.
+stored reduced with a positive denominator) or plain ``int``.  The parameter
+omega is a number (``as_omega``): a Fraction, or a float as an input format,
+whose formulas run on its exact binary rational (2.0 is the integer 2) with
+each result rounded once, in ``rounded_ratio``.  A degree is an ``int``
+(``as_degree``): any nonnegative ``numbers.Integral`` but a bool; an index
+that may be negative passes the same type test (``as_integer``), and
+``as_member`` gates a degree and an omega.  Any other real is a ``float``
+(``as_real``, +-inf past the double range) and a point a ``complex`` (``as_point``).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def parse_rational(text: str) -> Fraction:
 def as_omega(value) -> Fraction | float:
     """The measure parameter as a number: a Fraction for an integer (any
     ``numbers.Integral`` but a bool), a Fraction or a "p/q" string, a float for
-    a (finite) float.
+    any other finite real (``as_real``); any other rational is refused.
 
     Every property of omega (integrality, zero, the pole sets) is read from
     the exact value ``as_fraction(omega)``, so a float omega that is an
@@ -68,14 +69,11 @@ def as_omega(value) -> Fraction | float:
     """
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, Fraction):
-        return Fraction(value)
-    if isinstance(value, float):
-        value = float(value)  # a subclass such as numpy.float64 prints as a plain float
-        if not math.isfinite(value):
-            raise DomainError(f"omega must be finite, got {value}")
-        return value
-    return Fraction(as_integer(value, "omega"))
+    if isinstance(value, numbers.Rational):  # a Fraction, or an integer through its gate
+        return Fraction(value if isinstance(value, Fraction) else as_integer(value, "omega"))
+    if not math.isfinite(value := as_real(value, "omega")):
+        raise DomainError(f"omega must be finite, got {value}")
+    return value
 
 
 def as_integer(value, name: str) -> int:
@@ -84,6 +82,26 @@ def as_integer(value, name: str) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise DomainError(f"cannot interpret {value!r} as {name}")
+
+
+def as_real(value, name: str) -> float:
+    """A plain ``float`` for any ``numbers.Real`` but a bool; +-inf beyond the double range,
+    which the caller's own finiteness test refuses."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"cannot interpret {value!r} as {name}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def as_point(value, name: str) -> complex:
+    """A plain ``complex`` for any ``numbers.Complex`` but a bool, each part an ``as_real``."""
+    if type(value) is complex:  # at complex() cost: trace seeds every solve with n points
+        return value
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise DomainError(f"cannot interpret {value!r} as {name}")
+    return complex(as_real(value.real, name), as_real(value.imag, name))
 
 
 def as_degree(value) -> int:

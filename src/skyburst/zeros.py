@@ -25,10 +25,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError, TrackingError
-from .scalarfield import as_degree, as_integer, as_member
+from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega, as_point, as_real
 from .skypoly import Polynomial, construct, taylor_about_minus_one
 
 __all__ = [
@@ -149,7 +148,7 @@ def _aberth(coeffs, start=None):
         radius = 1.0 + max(abs(x) for x in c[:-1])
         roots = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.5)) for k in range(d)]
     else:
-        roots = [complex(z) for z in start]
+        roots = [as_point(z, "a start point") for z in start]
     for sweep in range(1, MAX_ITERATIONS + 1):
         biggest = 0.0
         worst_value = 0.0
@@ -229,7 +228,7 @@ def find_zeros(
     """
     if p.is_zero or p.degree < 1:
         raise DomainError("root finding needs a nonzero polynomial of degree >= 1")
-    if not 0 <= tol < math.inf:
+    if not 0 <= (tol := as_real(tol, "a tolerance")) < math.inf:
         raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
     # complex throughout: Horner steps mixing float and complex ran ~7% slower
     coeffs = list(map(complex, p.to_inexact().coeffs))
@@ -279,7 +278,7 @@ def zeros_of(n: int, omega, tol: float = DEFAULT_TOL, start=None) -> ZeroSet:
     ``start`` seeds the root iteration as in ``find_zeros``.
     """
     n, om = as_member(n, omega)
-    return find_zeros(construct(n, om), tol=tol, omega=float(om), start=start)
+    return find_zeros(construct(n, om), tol=tol, omega=as_real(om, "omega"), start=start)
 
 
 def classify(zs: ZeroSet) -> ZeroCounts:
@@ -304,12 +303,12 @@ def emergence_angles(n: int, m: int, eps: float) -> tuple:
     (Newton polygon of S_n^(m+eps) at 0) and its deviation from the limit
     rays is O(eps^(1/(n-m))), about 0.06..0.08 rad at eps = 0.01.
     """
-    n, m = as_degree(n), as_integer(m, "an integer parameter")
+    n, m, eps = as_degree(n), as_integer(m, "an integer parameter"), as_omega(eps)
     if not 0 <= m <= n - 1:
         raise DomainError(f"need integers 0 <= m <= n-1, got (n={n}, m={m})")
     if not 0 < eps <= 0.05:
         raise DomainError(f"offset must lie in (0, 0.05], got {eps}")
-    zs = zeros_of(n, Fraction(m) + Fraction(eps))
+    zs = zeros_of(n, m + as_fraction(eps))
     ordered = sorted(zs.values(), key=abs)
     cluster = ordered[: n - m]
     return tuple(sorted(cmath.phase(z) % (2 * math.pi) for z in cluster))
@@ -325,7 +324,7 @@ def fizzle_gap(n: int, omega) -> float:
     raises ConvergenceError.
     """
     n, om = as_member(n, omega)
-    if not float(om) > n:
+    if not as_fraction(om) > n:
         raise DomainError(f"fizzle regime needs omega > n, got omega={om}, n={n}")
     if n == 0:
         return 0.0
@@ -499,10 +498,10 @@ def trace(
     The grid keeps a fixed offset from every integer (the family degenerates
     there); integer crossings hop from m - offset to m + offset, are matched
     by the minimum total distance over raw positions at a crossing, and are
-    recorded as burst events.  Within a segment the local
-    step is halved until consecutive root sets match within match_threshold;
-    underflow of the step below 1e-6 raises TrackingError.  A non-finite end
-    or a range wider than MAX_SPAN raises DomainError.
+    recorded as burst events.  Within a segment the local step is halved until
+    consecutive root sets match within match_threshold; a mismatch at a step of
+    MIN_STEP raises TrackingError.  A non-finite end, a range wider than MAX_SPAN or a
+    base_step below MIN_STEP (the grid would stop advancing) raises DomainError.
 
     Each solve inside a segment is seeded with the roots accepted at the
     previous grid point, a few hundredths away, and settles in a few Aberth
@@ -518,6 +517,8 @@ def trace(
     """
     if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("continuation needs degree >= 1")
+    omega_start, omega_end = as_real(omega_start, "omega_start"), as_real(omega_end, "omega_end")
+    base_step, match_threshold = as_real(base_step, "base_step"), as_real(match_threshold, "match_threshold")
     if not (math.isfinite(omega_start) and math.isfinite(omega_end)):
         raise DomainError(f"omega range must be finite, got [{omega_start}, {omega_end}]")
     if not (0 <= omega_start < omega_end):
@@ -528,9 +529,11 @@ def trace(
     for name, value in (("base_step", base_step), ("match_threshold", match_threshold)):
         if not 0 < value < math.inf:
             raise DomainError(f"{name} must be positive and finite, got {value}")
+    if base_step < MIN_STEP:
+        raise DomainError(f"base_step must be at least {MIN_STEP}, got {base_step}")
 
-    start = _clamp_away(float(omega_start), upward=omega_start >= round(omega_start))
-    end = _clamp_away(float(omega_end), upward=omega_end > round(omega_end))
+    start = _clamp_away(omega_start, upward=omega_start >= round(omega_start))
+    end = _clamp_away(omega_end, upward=omega_end > round(omega_end))
     if start >= end:
         raise DomainError("empty range after integer-offset clamping")
 

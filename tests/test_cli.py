@@ -232,6 +232,16 @@ class TestTrajectory:
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("skyburst: omega range")
 
+    def test_step_below_the_floor_exit_code(self):
+        # in a child process: at 1e-300 the grid never advanced and the command ran until killed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["trajectory", "--n", "2", "--omega-start", "0.5", "--omega-end", "1.5", "--step", "1e-300"]
+        out = subprocess.run([sys.executable, "-m", "skyburst.cli", *argv], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("skyburst: base_step must be at least")
+
     def test_tracking_error_exit_code(self, capsys):
         code, _, err = run(
             capsys, "trajectory", "--n", "2", "--omega-start", "0.3",

@@ -281,6 +281,11 @@ class TestGeneratingFunction:
         with pytest.raises(DomainError):
             genfun_compare(F(1, 2), 0.5, 0.5, 0)
 
+    def test_omega_beyond_the_double_range_refused(self):
+        # float(omega) overflowed: a bare OverflowError, and an infinite omega gives a NaN residual
+        with pytest.raises(DomainError, match="outside the double range"):
+            genfun_compare(10**400, 0.1, 0.1, 3)
+
     @pytest.mark.parametrize(
         "z, t", [(math.nan, 0.1), (complex(0, math.inf), 0), (0.5, complex(math.nan, 0))]
     )

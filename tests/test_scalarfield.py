@@ -1,3 +1,5 @@
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,8 @@ from skyburst.scalarfield import (
     as_integer,
     as_member,
     as_omega,
+    as_point,
+    as_real,
     parse_rational,
     pochhammer,
     rounded,
@@ -194,6 +198,21 @@ class TestOmega:
         with pytest.raises(DomainError, match="cannot interpret"):
             construct(2, value)
 
+    def test_any_real_that_is_not_rational_is_a_float_omega(self):
+        # numpy.float32 is read through as_real like numpy.float64: its exact value, as a plain float
+        omega = as_omega(np.float32(0.1))
+        assert type(omega) is float and omega == float(np.float32(0.1))
+        assert construct(3, np.float32(0.1)) == construct(3, float(np.float32(0.1)))
+        with pytest.raises(DomainError, match="omega must be finite"):
+            as_omega(np.float32("inf"))
+
+    def test_rational_other_than_fraction_refused(self):
+        # a rational type that is neither a Fraction nor an integer is refused, not rounded
+        sympy = pytest.importorskip("sympy")
+        with pytest.raises(DomainError, match="cannot interpret 1/3 as omega"):
+            as_omega(sympy.Rational(1, 3))
+        assert as_omega(sympy.Integer(3)) == 3
+
 
 class TestDegree:
     @pytest.mark.parametrize("value", [0, 7, np.int32(7), np.int64(7), np.uint8(7)])
@@ -221,3 +240,45 @@ class TestDegree:
             as_member(2.0, "abc")
         with pytest.raises(DomainError, match="as omega"):
             as_member(3, True)
+
+
+NOT_NUMBERS = [True, False, np.bool_(True), "0.5", None, Decimal("0.5"), [1]]
+
+
+class TestReal:
+    @pytest.mark.parametrize("value", [0.25, 1, Fraction(1, 4), np.float64(0.25), np.float32(0.25),
+                                       np.int64(1), Fraction(1, 3), -0.0])
+    def test_reals_become_float(self, value):
+        got = as_real(value, "a step")
+        assert type(got) is float and repr(got) == repr(float(value))
+
+    @pytest.mark.parametrize("value, expected", [(10 ** 400, math.inf), (-10 ** 400, -math.inf),
+                                                 (Fraction(10 ** 400, 3), math.inf)])
+    def test_beyond_the_double_range_is_infinite(self, value, expected):
+        assert as_real(value, "a step") == expected
+        assert as_point(value, "a point") == complex(expected, 0.0)
+
+    def test_nan_passes_to_the_caller(self):
+        assert math.isnan(as_real(math.nan, "a step"))
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS + [1j, np.complex128(1)])
+    def test_non_reals_refused(self, value):
+        with pytest.raises(DomainError, match="cannot interpret .* as a step"):
+            as_real(value, "a step")
+
+
+class TestPoint:
+    def test_a_complex_is_returned_as_is(self):
+        z = complex(0.5, -0.0)
+        assert as_point(z, "a point") is z
+
+    @pytest.mark.parametrize("value", [0.5 + 0.25j, np.complex128(0.5 + 0.25j), np.complex64(0.5 + 0.25j),
+                                       0.5, 2, Fraction(1, 2), np.float32(0.5), np.int64(2)])
+    def test_numbers_become_complex(self, value):
+        got = as_point(value, "a point")
+        assert type(got) is complex and repr(got) == repr(complex(value))
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_non_numbers_refused(self, value):
+        with pytest.raises(DomainError, match="cannot interpret .* as a point"):
+            as_point(value, "a point")

@@ -395,6 +395,18 @@ class TestFizzle:
         with pytest.raises(DomainError, match="degree must be nonnegative, got -1"):
             fizzle_gap(-1, F(1, 2))
 
+    def test_regime_read_from_the_exact_omega(self):
+        # 3 + 1e-20 rounds to 3.0, but the regime is read on the exact value, as every property of omega
+        gap = fizzle_gap(3, F(3 * 10**20 + 1, 10**20))
+        assert 0 < gap < 1
+
+    def test_omega_beyond_the_double_range(self):
+        # the gap at omega = 10^400 is about 10^-400: 0.0 in double precision, where float(omega) overflowed
+        assert fizzle_gap(2, 10**400) == 0.0
+        # the roots are those at 10^300; the label is the rounded omega, inf, not an OverflowError
+        zs = zeros_of(2, 10**400)
+        assert zs.omega == math.inf and zs.values() == zeros_of(2, 10**300).values()
+
     @pytest.mark.parametrize("n, w", [(30, F(61, 2)), (40, F(81, 2))])
     def test_gap_of_one_or_more_refused(self, n, w):
         # every zero lies in (-1, 0) for w > n; mpmath gives 0.99739 and 0.99851 here
@@ -620,6 +632,18 @@ class TestTrace:
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0 and message in out.stdout, out.stderr
+
+    def test_step_below_the_floor_refused(self):
+        # in a child process: at 1e-300, current + h == current and the grid never advanced
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "from skyburst.errors import DomainError\nfrom skyburst.zeros import trace\n"
+            "try:\n    trace(2, 0.5, 1.5, base_step=1e-300)\nexcept DomainError as exc:\n    print(exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0 and f"base_step must be at least {zeros.MIN_STEP}" in out.stdout, out.stderr
+        assert trace(2, 0.3, 0.3 + 4 * zeros.MIN_STEP, base_step=zeros.MIN_STEP).omega_grid[-1] > 0.3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
     @pytest.mark.parametrize("name", ["base_step", "match_threshold"])
