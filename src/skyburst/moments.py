@@ -19,9 +19,10 @@ operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
 omega = p/q one integer L makes every moment it reads an integer multiple of
 q/L, so the recursion runs on integer vectors over one denominator each and
 yields integer pairs, divided out once, and the closed product is likewise
-one integer numerator over one integer denominator.  ``bilinear`` and the
-sweep's ``orthogonality`` row each form their own moment list and product;
-they share only ``_integer_moments`` and ``_moment_pole``.
+one integer numerator over one integer denominator.  ``bilinear`` pairs real
+polynomials, each coefficient read exactly, in one integer sum; it and the
+sweep's ``orthogonality`` row each form their own moment list and product,
+and share only ``_integer_moments`` and ``_moment_pole``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from fractions import Fraction
 from itertools import islice
 from operator import mul
 
-from .errors import ExistenceError, PoleError
-from .scalarfield import as_fraction, as_integer, as_member, as_omega, rounded, rounded_ratio
+from .errors import DomainError, ExistenceError, PoleError
+from .scalarfield import as_finite, as_fraction, as_integer, as_member, as_omega, rounded_ratio
 from .skypoly import Polynomial, _ratio_poly
 
 __all__ = [
@@ -49,16 +50,18 @@ __all__ = [
 def reduced_moment(k: int, omega):
     """nu_k = (-1)^k / (k + omega), in the format of omega; k may be negative."""
     k, om = as_integer(k, "an index"), as_omega(omega)
-    den = k + as_fraction(om)
-    if den == 0:
+    w = as_fraction(om)
+    if (den := k * w.denominator + w.numerator) == 0:
         raise PoleError(f"moment pole: k + omega = 0 at k={k}, omega={om}")
-    return rounded(om, (-1 if k % 2 else 1) / den)
+    return rounded_ratio(om, -w.denominator if k % 2 else w.denominator, den)
 
 
 def moment(k: int, omega):
     """Reduced moment in exact mode; the full moment sigma*nu_k in float mode."""
     om = as_omega(omega)
     nu = reduced_moment(k, om)
+    if not isinstance(om, Fraction) and math.isinf(math.pi * om):  # sin(inf) is a math domain error
+        raise DomainError(f"pi * omega at omega={om} lies outside the double range")
     return nu if isinstance(om, Fraction) else math.sin(math.pi * om) / math.pi * nu
 
 
@@ -75,10 +78,12 @@ def _integer_moments(w: Fraction, ks: range) -> tuple:
     return scale, [(-scale if k % 2 else scale) // d if d else 0 for k, d in zip(ks, dens)]
 
 
-def _cleared(pairs: list) -> tuple:
-    """(index, rational coefficient) pairs as integers over their least common denominator."""
-    den = math.lcm(*[c.denominator for _, c in pairs])
-    return [(i, c.numerator * (den // c.denominator)) for i, c in pairs], den
+def _cleared(p: Polynomial) -> tuple:
+    """The nonzero coefficients of a real polynomial, each read exactly (``as_finite``: a float is its
+    binary rational), as (index, integer) pairs over their least common denominator."""
+    cs = [as_fraction(as_finite(c, "a real coefficient")) for c in p.coeffs]
+    den = math.lcm(*[c.denominator for c in cs])
+    return [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(cs) if c], den
 
 
 def _moment_pole(w: Fraction, js: list, ks) -> None:
@@ -88,30 +93,24 @@ def _moment_pole(w: Fraction, js: list, ks) -> None:
 
 
 def bilinear(f: Polynomial, g: Polynomial, omega):
-    """Reduced bilinear form sum_{j,k} f_j conj(g_k) nu_{j-k}.
+    """Reduced bilinear form sum_{j,k} f_j g_k nu_{j-k} of two real polynomials.
 
     Multiply by sigma for the full form; a global scalar does not affect any
-    orthogonality statement.  The moments nu_(j-k) of every pair are formed
-    once, as integers over one scale (``_integer_moments``).  Rational
-    coefficients are cleared to integers too, so the exact form is one
-    integer sum over one denominator; float or complex coefficients meet
-    each moment as an exact fraction, pair by pair.  Only pairs of nonzero
-    coefficients read a moment, so only such a pair raises the moment pole.
+    orthogonality statement.  Each coefficient is read exactly (``_cleared``)
+    and the moments nu_(j-k) of every pair once, as integers over one scale
+    (``_integer_moments``): one integer sum over one denominator, rounded once
+    for a float omega.  Only pairs of nonzero coefficients read a moment, so
+    only such a pair raises the moment pole.
     """
     om = as_omega(omega)
     w = as_fraction(om)
-    fs = [(j, fj) for j, fj in enumerate(f.coeffs) if fj != 0]
-    gs = [(k, gk.conjugate()) for k, gk in enumerate(g.coeffs) if gk != 0]
+    (fs, df), (gs, dg) = _cleared(f), _cleared(g)
     js, ks = [j for j, _ in fs], [k for k, _ in gs]
     _moment_pole(w, js, ks)
     lo, hi = (min(js) - max(ks), max(js) - min(ks)) if fs and gs else (0, -1)
     scale, m = _integer_moments(w, range(lo, hi + 1))
-    if f.scalar_kind == g.scalar_kind == "rational":
-        (fs, df), (gs, dg) = _cleared(fs), _cleared(gs)
-        total = sum(gk * sum(fj * m[j - k - lo] for j, fj in fs) for k, gk in gs)
-        return rounded_ratio(om, w.denominator * total, scale * df * dg)
-    nu = [Fraction(w.denominator * mk, scale) for mk in m]
-    return rounded(om, sum((fj * gk * nu[j - k - lo] for j, fj in fs for k, gk in gs), Fraction(0)))
+    total = sum(gk * sum(fj * m[j - k - lo] for j, fj in fs) for k, gk in gs)
+    return rounded_ratio(om, w.denominator * total, scale * df * dg)
 
 
 def _levinson(n: int, w: Fraction, top: int):

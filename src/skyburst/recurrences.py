@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -326,8 +327,7 @@ def genfun_compare(omega, z, T, N: int) -> float:
     if (N := as_integer(N, "a term count")) < 1:
         raise DomainError("need at least one term")
     om, z, T = as_omega(omega), as_point(z, "z"), as_point(T, "T")
-    if math.isinf(w := as_real(om, "omega")):
-        raise DomainError(f"omega={om} lies outside the double range")
+    w = as_real(om, "omega")
     # a NaN fails every comparison below and inf * 0 is NaN: refuse both first
     if not (cmath.isfinite(z) and cmath.isfinite(T)):
         raise DomainError(f"generating function needs finite z and T, got z={z}, T={T}")
@@ -340,8 +340,11 @@ def genfun_compare(omega, z, T, N: int) -> float:
         total += coef * construct(n, om).to_inexact()(z) * t_pow
         t_pow *= T
         coef *= (1.0 + w + n) / (n + 1.0)
-    closed = cmath.exp(w * cmath.log(1 + T)) * cmath.exp(-(w + 1) * cmath.log(1 - z * T))
-    return abs(total - closed)
+    with suppress(OverflowError):  # cmath.exp or abs past the double range
+        closed = cmath.exp(w * cmath.log(1 + T)) * cmath.exp(-(w + 1) * cmath.log(1 - z * T))
+        if math.isfinite(residual := abs(total - closed)):
+            return residual
+    raise DomainError(f"generating function at omega={om} lies outside the double range")
 
 
 # ---------------------------------------------------------------------------

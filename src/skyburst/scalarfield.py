@@ -2,9 +2,9 @@
 
 Exact values are ``fractions.Fraction`` (arbitrary-precision integers, always
 stored reduced with a positive denominator) or plain ``int``.  The parameter
-omega is a number (``as_omega``): a Fraction, or a float as an input format,
-whose formulas run on its exact binary rational (2.0 is the integer 2) with
-each result rounded once, in ``rounded_ratio``.  A degree is an ``int``
+omega is a finite number (``as_omega``, ``as_finite``): a Fraction, or a float
+input whose formulas run on its exact binary rational (2.0 is the integer 2)
+with each result rounded once, in ``rounded_ratio``.  A degree is an ``int``
 (``as_degree``): any nonnegative ``numbers.Integral`` but a bool; an index
 that may be negative passes the same type test (``as_integer``), and
 ``as_member`` gates a degree and an omega.  Any other real is a ``float``
@@ -58,21 +58,23 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_omega(value) -> Fraction | float:
-    """The measure parameter as a number: a Fraction for an integer (any
-    ``numbers.Integral`` but a bool), a Fraction or a "p/q" string, a float for
-    any other finite real (``as_real``); any other rational is refused.
+    """The measure parameter as a number: an ``as_finite``, or a "p/q" string as a Fraction.
 
     Every property of omega (integrality, zero, the pole sets) is read from
     the exact value ``as_fraction(omega)``, so a float omega that is an
     integer is treated as that integer.  The format decides only how results
     are returned: exact, or rounded once.
     """
-    if isinstance(value, str):
-        return parse_rational(value)
+    return parse_rational(value) if isinstance(value, str) else as_finite(value, "omega")
+
+
+def as_finite(value, name: str) -> Fraction | float:
+    """A Fraction for an integer (any ``numbers.Integral`` but a bool) or a Fraction, a
+    float for any other finite real (``as_real``); any other rational is refused."""
     if isinstance(value, numbers.Rational):  # a Fraction, or an integer through its gate
-        return Fraction(value if isinstance(value, Fraction) else as_integer(value, "omega"))
-    if not math.isfinite(value := as_real(value, "omega")):
-        raise DomainError(f"omega must be finite, got {value}")
+        return Fraction(value if isinstance(value, Fraction) else as_integer(value, name))
+    if not math.isfinite(value := as_real(value, name)):
+        raise DomainError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -133,10 +135,3 @@ def rounded_ratio(omega: Fraction | float, num: int, den: int):
     except OverflowError:
         raise DomainError(f"result at omega={omega} lies outside the double range") from None
 
-
-def rounded(omega: Fraction | float, x):
-    """The scalar ``x``, computed on ``as_fraction(omega)``, rounded once for a
-    float omega; complex values pass through."""
-    if isinstance(omega, Fraction) or isinstance(x, complex):
-        return x
-    return rounded_ratio(omega, *x.as_integer_ratio())

@@ -500,8 +500,8 @@ def trace(
     by the minimum total distance over raw positions at a crossing, and are
     recorded as burst events.  Within a segment the local step is halved until
     consecutive root sets match within match_threshold; a mismatch at a step of
-    MIN_STEP raises TrackingError.  A non-finite end, a range wider than MAX_SPAN or a
-    base_step below MIN_STEP (the grid would stop advancing) raises DomainError.
+    MIN_STEP raises TrackingError.  A non-finite end, a range wider than MAX_SPAN, a base_step
+    below MIN_STEP or an end past about 2**33 (doubles MIN_STEP apart) raises DomainError.
 
     Each solve inside a segment is seeded with the roots accepted at the
     previous grid point, a few hundredths away, and settles in a few Aberth
@@ -536,6 +536,8 @@ def trace(
     end = _clamp_away(omega_end, upward=omega_end > round(omega_end))
     if start >= end:
         raise DomainError("empty range after integer-offset clamping")
+    if math.ulp(end) >= MIN_STEP:  # the grid would stop advancing: current + h == current
+        raise DomainError(f"omega range ends where doubles are {math.ulp(end)} apart, not below {MIN_STEP}")
 
     def solve(w: float, seed=None):
         if seed is not None:

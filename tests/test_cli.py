@@ -242,6 +242,16 @@ class TestTrajectory:
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("skyburst: base_step must be at least")
 
+    def test_end_where_doubles_are_a_min_step_apart_exit_code(self):
+        # in a child process: at 1e15 the grid never advanced and the command ran until killed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["trajectory", "--n", "2", "--omega-start", "1e15", "--omega-end", "1000000000000010"]
+        out = subprocess.run([sys.executable, "-m", "skyburst.cli", *argv], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("skyburst: omega range ends where doubles are")
+
     def test_tracking_error_exit_code(self, capsys):
         code, _, err = run(
             capsys, "trajectory", "--n", "2", "--omega-start", "0.3",

@@ -56,6 +56,12 @@ class TestMoments:
             want = (-1) ** (k % 2) * math.sin(math.pi * 0.37) / (math.pi * (k + 0.37))
             assert moment(k, 0.37) == pytest.approx(want, rel=1e-14)
 
+    def test_float_outside_double_range_refused(self):
+        # pi * omega overflows, and sin(inf) is a math domain error
+        with pytest.raises(DomainError, match="double range"):
+            moment(1, 1e308)
+        assert moment(1, F(10**308)) == reduced_moment(1, F(10**308))
+
     def test_prefactor_bookkeeping(self):
         # an exact moment leaves sigma = sin(pi w)/pi out; a float one carries it
         for k in range(-4, 5):
@@ -83,26 +89,33 @@ class TestBilinear:
                     assert bilinear(s, zpow(k), w) == 0
                 assert bilinear(s, zpow(n), w) != 0
 
-    def test_second_argument_conjugated(self):
-        f = Polynomial((1.0,))
-        g = Polynomial((1j,))
-        # <1, i> = conj(i) * nu_0 = -i * 2 at omega = 1/2
-        assert bilinear(f, g, 0.5) == -2j
+    @pytest.mark.parametrize("c", [1j, 0j, complex(2.0), math.nan, math.inf, -math.inf, "1"])
+    def test_complex_or_non_finite_coefficient_refused(self, c):
+        # the form pairs real polynomials; any coefficient of either, zero or not, is read exactly
+        for f, g in ((Polynomial((c, 1.0)), Polynomial((1.0,))), (Polynomial((1.0,)), Polynomial((1.0, c, 1.0)))):
+            with pytest.raises(DomainError, match="real coefficient"):
+                bilinear(f, g, 0.5)
 
     @pytest.mark.parametrize("w", [0.37, -2.3, pytest.param(F(1, 3), id="1/3")])
-    def test_float_coefficients_summed_pair_by_pair(self, w):
-        # reference: each pair against its exact moment, in the order of the pairs; rational f and g
-        # (the integer branch) sum exactly, rounded once for a float omega
-        floating = construct(12, w), Polynomial((1.5, 2j, -0.25))
-        rational = construct(12, F(w)), Polynomial((F(3, 2), 2, F(-1, 4)))
-        for f, g in (floating, rational):
-            want = F(0)
-            for j, fj in enumerate(f.coeffs):
-                for k, gk in enumerate(g.coeffs):
-                    want = want + fj * gk.conjugate() * reduced_moment(j - k, F(w))
-            if isinstance(want, F) and isinstance(w, float):
-                want = float(want)
-            assert bilinear(f, g, w) == want
+    def test_float_coefficients_read_exactly(self, w):
+        # each float coefficient is its binary rational: the exact form at an exact omega, and
+        # that value rounded once at a float omega; g reaches z^12, so the form is not 0
+        f, g = construct(12, w), Polynomial((1.5, 0.1, -0.25) + (0.0,) * 9 + (0.75,))
+        exact = bilinear(*(Polynomial([F(c) for c in p.coeffs]) for p in (f, g)), F(w))
+        got = bilinear(f, g, w)
+        assert type(exact) is F and type(got) is type(w)
+        assert got == (exact if isinstance(w, F) else float(exact))
+
+    def test_float_coefficients_at_the_edge_of_the_double_range(self):
+        # nu_0 = 1/omega is about 1e310: the exact form rounds to no double
+        f, g = Polynomial((1.5, 0.5)), Polynomial((0.25, -1.0))
+        with pytest.raises(DomainError, match="double range"):
+            bilinear(f, g, 1e-310)
+        w = F(1, 10**400)
+        want = sum(F(fj) * F(gk) * reduced_moment(j - k, w) for j, fj in enumerate(f.coeffs)
+                   for k, gk in enumerate(g.coeffs))
+        got = bilinear(f, g, w)
+        assert type(got) is F and got == want
 
 
 class TestDeterminants:

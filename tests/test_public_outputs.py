@@ -106,6 +106,6 @@ def _digest() -> tuple:
 
 
 def test_public_results_and_refusals_pinned():
-    # recorded while omega was a one-field wrapper class; holding it as the
-    # number itself leaves every result and every refusal text unchanged
-    assert _digest() == ("4f56381e353f23937ed96bbf79d96a3e81a0e64850c07bc28289882dbc02ec7c", 10908)
+    # re-recorded when bilinear became one exact integer sum: only the bilinear(1) lines (float
+    # coefficients, now read exactly and rounded once) and bilinear(2) lines (complex, now refused) moved
+    assert _digest() == ("705c624cff42c6783c056b605b445f9175eef9f66d24ebaa9eaea0463838b596", 10908)

@@ -285,6 +285,10 @@ class TestGeneratingFunction:
         # float(omega) overflowed: a bare OverflowError, and an infinite omega gives a NaN residual
         with pytest.raises(DomainError, match="outside the double range"):
             genfun_compare(10**400, 0.1, 0.1, 3)
+        # the closed form overflows in cmath.exp; inf * 0 makes the partial sum NaN
+        for args in ((1e308, 0.1, 0.1, 3), (1e300, 0.1, 1e-310, 3)):
+            with pytest.raises(DomainError, match="outside the double range"):
+                genfun_compare(*args)
 
     @pytest.mark.parametrize(
         "z, t", [(math.nan, 0.1), (complex(0, math.inf), 0), (0.5, complex(math.nan, 0))]

@@ -17,7 +17,6 @@ from skyburst.scalarfield import (
     as_real,
     parse_rational,
     pochhammer,
-    rounded,
     rounded_ratio,
 )
 from skyburst.skypoly import Polynomial, construct
@@ -161,15 +160,10 @@ class TestOmega:
 
     def test_rounded_once_for_a_float_omega(self):
         third = Fraction(1, 3)
-        assert rounded(third, third) is third
         assert rounded_ratio(third, 2, 6) == third
-        assert rounded(0.37, third) == 1 / 3
-        assert rounded(0.37, 2) == 2.0 and rounded(0.37, 0.5j) == 0.5j
         assert rounded_ratio(0.37, 2, 6) == 1 / 3
         # the sign goes to the numerator: 0 over a negative integer is 0.0, not -0.0
         assert str(rounded_ratio(0.37, 0, -3)) == "0.0"
-        with pytest.raises(DomainError, match="double range"):
-            rounded(0.37, Fraction(10) ** 400)
         with pytest.raises(DomainError, match="double range"):
             rounded_ratio(0.37, 10 ** 400, 3)
 

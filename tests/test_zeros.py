@@ -645,6 +645,18 @@ class TestTrace:
         assert out.returncode == 0 and f"base_step must be at least {zeros.MIN_STEP}" in out.stdout, out.stderr
         assert trace(2, 0.3, 0.3 + 4 * zeros.MIN_STEP, base_step=zeros.MIN_STEP).omega_grid[-1] > 0.3
 
+    @pytest.mark.parametrize("start, end", [(1e15, 1e15 + 10), (2.0**33 + 0.5, 2.0**33 + 1.5)])
+    def test_end_where_doubles_are_a_min_step_apart_refused(self, start, end):
+        # in a child process: past 2**33, current + h == current and every solve ran at one omega
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "from skyburst.errors import DomainError\nfrom skyburst.zeros import trace\n"
+            f"try:\n    trace(2, {start!r}, {end!r})\nexcept DomainError as exc:\n    print(exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0 and "omega range ends where doubles are" in out.stdout, out.stderr
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
     @pytest.mark.parametrize("name", ["base_step", "match_threshold"])
     def test_non_finite_or_non_positive_step_and_threshold_refused(self, name, value):
