@@ -11,12 +11,13 @@ float coefficients always come from the exact rational coefficients rounded
 once, so the conditioning of the coefficient sum never contaminates the
 input to the root finder.
 
-A solve starts cold, from a circle of radius 1 + max|c|, unless it is given
-start points.  ``trace`` seeds each solve inside an integer-free segment with
-the roots it accepted at the previous grid point (continuation by warm
-start).  It solves cold at the first grid point and past each integer
-crossing: the real-root count changes there, and an exactly real seed cannot
-leave the real axis.  A seeded solve that fails is repeated once cold.
+A solve starts cold, from Bini's Newton-polygon circles (one per modulus
+group of the roots), unless it is given start points.  ``trace`` seeds each
+solve inside an integer-free segment with the roots it accepted at the
+previous grid point (continuation by warm start).  It solves cold at the
+first grid point and past each integer crossing: the real-root count changes
+there, and an exactly real seed cannot leave the real axis.  A seeded solve
+that fails is repeated once cold.
 """
 
 from __future__ import annotations
@@ -116,13 +117,43 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
+def _polygon_start(c):
+    """Cold start points for a monic ascending coefficient list with c[0] != 0.
+
+    The upper convex hull of the points (k, log|c_k|) over the nonzero c_k
+    splits the roots by modulus (the Newton polygon): an edge from i to j puts
+    j-i points on the circle of radius (|c_i|/|c_j|)^(1/(j-i)) = exp(-slope)
+    at angles 2*pi*l/(j-i) + 2*pi*i/d + 0.7 (Bini, Numer. Algorithms 13, 1996,
+    "Numerical computation of polynomial zeros by means of Aberth's method";
+    MPSolve starts the same way).  The offset keeps every point off the axis.
+    """
+    d = len(c) - 1
+    hull = []
+    for k, x in enumerate(c):
+        if x == 0:
+            continue
+        y = math.log(abs(x))
+        while len(hull) > 1:  # drop the last vertex while it is not above the chord to (k, y)
+            (k0, y0), (k1, y1) = hull[-2:]
+            if (y1 - y0) * (k - k0) > (y - y0) * (k1 - k0):
+                break
+            hull.pop()
+        hull.append((k, y))
+    start = []
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        m = j - i
+        radius = math.exp((yi - yj) / m)
+        start += [radius * cmath.exp(1j * (2 * math.pi * l / m + 2 * math.pi * i / d + 0.7)) for l in range(m)]
+    return start
+
+
 def _aberth(coeffs, start=None):
     """All roots of an ascending complex coefficient list with nonzero constant
     term, and the number of sweeps taken.
 
     Simultaneous (Ehrlich-style) iteration.  A cold solve starts from
-    equispaced points on a circle of radius 1 + max|c_k|, rotated half a
-    radian to break symmetry, and takes some 25 sweeps at small degree.  Given
+    ``_polygon_start``, one circle per modulus group of the roots, and takes
+    some 9 sweeps on the degrees 16..60 of ``zeros_scan`` (17 at most).  Given
     start points near the roots (one per root, as ``trace`` passes the roots
     of the previous grid point) it settles in a few sweeps.
 
@@ -139,14 +170,12 @@ def _aberth(coeffs, start=None):
     ``test_zeros_of_pinned``, ``TestTrace::test_grid_and_bursts_pinned`` and
     the ``test_aberth_*_is_the_reference_sweep_bit_for_bit`` tests enforce it.
     """
-    d = len(coeffs) - 1
     lead = coeffs[-1]
     c = [x / lead for x in coeffs]
     top, rest = c[-1], c[-2::-1]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
     if start is None:
-        radius = 1.0 + max(abs(x) for x in c[:-1])
-        roots = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.5)) for k in range(d)]
+        roots = _polygon_start(c)
     else:
         roots = [as_point(z, "a start point") for z in start]
     for sweep in range(1, MAX_ITERATIONS + 1):
@@ -275,10 +304,19 @@ def find_zeros(
 def zeros_of(n: int, omega, tol: float = DEFAULT_TOL, start=None) -> ZeroSet:
     """Roots of the degree-n family member: exact coefficients, rounded once.
 
-    ``start`` seeds the root iteration as in ``find_zeros``.
+    ``start`` seeds the root iteration as in ``find_zeros``.  The coefficients
+    are real, so a set whose off-axis roots do not split evenly into upper and
+    lower ones is wrong and raises ConvergenceError.
     """
     n, om = as_member(n, omega)
-    return find_zeros(construct(n, om), tol=tol, omega=as_real(om, "omega"), start=start)
+    zs = find_zeros(construct(n, om), tol=tol, omega=as_real(om, "omega"), start=start)
+    off_axis = [z for z in zs.values() if not _on_axis(z)]
+    upper = sum(z.imag > 0 for z in off_axis)
+    if 2 * upper != len(off_axis):
+        raise ConvergenceError(
+            f"{upper} upper and {len(off_axis) - upper} lower off-axis roots: "
+            "the set is not conjugate-symmetric", best=zs.values())
+    return zs
 
 
 def classify(zs: ZeroSet) -> ZeroCounts:
@@ -385,7 +423,7 @@ class TrajectoryBundle:
 def _symmetrize(values):
     """(layout, r): the r sorted reals as complex(x, 0.0), then each upper root,
     averaged with its nearest mirrored lower, in (real, imag) order and followed
-    by its conjugate.  An off-axis root left unpaired counts as real."""
+    by its conjugate.  ``zeros_of`` returns as many lower roots as upper ones."""
     reals, uppers, lowers = [], [], []
     for z in values:
         if _on_axis(z):
@@ -396,12 +434,8 @@ def _symmetrize(values):
             lowers.append(z)
     paired = []
     for u in sorted(uppers, key=lambda z: (z.real, z.imag)):
-        if lowers:
-            j = min(range(len(lowers)), key=lambda j: abs(lowers[j].conjugate() - u))
-            paired.append((u + lowers.pop(j).conjugate()) / 2)
-        else:
-            reals.append(u.real)
-    reals += [z.real for z in lowers]
+        j = min(range(len(lowers)), key=lambda j: abs(lowers[j].conjugate() - u))
+        paired.append((u + lowers.pop(j).conjugate()) / 2)
     layout = [complex(x, 0.0) for x in sorted(reals)]
     for u in sorted(paired, key=lambda z: (z.real, z.imag)):
         layout += (u, u.conjugate())
@@ -505,7 +539,7 @@ def trace(
 
     Each solve inside a segment is seeded with the roots accepted at the
     previous grid point, a few hundredths away, and settles in a few Aberth
-    sweeps where a cold start takes some 25.  The first grid point and each
+    sweeps where a cold start takes some 11.  The first grid point and each
     point past an integer crossing are solved cold: the real-root count
     changes there, and an exactly real seed stays on the real axis.  A
     seeded solve that fails is repeated once cold.  The matching and the

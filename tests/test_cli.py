@@ -170,10 +170,12 @@ class TestZeros:
         assert float(payload["residual_max"]) <= 1e-10
 
     def test_non_finite_roots_exit_code(self, capsys):
+        # the iteration overflowed to NaN here from one circle of radius 1 + max|c|;
+        # from the Newton-polygon start it runs out of sweeps, and still exits 3
         code, out, err = run(capsys, "zeros", "--n", "46", "--omega", "93/2")
         assert code == 3
         assert out == ""
-        assert "finite" in err
+        assert "did not settle" in err
 
     @pytest.mark.parametrize("n, omega", [(20, "0.3"), (40, "2.7")])
     def test_decimal_omega_roots_equal_library(self, capsys, n, omega):
@@ -362,7 +364,9 @@ def test_negative_value_separated_from_its_option(capsys, argv):
 
 # SHA-256 of stdout for every subcommand and format, recorded before the
 # commands shared one writer (the degree-12 verify cases, before every sweep
-# row ran on integer rows); any change to an output byte shows here.
+# row ran on integer rows); any change to an output byte shows here.  The zeros --n 5
+# and trajectory --n 3 streams were re-recorded when the cold start became the
+# Newton-polygon circles (last-digit moves, and the order of one conjugate pair).
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -391,15 +395,15 @@ def test_negative_value_separated_from_its_option(capsys, argv):
         ("verify --n-max 12 --omega-grid 22/7,-13/9,41/2 --format csv",
          0, "dc9ad39078813c3da17d41139b8153b20946eb9c1c116c9f5c800c93348b2a99"),
         ("zeros --n 5 --omega 1/2",
-         0, "daafa781f956afde48ea39771d498ca39d8353a1cd2b0750fb670f27285d0220"),
+         0, "5ee92569e3885bc1276bc8fd682288a51341be280f1d49d5449ba5cb0c549fc4"),
         ("zeros --n 5 --omega 1/2 --format json",
-         0, "a31c87975e7709dd233603f21a198e7468f1eea0804b9d5e0726b84d9093f83e"),
+         0, "c4036bb9baf6fb29a38535b08fbcd25d4600dcf1e9b77798bf1cca6235d40b19"),
         ("zeros --n 46 --omega 93/2",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5",
-         0, "0468f3c01a4a6aa018cd9f47cb9f7d589618f5dd1b6e910da060c20b4e1c6766"),
+         0, "9d8788ade72244f8d1d0462b68aa144fcf59e131cd0b1b8c2d63878744c4c45b"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5 --format json",
-         0, "3561244ed11ea386ebf5d99eb389b5f93b99db5a1f1329a4dd534b297c87db8c"),
+         0, "76f2913682c4e78ed33ee67d6ac6b7b7b2ba41e7a55a4dc2a427c496ab3bd052"),
         ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step 0.05 --match-threshold 1e-10",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("detn --n 4 --omega 1/2 --exact",

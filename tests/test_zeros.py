@@ -106,13 +106,21 @@ class TestFindZeros:
         assert max(abs(p(z)) for z in best) < 1e-10  # iterates are still good roots
 
     def test_non_finite_iterates_refused(self):
-        # the iteration overflows to NaN there; max(0.0, nan) used to report residual 0
-        with pytest.raises(ConvergenceError, match="finite"):
+        # from one circle of radius 1 + max|c| the iteration overflowed to NaN here; from the
+        # Newton-polygon start it runs out of sweeps
+        with pytest.raises(ConvergenceError, match="did not settle"):
             zeros_of(46, Fraction(93, 2))
+        # start circles of radius 1e-308 and 1e308: the first sweep overflows to NaN, and
+        # max(0.0, nan) used to report residual 0
+        with pytest.raises(ConvergenceError, match="finite"):
+            find_zeros(Polynomial([1.0, 1e308, 1.0]))
 
     def test_overflow_refused(self):
-        with pytest.raises(ConvergenceError, match="overflow"):
+        with pytest.raises(ConvergenceError, match="did not settle"):
             zeros_of(52, Fraction(69, 2))
+        # both starts lie on the circle of radius sqrt(1.4e308): |p| there exceeds the double range
+        with pytest.raises(ConvergenceError, match="overflow"):
+            find_zeros(Polynomial([1.4e308, 0.0, 1.0]))
 
     def test_coefficient_beyond_double_range_refused(self):
         # the float conversion raised a bare OverflowError before the solve began
@@ -160,8 +168,8 @@ class TestFindZeros:
 
 
 def test_zeros_of_pinned():
-    # repr of every root set (or the refusal) at n in 5..40, recorded before the
-    # Newton polish stopped at a fixed point and reused its last value as the residual
+    # repr of every root set (or the refusal) at n in 5..40, re-recorded when the cold start
+    # became the Newton-polygon circles: every tag held, every root moved by at most 1.3e-14 relative
     digest = hashlib.sha256()
     for w in (F(1, 2), F(7, 3), 2.5, 0.37):
         for n in range(5, 41):
@@ -170,22 +178,33 @@ def test_zeros_of_pinned():
             except Exception as exc:
                 digest.update(f"{type(exc).__name__}|{exc}".encode())
             digest.update(b"\n")
-    assert digest.hexdigest() == "1334307bcbc7067ac0fda323962ba78f4eb3c5bc3c6c087e3cf450cf9e80580d"
+    assert digest.hexdigest() == "7d5f5386c4cebaa7910dfea6e4fe96656b00a40a84fd619033da29ef4849e9dc"
 
 
-@pytest.mark.xfail(strict=True, reason="Aberth misses two real roots in (-1, 0); "
-                   "ROADMAP Directions 1-2 (exact census, certified roots) mend it")
 def test_thirty_at_twenty_one_halves_has_eleven_roots_in_unit_interval():
     assert classify(zeros_of(30, F(21, 2))).neg_unit == 11
 
 
-@pytest.mark.xfail(strict=True, reason="3 upper and 4 lower off-axis roots; "
-                   "ROADMAP Directions 1-2 (exact census, certified roots) mend it")
 def test_root_set_is_conjugate_symmetric_at_fifteen():
     vals = zeros_of(15, 7.9985).values(include_origin=False)
     upper = sum(z.imag > AXIS_TOL * (1 + abs(z)) for z in vals)
     lower = sum(z.imag < -AXIS_TOL * (1 + abs(z)) for z in vals)
     assert upper == lower
+
+
+@pytest.mark.parametrize("n, w, counts", [(18, F(21, 2), (11, 1, 6)), (16, 8.001, (9, 1, 6))], ids=str)
+def test_counts_follow_the_schedule(n, w, counts):
+    # from one circle of radius 1 + max|c|, (18, 21/2) lost its positive root and
+    # (16, 8.001) came back with 5 upper and 3 lower off-axis roots
+    zs = classify(zeros_of(n, w))
+    assert (zs.neg_unit, zs.pos_real, zs.complex_offaxis, zs.origin) == (*counts, 0)
+
+
+def test_root_set_that_is_not_conjugate_symmetric_refused():
+    # the census puts 36 roots in (-1, 0); the iteration leaves 11 there and 29 roots
+    # off the axis, which zeros_of refuses rather than return the set wrong
+    with pytest.raises(ConvergenceError, match="16 upper and 13 lower off-axis roots"):
+        zeros_of(40, F(71, 2))
 
 
 @pytest.mark.xfail(strict=True, reason="_tag_root has no tag for a real root <= -1; "
@@ -227,8 +246,7 @@ def _aberth_reference(coeffs, start=None):
     c = [x / lead for x in coeffs]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
     if start is None:
-        radius = 1.0 + max(abs(x) for x in c[:-1])
-        roots = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.5)) for k in range(d)]
+        roots = zeros._polygon_start(c)  # the start is tested on its own, below
     else:
         roots = [complex(z) for z in start]
     for sweep in range(1, zeros.MAX_ITERATIONS + 1):
@@ -296,6 +314,55 @@ def test_aberth_guards_and_seeds_are_the_reference_sweep_bit_for_bit():
                               [path[-2] for path in bundle.paths])
     _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0.5, 0.5])  # coincident starts
     _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0, 0.5])    # zero derivative
+
+
+def _upper_hull(points):
+    # brute force: a point is a vertex when it lies strictly above every chord that spans it
+    return [(k, y) for k, y in points
+            if all((y - ya) * (kb - ka) > (yb - ya) * (k - ka)
+                   for ka, ya in points if ka < k for kb, yb in points if kb > k)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_polygon_start_is_the_upper_hull_circles(seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 40)
+    c = [10 ** rng.uniform(-30, 30) * cmath.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(d)] + [1 + 0j]
+    for k in rng.sample(range(1, d), (d - 1) // 3):
+        c[k] = 0j
+    hull = _upper_hull([(k, math.log(abs(x))) for k, x in enumerate(c) if x != 0])
+    expected = []
+    for (i, _), (j, _) in zip(hull, hull[1:]):
+        radius = (abs(c[i]) / abs(c[j])) ** (1 / (j - i))
+        expected += [cmath.rect(radius, TWO_PI * (l / (j - i) + i / d) + 0.7) for l in range(j - i)]
+    start = zeros._polygon_start(c)
+    assert len(start) == d
+    for z, e in zip(start, expected):
+        assert abs(z - e) <= 1e-12 * abs(e)
+
+
+@pytest.mark.parametrize("d, r", [(1, 3.0), (7, 0.25), (30, 2.0), (60, 1e-3)])
+def test_polygon_start_of_a_pure_power_is_one_circle(d, r):
+    start = zeros._polygon_start([complex(-r ** d)] + [0j] * (d - 1) + [1 + 0j])
+    assert len(start) == d
+    assert all(abs(z) == pytest.approx(r, rel=1e-14) for z in start)
+
+
+def test_polygon_start_splits_two_clusters():
+    # (z^3 - a^3)(z^4 - b^4): three roots of modulus a, four of modulus b
+    a, b = 1e-3, 1e3
+    start = zeros._polygon_start([complex(a**3 * b**4), 0j, 0j, complex(-b**4), complex(-a**3), 0j, 0j, 1 + 0j])
+    radii = sorted(abs(z) for z in start)
+    assert radii[:3] == pytest.approx([a] * 3, rel=1e-12)
+    assert radii[3:] == pytest.approx([b] * 4, rel=1e-12)
+
+
+def test_polygon_start_is_off_the_real_axis():
+    # an exactly real start stays real under a real polynomial's iteration
+    for n, w in itertools.product(range(1, 61), (F(1, 2), F(7, 3), F(61, 2), 0.37)):
+        c = _member_coeffs(n, w)
+        start = zeros._polygon_start([x / c[-1] for x in c])
+        assert len(start) == n and all(z.imag != 0 for z in start)
 
 
 def test_coincident_seeds_are_not_certified():
@@ -414,10 +481,11 @@ class TestFizzle:
             fizzle_gap(n, w)
 
     def test_small_degree_gaps_pinned(self):
-        # repr of each gap at n <= 12, where every gap is below 1: the refusal leaves them bit for bit
+        # repr of each gap at n <= 12, where every gap is below 1: the refusal left them bit for bit;
+        # re-recorded when the cold start became the Newton-polygon circles
         gaps = [fizzle_gap(n, w) for n in range(1, 13) for w in (n + F(1, 2), 2 * n + F(1, 3), 5 * n + F(1, 2))]
         digest = hashlib.sha256(repr(gaps).encode()).hexdigest()
-        assert digest == "c19100a7379c6c56424ed13ae0c157d4b7264c24dc81907775bcc4d05c7bbe5a"
+        assert digest == "5b725ea33c7a5b3f6b3962932a8f5a1f1631b474d5219f5e0e45ff65ebadd255"
 
 
 class TestSimplicity:
@@ -552,19 +620,20 @@ class TestTrace:
         assert_neg_unit_schedule(bundle)
 
     def test_grid_and_bursts_pinned(self):
-        # the grids of the cold-started continuation, unchanged by seeding, and a
-        # SHA-256 of each whole bundle; (3, ..., 0.02) rejects and halves 38 steps
+        # the grids of the cold-started continuation, unchanged by seeding and by the
+        # Newton-polygon start, and a SHA-256 of each whole bundle (re-recorded with that
+        # start); (3, ..., 0.02) rejects and halves 38 steps
         for args, length, bursts, digest in [
             ((9, 0.05, 8.95), 456, tuple(range(1, 9)),
-             "2b1c50b10148a1553bc9c4e5c62648c1b4ab8b551b0fcff41ff2e77f95ebfa31"),
+             "234b48bb1bb26ce2d77b08516c987865b9cdf60cc82568760bd434163cc0660f"),
             ((15, 0.05, 14.95), 763, tuple(range(1, 15)),
-             "9a8466aaf00b7e90a4d0c8a61f5133262da720bddec474077e72422694606f09"),
+             "05039b957f381aef4b8c42656548eabbc358e8d179bd14d13cf59084bed1387d"),
             ((17, 0.05, 1.95), 98, (1,),
-             "656505b874338ffc4682b3e22fb6c3b8b39ef8b6e14d06cafefc2225b5f71119"),
+             "9f21ef0a4988b30d110baf5b92c9bceebe5e93619015ac63e00248bd3329fc7c"),
             ((3, 0.05, 2.95, 0.05, 0.02), 86, (1, 2),
-             "a9449746285a13bd4d023c5e8502cd57e4d9e88d31c22e21aecdbd08233bf704"),
+             "588dcde8083990549a581bb66424bc5144bb4ab4409cd3893eb48a7d6e4f07e6"),
             ((21, 0.5, 2.5), 106, (1, 2),
-             "9fee513f0f843c307089ba2419ca66437dbb6c60ee97c0ad7db4ba63169b50b7"),
+             "f145017728b9443c0e24bb2906e127bfb335566448a901d2c3819b9160444dc2"),
         ]:
             bundle = trace(*args)
             assert len(bundle.omega_grid) == length
