@@ -177,6 +177,14 @@ class TestZeros:
         assert out == ""
         assert "did not settle" in err
 
+    def test_root_set_that_is_not_conjugate_symmetric_exit_code(self, capsys):
+        # the command printed the roots here, with more upper than lower off-axis ones, where
+        # zeros_of refused them
+        code, out, err = run(capsys, "zeros", "--n", "40", "--omega", "71/2")
+        assert code == 3
+        assert out == ""
+        assert "not conjugate-symmetric" in err
+
     @pytest.mark.parametrize("n, omega", [(20, "0.3"), (40, "2.7")])
     def test_decimal_omega_roots_equal_library(self, capsys, n, omega):
         _, out, _ = run(capsys, "zeros", "--n", str(n), "--omega", omega, "--format", "json")
@@ -366,7 +374,8 @@ def test_negative_value_separated_from_its_option(capsys, argv):
 # commands shared one writer (the degree-12 verify cases, before every sweep
 # row ran on integer rows); any change to an output byte shows here.  The zeros --n 5
 # and trajectory --n 3 streams were re-recorded when the cold start became the
-# Newton-polygon circles (last-digit moves, and the order of one conjugate pair).
+# Newton-polygon circles (last-digit moves, and the order of one conjugate pair) and
+# when settled roots left the sweep (last-digit moves).
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -395,15 +404,15 @@ def test_negative_value_separated_from_its_option(capsys, argv):
         ("verify --n-max 12 --omega-grid 22/7,-13/9,41/2 --format csv",
          0, "dc9ad39078813c3da17d41139b8153b20946eb9c1c116c9f5c800c93348b2a99"),
         ("zeros --n 5 --omega 1/2",
-         0, "5ee92569e3885bc1276bc8fd682288a51341be280f1d49d5449ba5cb0c549fc4"),
+         0, "f96d43d48a3b4a5fdc5d2d3d4c15265cf67c0c655f010e2baa80c8ffdba7d519"),
         ("zeros --n 5 --omega 1/2 --format json",
-         0, "c4036bb9baf6fb29a38535b08fbcd25d4600dcf1e9b77798bf1cca6235d40b19"),
+         0, "62c17302b294484f9e42c30e49a8191dbd4e1ff6da7eb1d20f1022937f4da823"),
         ("zeros --n 46 --omega 93/2",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5",
-         0, "9d8788ade72244f8d1d0462b68aa144fcf59e131cd0b1b8c2d63878744c4c45b"),
+         0, "21bae0e27f6945a4390c127b27f1005fea479efe433e35b03bfc65f07f49afb3"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5 --format json",
-         0, "76f2913682c4e78ed33ee67d6ac6b7b7b2ba41e7a55a4dc2a427c496ab3bd052"),
+         0, "f74b36fb264b797f7265f0305fcc3839464a909c153fbdbb9e339c2f6fa9e84a"),
         ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step 0.05 --match-threshold 1e-10",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("detn --n 4 --omega 1/2 --exact",

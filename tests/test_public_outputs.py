@@ -108,5 +108,7 @@ def _digest() -> tuple:
 def test_public_results_and_refusals_pinned():
     # re-recorded when the root finder's cold start became the Newton-polygon circles: only
     # zeros_of (118) and fizzle_gap (8) lines moved: roots and gaps in their last digits, which
-    # can swap the sorted order of a conjugate pair
-    assert _digest() == ("72d614cdd8a32ff29c9b73e9f508d4c4564293ae81e5995c77c4b50193f1b941", 10908)
+    # can swap the sorted order of a conjugate pair; and when settled roots left the sweep:
+    # every returned ZeroSet gained its evaluations count, and 46 zeros_of and 7 fizzle_gap
+    # results moved in their last digits
+    assert _digest() == ("4480d3fa5689d84204d8a5564e9fa46882860bb361c39f75c90281e6fb2d0b8c", 10908)
