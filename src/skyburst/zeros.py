@@ -15,10 +15,10 @@ stays in the other roots' corrections (Bini and Fiorentino 2000).
 A solve starts cold, from Bini's Newton-polygon circles (one per modulus
 group of the roots), unless it is given start points.  ``trace`` seeds each
 solve inside an integer-free segment with the roots it accepted at the
-previous grid point (continuation by warm start).  It solves cold at the
-first grid point and past each integer crossing: the real-root count changes
-there, and an exactly real seed cannot leave the real axis.  A seeded solve
-that fails is repeated once cold.
+previous grid point (continuation by warm start), iterating on the reals and
+the upper roots only, each conjugate mirrored.  It solves cold at the first
+grid point and past each integer crossing, where the real-root count changes,
+and repeats once cold a seeded solve that fails.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _polygon_start(c):
     return start
 
 
-def _aberth(coeffs, start=None):
+def _aberth(coeffs, start=None, pairs_from=None):
     """All roots of an ascending complex coefficient list with nonzero constant
     term, the number of sweeps taken and the number of root evaluations made.
 
@@ -167,6 +167,9 @@ def _aberth(coeffs, start=None):
       left to right from 0j, and a difference of exactly 0 is replaced by
       1e-20.  ``sum()`` is not used: from Python 3.12 it sums floats with
       compensation, so the roots would depend on the Python version.
+    - Roots from index ``pairs_from`` on stand for conjugate pairs: after that
+      sum each adds its mirror term 1/(z - conj(z_j)), in index order and with
+      the same guard.  A cold solve has none; its arithmetic is unchanged.
     - A root is frozen once |p| is 0 or its step |step| / (1 + |z|) is below
       1e-14 or NaN: it is not evaluated or moved again but stays in the other
       roots' sums (Bini and Fiorentino, Numer. Algorithms 23, 2000; MPSolve
@@ -183,6 +186,7 @@ def _aberth(coeffs, start=None):
         roots = _polygon_start(c)
     else:
         roots = [as_point(z, "a start point") for z in start]
+    pairs = len(roots) if pairs_from is None else pairs_from
     active = range(len(roots))
     values = [0.0] * len(roots)  # |p| at each root's latest evaluation
     evaluations = 0
@@ -206,6 +210,8 @@ def _aberth(coeffs, start=None):
             s = 0j
             for w in roots[:i] + roots[i + 1:]:
                 s += _ONE / (z - w or 1e-20)
+            for w in roots[pairs:]:
+                s += _ONE / (z - w.conjugate() or 1e-20)
             denom = 1 - ratio * s
             step = ratio if denom == 0 else ratio / denom
             z = roots[i] = z - step
@@ -248,6 +254,30 @@ def _newton_polish(coeffs, z):
     return z, _horner_pair(coeffs, z)[0]
 
 
+def _certified(coeffs, tol, start=None, pairs_from=None):
+    """``_aberth`` and the polish, certified |p(z)| <= tol * (1 + max|c|) at each
+    root: (roots, largest residual, sweeps, evaluations).  ConvergenceError, with
+    the best iterate, when the bound fails or a value overflows or is not finite."""
+    bound = tol * (1 + max(abs(c) for c in coeffs))
+    polished = []
+    sweeps = evaluations = 0
+    try:
+        if len(coeffs) > 1:
+            found, sweeps, evaluations = _aberth(coeffs, start, pairs_from)
+            polished = [_newton_polish(coeffs, z) for z in found]
+        found = [z for z, _ in polished]
+        residuals = [abs(p) for _, p in polished]
+    except OverflowError as exc:
+        raise ConvergenceError(f"root iteration overflowed: {exc}") from exc
+    # the iteration can settle on NaN iterates (max() drops a NaN): refuse them
+    if not all(map(cmath.isfinite, found + residuals)):
+        raise ConvergenceError("non-finite root or residual", best=found)
+    residual_max = max(residuals, default=0.0)
+    if residual_max > bound:
+        raise ConvergenceError(f"residual {residual_max:.3e} exceeds bound {bound:.3e}", best=found)
+    return found, residual_max, sweeps, evaluations
+
+
 def find_zeros(
     p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan, start=None
 ) -> ZeroSet:
@@ -268,7 +298,6 @@ def find_zeros(
     # complex throughout: Horner steps mixing float and complex ran ~7% slower
     coeffs = list(map(complex, p.to_inexact().coeffs))
     n = len(coeffs) - 1
-    scale = 1 + max(abs(c) for c in coeffs)
 
     origin_mult = 0
     while coeffs[0] == 0:
@@ -280,26 +309,7 @@ def find_zeros(
             f"{len(start)} start points for {len(coeffs) - 1} roots after origin deflation"
         )
 
-    polished = []
-    sweeps = evaluations = 0
-    try:
-        if len(coeffs) > 1:
-            found, sweeps, evaluations = _aberth(coeffs, start)
-            polished = [_newton_polish(coeffs, z) for z in found]
-        found = [z for z, _ in polished]
-        residuals = [abs(p) for _, p in polished]
-    except OverflowError as exc:
-        raise ConvergenceError(f"root iteration overflowed: {exc}") from exc
-    # the iteration can settle on NaN iterates (max() drops a NaN): refuse them
-    if not all(map(cmath.isfinite, found + residuals)):
-        raise ConvergenceError("non-finite root or residual", best=found)
-    residual_max = max(residuals, default=0.0)
-    if residual_max > tol * scale:
-        raise ConvergenceError(
-            f"residual {residual_max:.3e} exceeds bound {tol * scale:.3e}",
-            best=found,
-        )
-
+    found, residual_max, sweeps, evaluations = _certified(coeffs, tol, start)  # deflation keeps max|c|
     roots = [(0j, ZeroTag.ORIGIN)] * origin_mult
     roots += [(z, _tag_root(z)) for z in sorted(found, key=lambda z: (z.real, z.imag))]
     return ZeroSet(
@@ -414,6 +424,8 @@ class TrajectoryBundle:
     paths: tuple
     burst_events: tuple
     match_threshold: float
+    cold_solves: int = 0     # solves started cold: the first point, each crossing, each refused seeded solve
+    rejected_steps: int = 0  # steps halved because the root sets moved match_threshold or more
 
     def segment_slices(self) -> list:
         """Inclusive index ranges of the grid between consecutive integer crossings."""
@@ -428,9 +440,9 @@ class TrajectoryBundle:
 
 
 def _symmetrize(values):
-    """(layout, r): the r sorted reals as complex(x, 0.0), then each upper root,
-    averaged with its nearest mirrored lower, in (real, imag) order and followed
-    by its conjugate.  ``zeros_of`` returns as many lower roots as upper ones."""
+    """(layout, r) of a cold solve: the r sorted reals as complex(x, 0.0), then
+    each upper root, averaged with its nearest mirrored lower, in (real, imag)
+    order and followed by its conjugate (``zeros_of`` pairs every lower)."""
     reals, uppers, lowers = [], [], []
     for z in values:
         if _on_axis(z):
@@ -447,6 +459,28 @@ def _symmetrize(values):
     for u in sorted(paired, key=lambda z: (z.real, z.imag)):
         layout += (u, u.conjugate())
     return layout, len(reals)
+
+
+def _seeded(n: int, omega: float, layout: list, r: int, tol: float):
+    """(layout, r) at omega from the layout of a nearby point of its segment.
+
+    Only the reals and the uppers ``layout[r::2]`` are iterated, with each
+    upper's conjugate mirrored; the result is the sorted reals as
+    complex(x, 0.0), then each upper followed by its conjugate.  S_n(0) and
+    S_n(-1) are nonzero off the integers, so a real that leaves the axis or
+    crosses 0 or -1 raises ConvergenceError, as do an upper on or below the
+    axis and two roots equal as doubles (two seeds can settle on one root).
+    """
+    coeffs = list(map(complex, construct(n, omega).to_inexact().coeffs))
+    found = _certified(coeffs, tol, layout[:r] + layout[r::2], r)[0]
+    reals, uppers = sorted(z.real for z in found[:r]), found[r:]
+    kept = all(_on_axis(z) and (z.real > 0, z.real > -1) == (x.real > 0, x.real > -1)
+               for z, x in zip(found, layout[:r]))
+    if not kept or any(_on_axis(u) or u.imag < 0 for u in uppers):
+        raise ConvergenceError("a seeded root left its side of the real axis, of 0 or of -1", best=found)
+    if len(set(reals)) < r or len(set(uppers)) < len(uppers):
+        raise ConvergenceError("two seeded roots settled on one point", best=found)
+    return [complex(x, 0.0) for x in reals] + [w for u in uppers for w in (u, u.conjugate())], r
 
 
 def _assign(xs, ys) -> list:
@@ -500,7 +534,7 @@ def _assign(xs, ys) -> list:
 def _match(src, tgt, crossing: bool):
     """Permutation of layout indices src -> tgt, and the largest displacement.
 
-    src and tgt are (layout, r) pairs from ``_symmetrize``.  Within a segment,
+    src and tgt are (layout, r) pairs from ``_symmetrize`` or ``_seeded``.  Within a segment,
     reals are matched in sorted order (optimal in one dimension), upper
     representatives ``layout[r::2]`` by minimum total distance, and lowers
     mirror their uppers, so conjugate paths stay partners.  At a burst
@@ -544,13 +578,13 @@ def trace(
     MIN_STEP raises TrackingError.  A non-finite end, a range wider than MAX_SPAN, a base_step
     below MIN_STEP or an end past about 2**33 (doubles MIN_STEP apart) raises DomainError.
 
-    Each solve inside a segment is seeded with the roots accepted at the
+    Each solve inside a segment starts from the layout accepted at the
     previous grid point, a few hundredths away, and settles in about 3 Aberth
-    sweeps where a cold start takes some 9.  The first grid point and each
-    point past an integer crossing are solved cold: the real-root count
-    changes there, and an exactly real seed stays on the real axis.  A
-    seeded solve that fails is repeated once cold.  The matching and the
-    step halving check every seeded result as they check a cold one.
+    sweeps where a cold start takes some 9; ``_seeded`` keeps its reals real
+    and on their side of 0 and -1, and its uppers above the axis, or refuses.
+    The first grid point and each point past an integer crossing are solved
+    cold, as the real-root count changes there, and a refused seeded solve is
+    repeated once cold; matching and step halving check every result alike.
 
     Because of the offset the end points of each segment are not at the
     origin: the k = n-j roots collapsing at the integer j sit at radius
@@ -580,12 +614,15 @@ def trace(
     if math.ulp(end) >= MIN_STEP:  # the grid would stop advancing: current + h == current
         raise DomainError(f"omega range ends where doubles are {math.ulp(end)} apart, not below {MIN_STEP}")
 
+    cold = rejected = 0
     def solve(w: float, seed=None):
+        nonlocal cold
         if seed is not None:
             try:
-                return _symmetrize(zeros_of(n, w, tol=tol, start=seed).values())
+                return _seeded(n, w, *seed, tol)
             except ConvergenceError:
                 pass
+        cold += 1
         return _symmetrize(zeros_of(n, w, tol=tol).values())
 
     current = start
@@ -600,7 +637,7 @@ def trace(
         pre_boundary = next_int - INTEGER_OFFSET
         crossing = abs(current - pre_boundary) < 1e-12 and pre_boundary < end
         target = next_int + INTEGER_OFFSET if crossing else min(current + h, pre_boundary, end)
-        new_roots, new_r = solve(target, None if crossing else roots)
+        new_roots, new_r = solve(target, None if crossing else (roots, r))
         perm, disp = _match((roots, r), (new_roots, new_r), crossing)
         if not crossing and disp >= match_threshold:
             if target - current <= MIN_STEP:
@@ -610,6 +647,7 @@ def trace(
                     omega=target,
                 )
             h = (target - current) / 2
+            rejected += 1
             continue
         for i, path in enumerate(paths):
             positions[i] = perm[positions[i]]
@@ -625,4 +663,6 @@ def trace(
         paths=tuple(tuple(p) for p in paths),
         burst_events=tuple(events),
         match_threshold=match_threshold,
+        cold_solves=cold,
+        rejected_steps=rejected,
     )

@@ -410,9 +410,9 @@ def test_negative_value_separated_from_its_option(capsys, argv):
         ("zeros --n 46 --omega 93/2",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5",
-         0, "21bae0e27f6945a4390c127b27f1005fea479efe433e35b03bfc65f07f49afb3"),
+         0, "621bffeea5368fcd7f6c9d6d4756d7c39925188fbd4a2db60ce3a090820102da"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5 --format json",
-         0, "f74b36fb264b797f7265f0305fcc3839464a909c153fbdbb9e339c2f6fa9e84a"),
+         0, "d3b5119f34f636567f8625d6aff71d59b890c553a421cf5684473e9b8b81688b"),
         ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step 0.05 --match-threshold 1e-10",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("detn --n 4 --omega 1/2 --exact",

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -250,10 +251,9 @@ def test_newton_polish_is_the_three_step_polish_bit_for_bit():
             assert repr(p) == repr(zeros._horner_pair(coeffs, z)[0])
 
 
-def _aberth_reference(coeffs, start=None):
+def _aberth_reference(coeffs, start=None, pairs_from=None):
     # the reference sweep: _horner_pair and a loop over j, in the order _aberth keeps;
-    # a frozen root is skipped as i and kept as j
-    d = len(coeffs) - 1
+    # a frozen root is skipped as i and kept as j; then a loop over the mirrored conjugates
     lead = coeffs[-1]
     c = [x / lead for x in coeffs]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
@@ -261,6 +261,8 @@ def _aberth_reference(coeffs, start=None):
         roots = zeros._polygon_start(c)  # the start is tested on its own, below
     else:
         roots = [complex(z) for z in start]
+    d = len(roots)
+    pairs = d if pairs_from is None else pairs_from
     frozen = [False] * d
     values = [0.0] * d
     evaluations = 0
@@ -287,6 +289,11 @@ def _aberth_reference(coeffs, start=None):
                 if dz == 0:
                     dz = 1e-20
                 s += 1 / dz
+            for j in range(pairs, d):
+                dz = z - roots[j].conjugate()
+                if dz == 0:
+                    dz = 1e-20
+                s += 1 / dz
             denom = 1 - ratio * s
             step = ratio if denom == 0 else ratio / denom
             roots[i] = z - step
@@ -300,9 +307,9 @@ def _aberth_reference(coeffs, start=None):
     )
 
 
-def _aberth_outcome(solver, coeffs, start=None):
+def _aberth_outcome(solver, coeffs, start=None, pairs_from=None):
     try:
-        return repr(solver(coeffs, start))
+        return repr(solver(coeffs, start, pairs_from))
     except Exception as exc:
         return repr((type(exc).__name__, str(exc), getattr(exc, "best", None)))
 
@@ -311,9 +318,9 @@ def _member_coeffs(n, w):
     return list(map(complex, construct(n, w).to_inexact().coeffs))
 
 
-def _assert_reference_outcome(coeffs, start=None):
-    assert _aberth_outcome(zeros._aberth, coeffs, start) == _aberth_outcome(
-        _aberth_reference, coeffs, start)
+def _assert_reference_outcome(coeffs, start=None, pairs_from=None):
+    assert _aberth_outcome(zeros._aberth, coeffs, start, pairs_from) == _aberth_outcome(
+        _aberth_reference, coeffs, start, pairs_from)
 
 
 # the pins stop at n = 40 and zeros_scan goes to 60; at 61/2 some solves run
@@ -332,6 +339,17 @@ def test_aberth_guards_and_seeds_are_the_reference_sweep_bit_for_bit():
                               [path[-2] for path in bundle.paths])
     _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0.5, 0.5])  # coincident starts
     _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0, 0.5])    # zero derivative
+
+
+@pytest.mark.parametrize("args", [(9, 0.05, 0.95), (17, 0.5, 0.95), (21, 0.5, 0.95)], ids=str)
+def test_aberth_mirrored_seeds_are_the_reference_sweep_bit_for_bit(args):
+    # the seeded solves of a continuation: the reals and the uppers of the layout at one
+    # grid point, mirrored, towards the next
+    bundle = trace(*args)
+    for k in (1, len(bundle.omega_grid) // 2, len(bundle.omega_grid) - 1):
+        layout, r = zeros._symmetrize([path[k - 1] for path in bundle.paths])
+        _assert_reference_outcome(_member_coeffs(args[0], bundle.omega_grid[k]),
+                                  layout[:r] + layout[r::2], r)
 
 
 def _upper_hull(points):
@@ -397,6 +415,15 @@ def test_coincident_seeds_are_not_certified():
 def test_coincident_seeds_at_a_root_do_not_hide_the_other_root():
     vals = find_zeros(Polynomial((-1.0, 0.0, 1.0)), start=[1.0000001, 1.0000001]).values()
     assert sorted(z.real for z in vals) == [-1.0, 1.0]
+
+
+def test_coincident_upper_seeds_at_a_root_are_refused():
+    # both seeds settle on the root with a tiny residual and the root nearby is lost: the
+    # seeded layout solve refuses two equal uppers, and trace repeats the solve cold
+    layout, r = zeros._symmetrize(zeros_of(9, 0.5).values())
+    layout[r + 2:r + 4] = layout[r:r + 2]
+    with pytest.raises(ConvergenceError, match="one point"):
+        zeros._seeded(9, 0.5, layout, r, zeros.DEFAULT_TOL)
 
 
 def test_polish_fixed_point_tells_signed_zeros_apart():
@@ -650,20 +677,20 @@ class TestTrace:
 
     def test_grid_and_bursts_pinned(self):
         # the grids of the cold-started continuation, unchanged by seeding, by the
-        # Newton-polygon start and by settled roots leaving the sweep, and a SHA-256 of each
-        # whole bundle (re-recorded with each of the last two); (3, ..., 0.02) rejects and
-        # halves 38 steps
+        # Newton-polygon start, by settled roots leaving the sweep and by mirrored seeded
+        # solves, and a SHA-256 of each whole bundle (re-recorded with each of the last three);
+        # (3, ..., 0.02) rejects and halves 38 steps
         for args, length, bursts, digest in [
             ((9, 0.05, 8.95), 456, tuple(range(1, 9)),
-             "65622d1ea98bd77a813c50c43af4ce72e53d68ae9aa35cfb526d726e8420e602"),
+             "71076eb1428249e46507d422d5ae1b3314d4ec81f80930dc3fba0ae2eb1dfbae"),
             ((15, 0.05, 14.95), 763, tuple(range(1, 15)),
-             "ca7771222282113598b979af5958eac6470c70c198ec265abba35f7f0c5f623f"),
+             "58e4a11257ef49e6257eca30153bdf04aea4409182dcf3fe9f77e4205b6ea7af"),
             ((17, 0.05, 1.95), 98, (1,),
-             "73ed7dead95532f281865cdddcbf633c29794ded78b464c16ed1fd12a63edb06"),
+             "fd803e7ecd6a475b6f2d6c12f808dc6d0b53dd020cae05bd0b460d974adb6161"),
             ((3, 0.05, 2.95, 0.05, 0.02), 86, (1, 2),
-             "03c4bad4aad80b6ef52a425ac2a5d3d8a9bd55c223baf41b3a15f86b9aabbcb1"),
+             "7981a2a0e65b965c7f641d9a7b8a7f83dfe3dc555ced7f35522cb501df41dabc"),
             ((21, 0.5, 2.5), 106, (1, 2),
-             "3f80796a9a06b0cbe053230d7c72484a1f7ee4b9418234bf79a478971aaf0093"),
+             "3aeb45c971ee995afff1873630424097e96fe33d2cadda2bbc9120dfbbd91045"),
         ]:
             bundle = trace(*args)
             assert len(bundle.omega_grid) == length
@@ -671,7 +698,7 @@ class TestTrace:
             whole = repr((bundle.omega_grid, bundle.paths, bundle.burst_events))
             assert hashlib.sha256(whole.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("args", [(9, 0.05, 3.5), (17, 0.5, 1.375)])
+    @pytest.mark.parametrize("args", [(9, 0.05, 3.5), (17, 0.5, 1.375), (21, 0.5, 2.5)])
     def test_seeded_positions_are_the_cold_roots(self, args):
         bundle = trace(*args)
         for k, w in enumerate(bundle.omega_grid):
@@ -687,23 +714,45 @@ class TestTrace:
         aberth = zeros._aberth
         seeded = []
 
-        def cold_only(coeffs, start=None):
-            return aberth(coeffs)
+        def cold_only(n, w, layout, r, tol):
+            return zeros._symmetrize(zeros_of(n, w, tol=tol).values())
 
-        def refuse_seeds(coeffs, start=None):
+        def refuse_seeds(coeffs, start=None, pairs_from=None):
             if start is not None:
                 seeded.append(len(start))
                 raise ConvergenceError("seed refused")
             return aberth(coeffs)
 
-        monkeypatch.setattr(zeros, "_aberth", cold_only)
+        monkeypatch.setattr(zeros, "_seeded", cold_only)
         all_cold = trace(9, 0.05, 3.5)
+        monkeypatch.undo()
         monkeypatch.setattr(zeros, "_aberth", refuse_seeds)
         fallback = trace(9, 0.05, 3.5)
         assert len(seeded) >= len(fallback.omega_grid) - 1 - len(fallback.burst_events)
+        assert fallback.cold_solves == len(fallback.omega_grid) + fallback.rejected_steps
         assert fallback.omega_grid == all_cold.omega_grid
         assert fallback.paths == all_cold.paths
         assert fallback.burst_events == all_cold.burst_events
+
+    def test_cold_solves_and_rejected_steps_are_counted(self):
+        # the first point and one point past each crossing: no seeded solve is refused
+        bundle = trace(9, 0.05, 8.95)
+        assert bundle.cold_solves == 1 + len(bundle.burst_events) and bundle.rejected_steps == 1
+        halved = trace(3, 0.05, 2.95, 0.05, 0.02)
+        assert halved.rejected_steps == 38 and halved.cold_solves == 3
+
+    def test_positions_are_mpmath_roots(self):
+        # every 5th grid point against mpmath's roots of the exact polynomial at 50 digits
+        for args in [(9, 0.05, 2.95), (17, 0.5, 1.375)]:
+            bundle = trace(*args)
+            with mpmath.workdps(50):
+                for k in range(0, len(bundle.omega_grid), 5):
+                    exact = construct(args[0], F(bundle.omega_grid[k])).coeffs
+                    roots = [complex(z) for z in mpmath.polyroots(
+                        [mpmath.mpf(c.numerator) / c.denominator for c in reversed(exact)])]
+                    for path in bundle.paths:
+                        z = path[k]
+                        assert min(abs(z - root) for root in roots) <= 1e-13 * (1 + abs(z))
 
     def test_tracking_error_on_unreachable_threshold(self):
         with pytest.raises(TrackingError):
