@@ -12,13 +12,13 @@ once, so the conditioning of the coefficient sum never contaminates the
 input to the root finder.  A root that has settled leaves the sweep but
 stays in the other roots' corrections (Bini and Fiorentino 2000).
 
-A solve starts cold, from Bini's Newton-polygon circles (one per modulus
-group of the roots), unless it is given start points.  ``trace`` seeds each
-solve inside an integer-free segment with the roots it accepted at the
-previous grid point (continuation by warm start), iterating on the reals and
-the upper roots only, each conjugate mirrored.  It solves cold at the first
-grid point and past each integer crossing, where the real-root count changes,
-and repeats once cold a seeded solve that fails.
+``find_zeros`` starts cold, from Bini's Newton-polygon circles (one per
+modulus group of the roots).  ``trace`` seeds each solve inside an integer-free
+segment with the layout it accepted at the previous grid point, iterating on
+the reals and the upper roots only, each conjugate mirrored; the seed's order
+is the step's matching.  It solves cold at the first grid point, past each
+integer crossing (the real-root count changes) and once more after a refused
+seeded solve, and matches a cold layout by minimum total distance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, TrackingError
-from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega, as_point, as_real
+from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega, as_real
 from .skypoly import Polynomial, construct, taylor_about_minus_one
 
 __all__ = [
@@ -155,9 +155,9 @@ def _aberth(coeffs, start=None, pairs_from=None):
 
     Simultaneous (Ehrlich-style) iteration.  A cold solve starts from
     ``_polygon_start``, one circle per modulus group of the roots, and takes
-    some 9 sweeps on the degrees 16..60 of ``zeros_scan`` (17 at most).  Given
-    start points near the roots (one per root, as ``trace`` passes the roots
-    of the previous grid point) it settles in about 3 sweeps.
+    some 9 sweeps on the degrees 16..60 of ``zeros_scan`` (17 at most).  From
+    complex start points near the roots, as ``_seeded`` passes the layout of
+    the previous grid point, it settles in about 3 sweeps.
 
     Every pinned root set depends on the order of the arithmetic here, which
     is the same as that of ``_horner_pair`` and a loop over j:
@@ -182,10 +182,7 @@ def _aberth(coeffs, start=None, pairs_from=None):
     c = [x / lead for x in coeffs]
     top, rest = c[-1], c[-2::-1]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
-    if start is None:
-        roots = _polygon_start(c)
-    else:
-        roots = [as_point(z, "a start point") for z in start]
+    roots = _polygon_start(c) if start is None else list(start)
     pairs = len(roots) if pairs_from is None else pairs_from
     active = range(len(roots))
     values = [0.0] * len(roots)  # |p| at each root's latest evaluation
@@ -278,18 +275,15 @@ def _certified(coeffs, tol, start=None, pairs_from=None):
     return found, residual_max, sweeps, evaluations
 
 
-def find_zeros(
-    p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan, start=None
-) -> ZeroSet:
-    """All roots of p with residual certification.
+def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan) -> ZeroSet:
+    """All roots of p with residual certification, solved cold.
 
     Origin roots are deflated analytically first whenever the constant term is
-    exactly zero.  ``start``, if given, holds one Aberth start point per root
-    left after that deflation (DomainError otherwise); without it the solve
-    starts cold.  Raises DomainError for a negative or non-finite tol or a
-    coefficient outside the double range, and ConvergenceError (carrying the
-    best iterate) if the residual bound tol * (1 + max|coeff|) cannot be
-    certified, or if an iterate or residual overflows or is not finite.
+    exactly zero.  Raises DomainError for a negative or non-finite tol or a
+    coefficient that is not finite as a double, and ConvergenceError (carrying
+    the best iterate) if the residual bound tol * (1 + max|coeff|) cannot be
+    certified, if an iterate or residual overflows or is not finite, or if
+    fewer roots than the degree are found.
     """
     if p.is_zero or p.degree < 1:
         raise DomainError("root finding needs a nonzero polynomial of degree >= 1")
@@ -297,6 +291,8 @@ def find_zeros(
         raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
     # complex throughout: Horner steps mixing float and complex ran ~7% slower
     coeffs = list(map(complex, p.to_inexact().coeffs))
+    if not all(map(cmath.isfinite, coeffs)):
+        raise DomainError("root finding needs finite coefficients")
     n = len(coeffs) - 1
 
     origin_mult = 0
@@ -304,12 +300,9 @@ def find_zeros(
         origin_mult += 1
         coeffs = coeffs[1:]
 
-    if start is not None and len(start) != len(coeffs) - 1:
-        raise DomainError(
-            f"{len(start)} start points for {len(coeffs) - 1} roots after origin deflation"
-        )
-
-    found, residual_max, sweeps, evaluations = _certified(coeffs, tol, start)  # deflation keeps max|c|
+    found, residual_max, sweeps, evaluations = _certified(coeffs, tol)  # deflation keeps max|c|
+    if len(found) < len(coeffs) - 1:  # coefficients that vanish against the lead give no start
+        raise ConvergenceError(f"{len(found)} roots found for degree {len(coeffs) - 1}", best=found)
     roots = [(0j, ZeroTag.ORIGIN)] * origin_mult
     roots += [(z, _tag_root(z)) for z in sorted(found, key=lambda z: (z.real, z.imag))]
     return ZeroSet(
@@ -318,15 +311,14 @@ def find_zeros(
     )
 
 
-def zeros_of(n: int, omega, tol: float = DEFAULT_TOL, start=None) -> ZeroSet:
+def zeros_of(n: int, omega, tol: float = DEFAULT_TOL) -> ZeroSet:
     """Roots of the degree-n family member: exact coefficients, rounded once.
 
-    ``start`` seeds the root iteration as in ``find_zeros``.  The coefficients
-    are real, so a set whose off-axis roots do not split evenly into upper and
-    lower ones is wrong and raises ConvergenceError.
+    The coefficients are real, so a set whose off-axis roots do not split
+    evenly into upper and lower ones is wrong and raises ConvergenceError.
     """
     n, om = as_member(n, omega)
-    zs = find_zeros(construct(n, om), tol=tol, omega=as_real(om, "omega"), start=start)
+    zs = find_zeros(construct(n, om), tol=tol, omega=as_real(om, "omega"))
     off_axis = [z for z in zs.values() if not _on_axis(z)]
     upper = sum(z.imag > 0 for z in off_axis)
     if 2 * upper != len(off_axis):
@@ -410,9 +402,9 @@ class TrajectoryBundle:
     paths[i][k] is the position of path i at omega_grid[k]; burst_events lists
     the integers crossed.  Within an integer-free stretch consecutive path
     positions differ by less than the match threshold used to build the
-    bundle; across a burst the assignment is the minimum total distance over
-    raw positions at a crossing (matching through a burst is ill-posed, the
-    event marks it).
+    bundle.  A seeded step keeps each path at its layout index; a cold layout
+    is assigned by the minimum total distance over raw positions (matching
+    through a burst is ill-posed, the event marks it).
 
     Segment ends sit INTEGER_OFFSET (or the requested start) away from the
     integer j they approach, where the k = n-j roots that collapse onto the
@@ -461,15 +453,14 @@ def _symmetrize(values):
     return layout, len(reals)
 
 
-def _seeded(n: int, omega: float, layout: list, r: int, tol: float):
-    """(layout, r) at omega from the layout of a nearby point of its segment.
+def _seeded(n: int, omega: float, layout: list, r: int, tol: float) -> list:
+    """The layout at omega, index-aligned with the layout of a nearby point of its segment.
 
-    Only the reals and the uppers ``layout[r::2]`` are iterated, with each
-    upper's conjugate mirrored; the result is the sorted reals as
-    complex(x, 0.0), then each upper followed by its conjugate.  S_n(0) and
-    S_n(-1) are nonzero off the integers, so a real that leaves the axis or
-    crosses 0 or -1 raises ConvergenceError, as do an upper on or below the
-    axis and two roots equal as doubles (two seeds can settle on one root).
+    Only the reals and the uppers ``layout[r::2]`` are iterated, each upper's conjugate
+    mirrored; the result is the sorted reals as complex(x, 0.0), then each upper in seed
+    order followed by its conjugate.  S_n(0) and S_n(-1) are nonzero off the integers, so
+    a real that leaves the axis or crosses 0 or -1 raises ConvergenceError, as do an upper
+    on or below the axis and two roots equal as doubles (two seeds can settle on one root).
     """
     coeffs = list(map(complex, construct(n, omega).to_inexact().coeffs))
     found = _certified(coeffs, tol, layout[:r] + layout[r::2], r)[0]
@@ -480,7 +471,7 @@ def _seeded(n: int, omega: float, layout: list, r: int, tol: float):
         raise ConvergenceError("a seeded root left its side of the real axis, of 0 or of -1", best=found)
     if len(set(reals)) < r or len(set(uppers)) < len(uppers):
         raise ConvergenceError("two seeded roots settled on one point", best=found)
-    return [complex(x, 0.0) for x in reals] + [w for u in uppers for w in (u, u.conjugate())], r
+    return [complex(x, 0.0) for x in reals] + [w for u in uppers for w in (u, u.conjugate())]
 
 
 def _assign(xs, ys) -> list:
@@ -489,7 +480,8 @@ def _assign(xs, ys) -> list:
     Hungarian method in O(k^3): rows are added one at a time, each by a
     shortest augmenting path over reduced costs, with row and column potentials
     kept feasible throughout (Kuhn-Munkres, Jonker-Volgenant form).  Ties go to
-    the lowest column index, so the result is deterministic.
+    the lowest column index, so the result is deterministic.  ``trace`` runs it
+    on cold layouts only.
     """
     k = len(xs)
     if len(ys) != k:
@@ -531,28 +523,6 @@ def _assign(xs, ys) -> list:
     return perm
 
 
-def _match(src, tgt, crossing: bool):
-    """Permutation of layout indices src -> tgt, and the largest displacement.
-
-    src and tgt are (layout, r) pairs from ``_symmetrize`` or ``_seeded``.  Within a segment,
-    reals are matched in sorted order (optimal in one dimension), upper
-    representatives ``layout[r::2]`` by minimum total distance, and lowers
-    mirror their uppers, so conjugate paths stay partners.  At a burst
-    crossing, or when the real count changed, the minimum-total-distance
-    assignment runs on the whole layouts.
-    """
-    (xs, r), (ys, r_tgt) = src, tgt
-    if crossing or r != r_tgt:
-        perm = _assign(xs, ys)
-    else:
-        perm = list(range(len(xs)))
-        for j, tj in enumerate(_assign(xs[r::2], ys[r::2])):
-            perm[r + 2 * j] = r + 2 * tj
-            perm[r + 2 * j + 1] = r + 2 * tj + 1
-    disp = max((abs(z - ys[j]) for z, j in zip(xs, perm)), default=0.0)
-    return perm, disp
-
-
 def _clamp_away(w: float, upward: bool) -> float:
     nearest = round(w)
     if abs(w - nearest) < INTEGER_OFFSET:
@@ -580,11 +550,12 @@ def trace(
 
     Each solve inside a segment starts from the layout accepted at the
     previous grid point, a few hundredths away, and settles in about 3 Aberth
-    sweeps where a cold start takes some 9; ``_seeded`` keeps its reals real
-    and on their side of 0 and -1, and its uppers above the axis, or refuses.
-    The first grid point and each point past an integer crossing are solved
-    cold, as the real-root count changes there, and a refused seeded solve is
-    repeated once cold; matching and step halving check every result alike.
+    sweeps where a cold start takes some 9.  ``_seeded`` keeps its reals real
+    and on their side of 0 and -1, its uppers above the axis and its seed's
+    order, which is the step's matching, or refuses.  The first grid point and
+    each point past an integer crossing are solved cold, as the real-root count
+    changes there, and so is a refused seeded solve; ``_assign`` matches a cold
+    layout.  Step halving gates every step inside a segment, seeded or cold.
 
     Because of the offset the end points of each segment are not at the
     origin: the k = n-j roots collapsing at the integer j sit at radius
@@ -619,14 +590,14 @@ def trace(
         nonlocal cold
         if seed is not None:
             try:
-                return _seeded(n, w, *seed, tol)
+                return _seeded(n, w, *seed, tol), seed[1], True
             except ConvergenceError:
                 pass
         cold += 1
-        return _symmetrize(zeros_of(n, w, tol=tol).values())
+        return *_symmetrize(zeros_of(n, w, tol=tol).values()), False
 
     current = start
-    roots, r = solve(current)
+    roots, r, _ = solve(current)
     grid = [current]
     events = []
     paths = [[z] for z in roots]
@@ -637,8 +608,9 @@ def trace(
         pre_boundary = next_int - INTEGER_OFFSET
         crossing = abs(current - pre_boundary) < 1e-12 and pre_boundary < end
         target = next_int + INTEGER_OFFSET if crossing else min(current + h, pre_boundary, end)
-        new_roots, new_r = solve(target, None if crossing else (roots, r))
-        perm, disp = _match((roots, r), (new_roots, new_r), crossing)
+        new_roots, new_r, seeded = solve(target, None if crossing else (roots, r))
+        perm = range(len(roots)) if seeded else _assign(roots, new_roots)
+        disp = max(abs(z - new_roots[j]) for z, j in zip(roots, perm))
         if not crossing and disp >= match_threshold:
             if target - current <= MIN_STEP:
                 raise TrackingError(

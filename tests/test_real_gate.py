@@ -44,8 +44,6 @@ ARGUMENTS = [
      (1, F(1, 10**9), np.float64(1e-9), np.float32(1e-9))),
     ("zeros_of tol", lambda x: zeros_of(3, F(1, 3), tol=x), False,
      (1, F(1, 10**9), np.float64(1e-9), np.float32(1e-9))),
-    ("find_zeros start", lambda x: find_zeros(P, start=[x, -0.5, 0.5j]), True,
-     (1, F(1, 3), np.float64(0.5), np.float32(0.5), np.complex128(0.5 + 0.5j))),
     ("genfun_compare z", lambda x: genfun_compare(F(1, 2), x, 0.1, 8), True,
      (0, F(1, 3), np.float64(0.5), np.float32(0.5), np.complex128(0.4 + 0.2j))),
     ("genfun_compare T", lambda x: genfun_compare(F(1, 2), 0.1, x, 8), True,

@@ -28,7 +28,6 @@ from skyburst.zeros import (
     trace,
     zeros_of,
     _assign,
-    _match,
     _tag_root,
 )
 
@@ -145,13 +144,13 @@ class TestFindZeros:
         # the roots at 0.50 lie within a few hundredths of those at 0.52
         seed = zeros_of(17, 0.50).values()
         cold = zeros_of(17, 0.52)
-        warm = zeros_of(17, 0.52, start=seed)
-        assert 0 < 2 * warm.iterations < cold.iterations
-        assert [tag for _, tag in warm.roots] == [tag for _, tag in cold.roots]
+        found, _, sweeps, _ = zeros._certified(_member_coeffs(17, 0.52), zeros.DEFAULT_TOL, seed)
+        assert 0 < 2 * sweeps < cold.iterations
+        assert sorted(map(_tag_root, found)) == sorted(tag for _, tag in cold.roots)
         # match by distance, not by sorted position: a last-bit move in a real part
         # can swap the (real, imag) order of a conjugate pair
         unmatched = cold.values()
-        for a in warm.values():
+        for a in found:
             b = unmatched.pop(min(range(len(unmatched)), key=lambda j: abs(unmatched[j] - a)))
             assert abs(a - b) <= 1e-10 * (1 + abs(b))
 
@@ -165,11 +164,16 @@ class TestFindZeros:
         assert 0 < zs.evaluations < zs.iterations * 40
         assert find_zeros(construct(3, F(0)).to_inexact()).evaluations == 0
 
-    def test_start_needs_one_point_per_deflated_root(self):
-        # z^2 (z - 1/2) has one root left after deflation
-        with pytest.raises(DomainError, match="start points"):
-            find_zeros(Polynomial((0.0, 0.0, -0.5, 1.0)), start=[0.4, 0.1, 0.2])
-        assert find_zeros(Polynomial((0.0, 0.0, -0.5, 1.0)), start=[0.4]).values()[2] == 0.5
+    @pytest.mark.parametrize("coeffs, error, message", [
+        ((1e-200, 0.0, 1e200), ConvergenceError, "0 roots found for degree 2"),
+        ((1e-170, 1e-170, 1e170), ConvergenceError, "0 roots found for degree 2"),
+        ((1.0, math.inf), DomainError, "finite coefficients"),
+    ], ids=["1e-200,0,1e200", "1e-170,1e-170,1e170", "1,inf"])
+    def test_short_root_set_refused(self, coeffs, error, message):
+        # divided by the lead, the lower coefficients vanished (or turned NaN), the cold start
+        # gave fewer points than roots, and the set came back certified with no roots
+        with pytest.raises(error, match=message):
+            find_zeros(Polynomial(coeffs))
 
     def test_no_kissing_with_endpoints(self):
         for n, w in [(5, F(1, 2)), (9, F(7, 2)), (6, F(22, 7))]:
@@ -337,8 +341,8 @@ def test_aberth_guards_and_seeds_are_the_reference_sweep_bit_for_bit():
     bundle = trace(9, 0.05, 0.5)
     _assert_reference_outcome(_member_coeffs(9, bundle.omega_grid[-1]),
                               [path[-2] for path in bundle.paths])
-    _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0.5, 0.5])  # coincident starts
-    _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0, 0.5])    # zero derivative
+    _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0.5 + 0j, 0.5 + 0j])  # coincident starts
+    _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0j, 0.5 + 0j])        # zero derivative
 
 
 @pytest.mark.parametrize("args", [(9, 0.05, 0.95), (17, 0.5, 0.95), (21, 0.5, 0.95)], ids=str)
@@ -404,17 +408,18 @@ def test_polygon_start_is_off_the_real_axis():
 def test_coincident_seeds_are_not_certified():
     # the 1e-20 guard makes the step ~1e-20, so Aberth "converges" at the
     # non-roots 0.5 and 0.5 after one sweep; the residual bound refuses them
-    roots, sweeps, _ = zeros._aberth([-1 + 0j, 0j, 1 + 0j], [0.5, 0.5])
+    roots, sweeps, _ = zeros._aberth([-1 + 0j, 0j, 1 + 0j], [0.5 + 0j, 0.5 + 0j])
     assert sweeps == 1 and roots[0] == roots[1] == 0.5
     with pytest.raises(ConvergenceError, match="residual"):
-        find_zeros(Polynomial((-1.0, 0.0, 1.0)), start=[0.5, 0.5])
+        zeros._certified([-1 + 0j, 0j, 1 + 0j], zeros.DEFAULT_TOL, [0.5 + 0j, 0.5 + 0j])
 
 
-@pytest.mark.xfail(strict=True, reason="coincident seeds near a root both settle on it "
-                   "with residual 0; ROADMAP Direction 2 (inclusion certificate) mends it")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="coincident seeds near a root both settle on it with residual 0; "
+                   "ROADMAP Direction 2 (inclusion certificate) mends it")
 def test_coincident_seeds_at_a_root_do_not_hide_the_other_root():
-    vals = find_zeros(Polynomial((-1.0, 0.0, 1.0)), start=[1.0000001, 1.0000001]).values()
-    assert sorted(z.real for z in vals) == [-1.0, 1.0]
+    found = zeros._certified([-1 + 0j, 0j, 1 + 0j], zeros.DEFAULT_TOL, [1.0000001 + 0j, 1.0000001 + 0j])[0]
+    assert sorted(z.real for z in found) == [-1.0, 1.0]
 
 
 def test_coincident_upper_seeds_at_a_root_are_refused():
@@ -608,12 +613,10 @@ class TestAssignment:
     def test_nine_uppers_take_the_optimal_pairing(self):
         # nearest-first would send 1+i to 1.6+i and leave 2+i a jump of 2
         far = [10 * k + 1j for k in range(1, 8)]
-        def layout(uppers):  # no reals: each upper root, then its conjugate
-            return [w for u in uppers for w in (u, u.conjugate())], 0
-
-        perm, disp = _match(layout([1 + 1j, 2 + 1j] + far), layout([0 + 1j, 1.6 + 1j] + far), crossing=False)
-        assert disp == pytest.approx(1.0, abs=1e-12)
-        assert perm[:4] == [0, 1, 2, 3]
+        xs, ys = [1 + 1j, 2 + 1j] + far, [0 + 1j, 1.6 + 1j] + far
+        perm = _assign(xs, ys)
+        assert perm == list(range(9))
+        assert max(abs(x - ys[j]) for x, j in zip(xs, perm)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTrace:
@@ -710,12 +713,26 @@ class TestTrace:
                 assert abs(z - root) <= 1e-10 * (1 + abs(root))
                 assert _tag_root(z) is tag
 
+    @pytest.mark.parametrize("args", [(17, 0.5, 1.375), (21, 0.5, 2.5), (9, 0.05, 8.95)])
+    def test_seeded_layouts_keep_the_seed_order(self, args, monkeypatch):
+        # the fact trace's matching rests on: at every seeded step the minimum-total-distance
+        # assignment of the seed's uppers to the result's is the identity
+        seeded = zeros._seeded
+        steps = []
+
+        def checked(n, w, layout, r, tol):
+            found = seeded(n, w, layout, r, tol)
+            steps.append(_assign(layout[r::2], found[r::2]) == list(range(len(found[r::2]))))
+            return found
+
+        monkeypatch.setattr(zeros, "_seeded", checked)
+        bundle = trace(*args)
+        assert len(steps) == len(bundle.omega_grid) - 1 - len(bundle.burst_events) + bundle.rejected_steps
+        assert all(steps)
+
     def test_failed_seeded_solve_is_repeated_cold(self, monkeypatch):
         aberth = zeros._aberth
         seeded = []
-
-        def cold_only(n, w, layout, r, tol):
-            return zeros._symmetrize(zeros_of(n, w, tol=tol).values())
 
         def refuse_seeds(coeffs, start=None, pairs_from=None):
             if start is not None:
@@ -723,16 +740,25 @@ class TestTrace:
                 raise ConvergenceError("seed refused")
             return aberth(coeffs)
 
-        monkeypatch.setattr(zeros, "_seeded", cold_only)
-        all_cold = trace(9, 0.05, 3.5)
-        monkeypatch.undo()
         monkeypatch.setattr(zeros, "_aberth", refuse_seeds)
         fallback = trace(9, 0.05, 3.5)
+        monkeypatch.undo()
+        assert fallback.omega_grid == trace(9, 0.05, 3.5).omega_grid
         assert len(seeded) >= len(fallback.omega_grid) - 1 - len(fallback.burst_events)
         assert fallback.cold_solves == len(fallback.omega_grid) + fallback.rejected_steps
-        assert fallback.omega_grid == all_cold.omega_grid
-        assert fallback.paths == all_cold.paths
-        assert fallback.burst_events == all_cold.burst_events
+        assert fallback.burst_events == (1, 2, 3)
+        # every point is the cold layout there, assigned to the last by minimum total distance
+        positions = list(range(9))
+        last = None
+        for k, w in enumerate(fallback.omega_grid):
+            layout = zeros._symmetrize(zeros_of(9, w).values())[0]
+            if last is not None:
+                perm = _assign(last, layout)
+                positions = [perm[j] for j in positions]
+            assert [path[k] for path in fallback.paths] == [layout[j] for j in positions]
+            last = layout
+        assert_conjugate_partners(fallback)
+        assert_step_bound(fallback)
 
     def test_cold_solves_and_rejected_steps_are_counted(self):
         # the first point and one point past each crossing: no seeded solve is refused
