@@ -13,12 +13,14 @@ input to the root finder.  A root that has settled leaves the sweep but
 stays in the other roots' corrections (Bini and Fiorentino 2000).
 
 ``find_zeros`` starts cold, from Bini's Newton-polygon circles (one per
-modulus group of the roots).  ``trace`` seeds each solve inside an integer-free
-segment with the layout it accepted at the previous grid point, iterating on
-the reals and the upper roots only, each conjugate mirrored; the seed's order
-is the step's matching.  It solves cold at the first grid point, past each
-integer crossing (the real-root count changes) and once more after a refused
-seeded solve, and matches a cold layout by minimum total distance.
+modulus group of the roots).  ``trace`` builds every root layout one way, in
+``_seeded``: it iterates on the reals and the upper roots only, each conjugate
+mirrored, so the reals are real and each partner is an exact conjugate.  Inside
+an integer-free segment the seed is the layout accepted at the previous grid
+point, and the seed's order is the step's matching.  At the first grid point,
+past each integer crossing (the real-root count changes) and once more after a
+refused seeded solve, the seed is the on-axis reals and the uppers of a cold
+solve at the same point; a cold layout is matched by minimum total distance.
 """
 
 from __future__ import annotations
@@ -156,8 +158,9 @@ def _aberth(coeffs, start=None, pairs_from=None):
     Simultaneous (Ehrlich-style) iteration.  A cold solve starts from
     ``_polygon_start``, one circle per modulus group of the roots, and takes
     some 9 sweeps on the degrees 16..60 of ``zeros_scan`` (17 at most).  From
-    complex start points near the roots, as ``_seeded`` passes the layout of
-    the previous grid point, it settles in about 3 sweeps.
+    complex start points near the roots, as ``_seeded`` passes them, it settles
+    in about 3 sweeps from the layout of the previous grid point and in one
+    from the roots of a cold solve at the same point.
 
     Every pinned root set depends on the order of the arithmetic here, which
     is the same as that of ``_horner_pair`` and a loop over j:
@@ -402,9 +405,11 @@ class TrajectoryBundle:
     paths[i][k] is the position of path i at omega_grid[k]; burst_events lists
     the integers crossed.  Within an integer-free stretch consecutive path
     positions differ by less than the match threshold used to build the
-    bundle.  A seeded step keeps each path at its layout index; a cold layout
-    is assigned by the minimum total distance over raw positions (matching
-    through a burst is ill-posed, the event marks it).
+    bundle.  Every position comes out of ``_seeded``: a real has imaginary part
+    0.0 and an off-axis root's partner is its exact conjugate.  A seeded step
+    keeps each path at its layout index; a cold layout is assigned by the
+    minimum total distance (matching through a burst is ill-posed, the event
+    marks it).
 
     Segment ends sit INTEGER_OFFSET (or the requested start) away from the
     integer j they approach, where the k = n-j roots that collapse onto the
@@ -431,47 +436,28 @@ class TrajectoryBundle:
         return out
 
 
-def _symmetrize(values):
-    """(layout, r) of a cold solve: the r sorted reals as complex(x, 0.0), then
-    each upper root, averaged with its nearest mirrored lower, in (real, imag)
-    order and followed by its conjugate (``zeros_of`` pairs every lower)."""
-    reals, uppers, lowers = [], [], []
-    for z in values:
-        if _on_axis(z):
-            reals.append(z.real)
-        elif z.imag > 0:
-            uppers.append(z)
-        else:
-            lowers.append(z)
-    paired = []
-    for u in sorted(uppers, key=lambda z: (z.real, z.imag)):
-        j = min(range(len(lowers)), key=lambda j: abs(lowers[j].conjugate() - u))
-        paired.append((u + lowers.pop(j).conjugate()) / 2)
-    layout = [complex(x, 0.0) for x in sorted(reals)]
-    for u in sorted(paired, key=lambda z: (z.real, z.imag)):
-        layout += (u, u.conjugate())
-    return layout, len(reals)
+def _seeded(n: int, omega: float, reals: list, uppers: list, tol: float) -> list:
+    """The layout at omega, refined from seeds near its roots: the sorted reals as
+    complex(x, 0.0), then each upper in seed order followed by its exact conjugate.
 
-
-def _seeded(n: int, omega: float, layout: list, r: int, tol: float) -> list:
-    """The layout at omega, index-aligned with the layout of a nearby point of its segment.
-
-    Only the reals and the uppers ``layout[r::2]`` are iterated, each upper's conjugate
-    mirrored; the result is the sorted reals as complex(x, 0.0), then each upper in seed
-    order followed by its conjugate.  S_n(0) and S_n(-1) are nonzero off the integers, so
-    a real that leaves the axis or crosses 0 or -1 raises ConvergenceError, as do an upper
-    on or below the axis and two roots equal as doubles (two seeds can settle on one root).
+    Only the reals and the uppers are iterated, each upper's conjugate mirrored.  ``trace``
+    seeds it with the layout of a nearby point of the segment, or with the on-axis reals and
+    the uppers of a cold ``zeros_of`` set at omega itself.  S_n(0) and S_n(-1) are nonzero
+    off the integers, so a real that leaves the axis or crosses 0 or -1 raises
+    ConvergenceError, as do an upper on or below the axis and two roots equal as doubles
+    (two seeds can settle on one root).
     """
+    r = len(reals)
     coeffs = list(map(complex, construct(n, omega).to_inexact().coeffs))
-    found = _certified(coeffs, tol, layout[:r] + layout[r::2], r)[0]
-    reals, uppers = sorted(z.real for z in found[:r]), found[r:]
+    found = _certified(coeffs, tol, reals + uppers, r)[0]
+    settled, uppers = sorted(z.real for z in found[:r]), found[r:]
     kept = all(_on_axis(z) and (z.real > 0, z.real > -1) == (x.real > 0, x.real > -1)
-               for z, x in zip(found, layout[:r]))
+               for z, x in zip(found, reals))
     if not kept or any(_on_axis(u) or u.imag < 0 for u in uppers):
         raise ConvergenceError("a seeded root left its side of the real axis, of 0 or of -1", best=found)
-    if len(set(reals)) < r or len(set(uppers)) < len(uppers):
+    if len(set(settled)) < r or len(set(uppers)) < len(uppers):
         raise ConvergenceError("two seeded roots settled on one point", best=found)
-    return [complex(x, 0.0) for x in reals] + [w for u in uppers for w in (u, u.conjugate())]
+    return [complex(x, 0.0) for x in settled] + [w for u in uppers for w in (u, u.conjugate())]
 
 
 def _assign(xs, ys) -> list:
@@ -542,7 +528,7 @@ def trace(
 
     The grid keeps a fixed offset from every integer (the family degenerates
     there); integer crossings hop from m - offset to m + offset, are matched
-    by the minimum total distance over raw positions at a crossing, and are
+    by the minimum total distance over the layouts at a crossing, and are
     recorded as burst events.  Within a segment the local step is halved until
     consecutive root sets match within match_threshold; a mismatch at a step of
     MIN_STEP raises TrackingError.  A non-finite end, a range wider than MAX_SPAN, a base_step
@@ -554,8 +540,10 @@ def trace(
     and on their side of 0 and -1, its uppers above the axis and its seed's
     order, which is the step's matching, or refuses.  The first grid point and
     each point past an integer crossing are solved cold, as the real-root count
-    changes there, and so is a refused seeded solve; ``_assign`` matches a cold
-    layout.  Step halving gates every step inside a segment, seeded or cold.
+    changes there, and so is a refused seeded solve.  The cold set's on-axis
+    reals and uppers then seed ``_seeded`` at the same omega, and a refusal of
+    that seed raises its ConvergenceError.  ``_assign`` matches a cold layout.
+    Step halving gates every step inside a segment, seeded or cold.
 
     Because of the offset the end points of each segment are not at the
     origin: the k = n-j roots collapsing at the integer j sit at radius
@@ -586,15 +574,18 @@ def trace(
         raise DomainError(f"omega range ends where doubles are {math.ulp(end)} apart, not below {MIN_STEP}")
 
     cold = rejected = 0
-    def solve(w: float, seed=None):
+    def solve(w: float, layout=None, r=0):
         nonlocal cold
-        if seed is not None:
+        if layout is not None:
             try:
-                return _seeded(n, w, *seed, tol), seed[1], True
+                return _seeded(n, w, layout[:r], layout[r::2], tol), r, True
             except ConvergenceError:
                 pass
         cold += 1
-        return *_symmetrize(zeros_of(n, w, tol=tol).values()), False
+        values = zeros_of(n, w, tol=tol).values()
+        reals = [z for z in values if _on_axis(z)]
+        uppers = [z for z in values if z.imag > 0 and not _on_axis(z)]
+        return _seeded(n, w, reals, uppers, tol), len(reals), False
 
     current = start
     roots, r, _ = solve(current)
@@ -608,7 +599,7 @@ def trace(
         pre_boundary = next_int - INTEGER_OFFSET
         crossing = abs(current - pre_boundary) < 1e-12 and pre_boundary < end
         target = next_int + INTEGER_OFFSET if crossing else min(current + h, pre_boundary, end)
-        new_roots, new_r, seeded = solve(target, None if crossing else (roots, r))
+        new_roots, new_r, seeded = solve(target, None if crossing else roots, r)
         perm = range(len(roots)) if seeded else _assign(roots, new_roots)
         disp = max(abs(z - new_roots[j]) for z, j in zip(roots, perm))
         if not crossing and disp >= match_threshold:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -345,15 +346,22 @@ def test_aberth_guards_and_seeds_are_the_reference_sweep_bit_for_bit():
     _assert_reference_outcome([-1 + 0j, 0j, 1 + 0j], [0j, 0.5 + 0j])        # zero derivative
 
 
+def _split(values):
+    # the seed trace gives _seeded: the on-axis reals and the upper roots
+    return ([z for z in values if zeros._on_axis(z)],
+            [z for z in values if z.imag > 0 and not zeros._on_axis(z)])
+
+
 @pytest.mark.parametrize("args", [(9, 0.05, 0.95), (17, 0.5, 0.95), (21, 0.5, 0.95)], ids=str)
 def test_aberth_mirrored_seeds_are_the_reference_sweep_bit_for_bit(args):
-    # the seeded solves of a continuation: the reals and the uppers of the layout at one
-    # grid point, mirrored, towards the next
+    # the seeded solves of a continuation, mirrored: from the reals and the uppers at one grid
+    # point towards the next, and from the cold roots at a grid point towards themselves
     bundle = trace(*args)
     for k in (1, len(bundle.omega_grid) // 2, len(bundle.omega_grid) - 1):
-        layout, r = zeros._symmetrize([path[k - 1] for path in bundle.paths])
-        _assert_reference_outcome(_member_coeffs(args[0], bundle.omega_grid[k]),
-                                  layout[:r] + layout[r::2], r)
+        w = bundle.omega_grid[k]
+        for values in ([path[k - 1] for path in bundle.paths], zeros_of(args[0], w).values()):
+            reals, uppers = _split(values)
+            _assert_reference_outcome(_member_coeffs(args[0], w), reals + uppers, len(reals))
 
 
 def _upper_hull(points):
@@ -424,11 +432,11 @@ def test_coincident_seeds_at_a_root_do_not_hide_the_other_root():
 
 def test_coincident_upper_seeds_at_a_root_are_refused():
     # both seeds settle on the root with a tiny residual and the root nearby is lost: the
-    # seeded layout solve refuses two equal uppers, and trace repeats the solve cold
-    layout, r = zeros._symmetrize(zeros_of(9, 0.5).values())
-    layout[r + 2:r + 4] = layout[r:r + 2]
+    # seeded layout solve refuses two equal uppers
+    reals, uppers = _split(zeros_of(9, 0.5).values())
+    uppers[1] = uppers[0]
     with pytest.raises(ConvergenceError, match="one point"):
-        zeros._seeded(9, 0.5, layout, r, zeros.DEFAULT_TOL)
+        zeros._seeded(9, 0.5, reals, uppers, zeros.DEFAULT_TOL)
 
 
 def test_polish_fixed_point_tells_signed_zeros_apart():
@@ -680,20 +688,20 @@ class TestTrace:
 
     def test_grid_and_bursts_pinned(self):
         # the grids of the cold-started continuation, unchanged by seeding, by the
-        # Newton-polygon start, by settled roots leaving the sweep and by mirrored seeded
-        # solves, and a SHA-256 of each whole bundle (re-recorded with each of the last three);
-        # (3, ..., 0.02) rejects and halves 38 steps
+        # Newton-polygon start, by settled roots leaving the sweep, by mirrored seeded
+        # solves and by refining each cold set mirrored, and a SHA-256 of each whole bundle
+        # (re-recorded with each of the last four); (3, ..., 0.02) rejects and halves 38 steps
         for args, length, bursts, digest in [
             ((9, 0.05, 8.95), 456, tuple(range(1, 9)),
-             "71076eb1428249e46507d422d5ae1b3314d4ec81f80930dc3fba0ae2eb1dfbae"),
+             "84acea79427082ecd4ba488ca08c250f09b0fc69d9ede92a588caf0d302d9fb9"),
             ((15, 0.05, 14.95), 763, tuple(range(1, 15)),
-             "58e4a11257ef49e6257eca30153bdf04aea4409182dcf3fe9f77e4205b6ea7af"),
+             "7c2641008a83664eb1a8bf31c202ec20f3617901e7a2536aeace9f61201bc5cd"),
             ((17, 0.05, 1.95), 98, (1,),
-             "fd803e7ecd6a475b6f2d6c12f808dc6d0b53dd020cae05bd0b460d974adb6161"),
+             "2c69070bd3bc87fa68bc8aa8b165fb8ea1b8942b9dda0a204cae6c73e61e1f67"),
             ((3, 0.05, 2.95, 0.05, 0.02), 86, (1, 2),
              "7981a2a0e65b965c7f641d9a7b8a7f83dfe3dc555ced7f35522cb501df41dabc"),
             ((21, 0.5, 2.5), 106, (1, 2),
-             "3aeb45c971ee995afff1873630424097e96fe33d2cadda2bbc9120dfbbd91045"),
+             "40911db5228f161c8ff82f1cfcaf480c1966c10a5ab4b7e5650d62ef811989ce"),
         ]:
             bundle = trace(*args)
             assert len(bundle.omega_grid) == length
@@ -715,43 +723,52 @@ class TestTrace:
 
     @pytest.mark.parametrize("args", [(17, 0.5, 1.375), (21, 0.5, 2.5), (9, 0.05, 8.95)])
     def test_seeded_layouts_keep_the_seed_order(self, args, monkeypatch):
-        # the fact trace's matching rests on: at every seeded step the minimum-total-distance
-        # assignment of the seed's uppers to the result's is the identity
+        # the fact trace's matching rests on: at every seeded step, and at every refinement of
+        # a cold set, the minimum-total-distance assignment of the seed's uppers to the
+        # result's is the identity
         seeded = zeros._seeded
         steps = []
 
-        def checked(n, w, layout, r, tol):
-            found = seeded(n, w, layout, r, tol)
-            steps.append(_assign(layout[r::2], found[r::2]) == list(range(len(found[r::2]))))
+        def checked(n, w, reals, uppers, tol):
+            found = seeded(n, w, reals, uppers, tol)
+            steps.append(_assign(uppers, found[len(reals)::2]) == list(range(len(uppers))))
             return found
 
         monkeypatch.setattr(zeros, "_seeded", checked)
         bundle = trace(*args)
-        assert len(steps) == len(bundle.omega_grid) - 1 - len(bundle.burst_events) + bundle.rejected_steps
+        warm = len(bundle.omega_grid) - 1 - len(bundle.burst_events) + bundle.rejected_steps
+        assert len(steps) == warm + bundle.cold_solves
         assert all(steps)
 
     def test_failed_seeded_solve_is_repeated_cold(self, monkeypatch):
-        aberth = zeros._aberth
-        seeded = []
+        # every seed from a layout is refused; the refinement of each cold set is not
+        cold_values, seeded = zeros.zeros_of, zeros._seeded
+        pending, refused = [], []
 
-        def refuse_seeds(coeffs, start=None, pairs_from=None):
-            if start is not None:
-                seeded.append(len(start))
-                raise ConvergenceError("seed refused")
-            return aberth(coeffs)
+        def cold(n, w, tol):
+            pending.append(w)
+            return cold_values(n, w, tol)
 
-        monkeypatch.setattr(zeros, "_aberth", refuse_seeds)
+        def refuse_warm_seeds(n, w, reals, uppers, tol):
+            if pending and pending.pop() == w:
+                return seeded(n, w, reals, uppers, tol)
+            refused.append(w)
+            raise ConvergenceError("seed refused")
+
+        monkeypatch.setattr(zeros, "zeros_of", cold)
+        monkeypatch.setattr(zeros, "_seeded", refuse_warm_seeds)
         fallback = trace(9, 0.05, 3.5)
         monkeypatch.undo()
         assert fallback.omega_grid == trace(9, 0.05, 3.5).omega_grid
-        assert len(seeded) >= len(fallback.omega_grid) - 1 - len(fallback.burst_events)
+        assert len(refused) >= len(fallback.omega_grid) - 1 - len(fallback.burst_events)
         assert fallback.cold_solves == len(fallback.omega_grid) + fallback.rejected_steps
         assert fallback.burst_events == (1, 2, 3)
-        # every point is the cold layout there, assigned to the last by minimum total distance
+        # every point is the refined cold layout there, assigned to the last by minimum total
+        # distance
         positions = list(range(9))
         last = None
         for k, w in enumerate(fallback.omega_grid):
-            layout = zeros._symmetrize(zeros_of(9, w).values())[0]
+            layout = zeros._seeded(9, w, *_split(zeros_of(9, w).values()), zeros.DEFAULT_TOL)
             if last is not None:
                 perm = _assign(last, layout)
                 positions = [perm[j] for j in positions]
@@ -759,6 +776,32 @@ class TestTrace:
             last = layout
         assert_conjugate_partners(fallback)
         assert_step_bound(fallback)
+
+    @pytest.mark.parametrize("args", [(9, 0.05, 8.95), (15, 0.05, 14.95), (17, 0.05, 1.95),
+                                      (3, 0.05, 2.95, 0.05, 0.02), (21, 0.5, 2.5)], ids=str)
+    def test_layouts_are_exact_at_every_grid_point(self, args):
+        # cold points included: each real is complex(x, 0.0) and each upper's partner is its
+        # conjugate in every bit, not only within the 1e-9 of assert_conjugate_partners
+        bundle = trace(*args)
+        for points in zip(*bundle.paths):
+            assert all(repr(z.imag) == "0.0" for z in points if zeros._on_axis(z))
+            uppers = sorted(repr(z) for z in points if z.imag > 0)
+            assert uppers == sorted(repr(z.conjugate()) for z in points if z.imag < 0)
+
+    def test_cold_set_with_two_equal_uppers_refused(self, monkeypatch):
+        # a balanced cold set with one upper twice (and its conjugate twice): the refinement
+        # refuses it, where it used to become two paths along one root
+        cold_values = zeros.zeros_of
+
+        def doubled(n, w, tol):
+            zs = cold_values(n, w, tol)
+            first, second = _split(zs.values())[1][:2]
+            twice = {second: first, second.conjugate(): first.conjugate()}
+            return dataclasses.replace(zs, roots=tuple((twice.get(z, z), tag) for z, tag in zs.roots))
+
+        monkeypatch.setattr(zeros, "zeros_of", doubled)
+        with pytest.raises(ConvergenceError, match="one point"):
+            trace(9, 0.05, 0.5)
 
     def test_cold_solves_and_rejected_steps_are_counted(self):
         # the first point and one point past each crossing: no seeded solve is refused
