@@ -15,8 +15,10 @@ name).  Two trees that print the same digest draw the same paths with the
 same classification, whatever their last digits.
 
 ``--dump`` also writes every path coordinate, window by window, to FILE.  The
-second form reads two such files and prints the largest coordinate move
-between them, absolute and relative to |z|, with the window where it occurs.
+second form reads two such files and prints how many coordinates moved and
+the largest move between them, absolute and relative to |z|, with the window
+where it occurs.  A coordinate counts as moved when its bits differ, so a
+sign-of-zero flip, which changes the CSV bytes (-0 against 0), counts too.
 Dumps compare only when both trees drew the same grids.
 
 All 4256 windows take about 100 s on one core.
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import pickle
+import struct
 import sys
 from array import array
 from pathlib import Path
@@ -78,10 +82,13 @@ def compare(first: Path, second: Path) -> None:
     for key in a:
         for k in range(0, len(a[key]), 2):
             z, w = complex(a[key][k], a[key][k + 1]), complex(b[key][k], b[key][k + 1])
-            if z != w:
+            if struct.pack("dd", z.real, z.imag) != struct.pack("dd", w.real, w.imag):
                 moved += 1
-                worst_abs = max(worst_abs, (abs(z - w), key))
-                worst_rel = max(worst_rel, (abs(z - w) / abs(w), key))
+                move = abs(z - w)  # 0 for a sign-of-zero flip
+                if move > worst_abs[0]:
+                    worst_abs = (move, key)
+                if move and (rel := move / abs(w) if w else math.inf) > worst_rel[0]:
+                    worst_rel = (rel, key)
     total = sum(len(x) for x in a.values()) // 2
     print(f"coordinates {total}  moved {moved}")
     print(f"largest move {worst_abs[0]:.3e} at {worst_abs[1]}, relative {worst_rel[0]:.3e} at {worst_rel[1]}")

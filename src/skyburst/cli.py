@@ -26,7 +26,7 @@ from .moments import toeplitz_det_closed, toeplitz_det_direct
 from .recurrences import DEFAULT_OMEGA_GRID, genfun_compare, run_identity_suite
 from .scalarfield import as_omega, parse_rational
 from .skypoly import construct
-from .zeros import _tag_root, trace, zeros_of
+from .zeros import _member_zeros, _tag_root, trace
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -130,8 +130,7 @@ def cmd_verify(args: argparse.Namespace):
 
 def cmd_zeros(args: argparse.Namespace):
     om = args.omega
-    zs = zeros_of(args.n, om, tol=args.tolerance)
-    p = construct(args.n, om).to_inexact()  # the rounded polynomial the roots were found on
+    zs, p = _member_zeros(args.n, om, args.tolerance)  # p: the rounded polynomial the roots were found on
     roots = [
         {"index": idx, "re": _fmt(z.real), "im": _fmt(z.imag), "tag": tag.value, "residual": _fmt(abs(p(z)))}
         for idx, (z, tag) in enumerate(zs.roots)
@@ -150,24 +149,20 @@ def cmd_zeros(args: argparse.Namespace):
 def cmd_trajectory(args: argparse.Namespace):
     bundle = trace(args.n, args.omega_start, args.omega_end, base_step=args.step,
                    match_threshold=args.match_threshold, tol=args.tolerance)
-    # each coordinate is formatted once; JSON writes the (re, im) tuples as arrays
     grid = [_fmt(w) for w in bundle.omega_grid]
-    paths = [[(_fmt(z.real), _fmt(z.imag)) for z in path] for path in bundle.paths]
-    payload = {
-        "n": args.n,
-        "omega_grid": grid,
-        "burst_events": list(bundle.burst_events),
-        "paths": paths,
-    }
+    if args.output_format == "json":  # the (re, im) tuples are written as arrays
+        paths = [[(_fmt(z.real), _fmt(z.imag)) for z in path] for path in bundle.paths]
+        payload = {"n": args.n, "omega_grid": grid, "burst_events": list(bundle.burst_events), "paths": paths}
+        return EXIT_OK, payload, []
     lines = ["omega,path_id,re,im,tag"]
     pending = list(bundle.burst_events)
     for k, w in enumerate(bundle.omega_grid):
         while pending and w > pending[0]:
             lines.append(f"# burst omega={pending.pop(0)}")
-        for i, path in enumerate(bundle.paths):
-            x, y = paths[i][k]
-            lines.append(f"{grid[k]},{i},{x},{y},{_tag_root(path[k]).value}")
-    return EXIT_OK, payload, lines
+        for i, path in enumerate(bundle.paths):  # "%.17g" is _fmt's format
+            z = path[k]
+            lines.append("%s,%d,%.17g,%.17g,%s" % (grid[k], i, z.real, z.imag, _tag_root(z).value))
+    return EXIT_OK, None, lines
 
 
 def cmd_detn(args: argparse.Namespace):

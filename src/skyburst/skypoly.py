@@ -173,9 +173,9 @@ def construct_series(n: int, omega) -> Polynomial:
         c_(n-l) = C(n, l) A_l B_(n-l) / B_n,
         A_l = prod_{i<l} (iq - p),  B_k = prod_{j=1..k} -(jq + p),
 
-    two prefix products, O(n) to form.  Each coefficient is taken as
-    C(n, l) A_l over the suffix product B_n / B_(n-l), the smaller of the two
-    equal fractions.  A_l vanishes for l > omega at omega in {0, ..., n-1},
+    O(n) to form.  Each coefficient is taken as C(n, l) A_l over the suffix
+    product B_n / B_(n-l), the smaller of the two equal fractions, with A_l
+    and the suffix product grown in one pass.  A_l vanishes for l > omega at omega in {0, ..., n-1},
     which makes the low coefficients exactly 0.  B_n vanishes only at omega a
     negative integer in [-n, -1], which raises PoleError naming the vanishing
     term n+omega+1 of the denominator rising factorial.  A float omega runs on
@@ -183,18 +183,35 @@ def construct_series(n: int, omega) -> Polynomial:
     int / int (``rounded_ratio``).
     """
     n, om = as_member(n, omega)
+    return Polynomial([rounded_ratio(om, num, den) for num, den in _member_ratios(n, om)])
+
+
+def _member_ratios(n: int, om) -> list:
+    """The coefficients of S_n^om, z^0 first, as (numerator, positive denominator) integer pairs:
+    C(n, l) A_l over B_n / B_(n-l) at z^(n-l).  PoleError where B_n = 0."""
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
-    a, b = _prefix_products(n, w)
-    if b[n] == 0:
+    if q == 1 and -n <= p <= -1:  # B_n = 0
         raise _construction_pole(n, om)
-    coeffs = [0] * (n + 1)
-    binom, tail = 1, 1  # C(n, k) and B_n / B_k
+    ratios = [None] * (n + 1)
+    binom, head, tail = 1, 1, 1  # C(n, k), A_(n-k) and B_n / B_k
     for k in range(n, -1, -1):
-        coeffs[k] = rounded_ratio(om, binom * a[n - k], tail)
+        ratios[k] = (binom * head, tail) if tail > 0 else (-binom * head, -tail)
+        head *= (n - k) * q - p
         binom = binom * k // (n - k + 1)
         tail *= -(k * q + p)
-    return Polynomial(coeffs)
+    return ratios
+
+
+def _float_row(n: int, om) -> list:
+    """``construct(n, om).to_inexact()``'s coefficients as complex, bit for bit, with its
+    PoleError and DomainError: each is one correctly rounded int / int, as in
+    ``rounded_ratio`` and ``float(Fraction)``, with no Fraction or Polynomial between."""
+    try:
+        return [complex(num / den) for num, den in _member_ratios(n, om)]
+    except OverflowError:
+        where = f"result at omega={om}" if isinstance(om, float) else "a coefficient"
+        raise DomainError(f"{where} lies outside the double range") from None
 
 
 def _row(ell: int, a: list, b: list) -> list:

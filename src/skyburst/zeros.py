@@ -32,7 +32,7 @@ from enum import Enum
 
 from .errors import ConvergenceError, DomainError, TrackingError
 from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega, as_real
-from .skypoly import Polynomial, construct, taylor_about_minus_one
+from .skypoly import Polynomial, _float_row, taylor_about_minus_one
 
 __all__ = [
     "ZeroTag",
@@ -47,14 +47,12 @@ __all__ = [
     "fizzle_gap",
     "simplicity_margin",
     "AXIS_TOL",
-    "ORIGIN_TOL",
     "SIMPLICITY_THRESHOLD",
     "INTEGER_OFFSET",
     "DEFAULT_TOL",
 ]
 
 AXIS_TOL = 1e-9          # |Im z| <= AXIS_TOL * (1 + |z|) counts as real
-ORIGIN_TOL = 1e-12       # |z| <= ORIGIN_TOL counts as the origin (post-deflation)
 SIMPLICITY_THRESHOLD = 1e-6
 INTEGER_OFFSET = 1e-3    # continuation grids never sample closer to an integer
 MIN_STEP = 1e-6
@@ -98,27 +96,13 @@ def _on_axis(z: complex) -> bool:
 
 
 def _tag_root(z: complex) -> ZeroTag:
-    if abs(z) <= ORIGIN_TOL:
-        return ZeroTag.ORIGIN
+    """The tag of a root that is not an exact origin root (only deflation finds those)."""
     if _on_axis(z):
         if -1 < z.real < 0:
             return ZeroTag.NEG_UNIT
         if z.real > 0:
             return ZeroTag.POS_REAL
     return ZeroTag.COMPLEX
-
-
-_ONE = 1 + 0j  # 1 / dz gives the same bits but coerces the int on every term
-
-
-def _horner_pair(coeffs, z):
-    """Value and derivative at z for an ascending coefficient list."""
-    p = coeffs[-1]
-    dp = 0j
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
 
 
 def _polygon_start(c):
@@ -163,7 +147,8 @@ def _aberth(coeffs, start=None, pairs_from=None):
     from the roots of a cold solve at the same point.
 
     Every pinned root set depends on the order of the arithmetic here, which
-    is the same as that of ``_horner_pair`` and a loop over j:
+    is the same as that of a Horner pass from the leading coefficient down
+    (value and derivative) and a loop over j:
     - Gauss-Seidel order: active root i is updated in place, so it sees the
       roots j < i of this sweep and the roots j > i of the last one.
     - The correction sum over j != i, frozen roots included, is accumulated
@@ -172,7 +157,9 @@ def _aberth(coeffs, start=None, pairs_from=None):
       compensation, so the roots would depend on the Python version.
     - Roots from index ``pairs_from`` on stand for conjugate pairs: after that
       sum each adds its mirror term 1/(z - conj(z_j)), in index order and with
-      the same guard.  A cold solve has none; its arithmetic is unchanged.
+      the same guard.  The mirrors are kept in a list, set again whenever
+      their root moves (a step or the nudge at dp == 0), so one loop runs over
+      the other roots and then the mirrors.  A cold solve has none.
     - A root is frozen once |p| is 0 or its step |step| / (1 + |z|) is below
       1e-14 or NaN: it is not evaluated or moved again but stays in the other
       roots' sums (Bini and Fiorentino, Numer. Algorithms 23, 2000; MPSolve
@@ -187,6 +174,8 @@ def _aberth(coeffs, start=None, pairs_from=None):
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
     roots = _polygon_start(c) if start is None else list(start)
     pairs = len(roots) if pairs_from is None else pairs_from
+    mirrors = [w.conjugate() for w in roots[pairs:]]  # conj(roots[pairs + k]) at each moment
+    one = 1 + 0j  # 1 / dz gives the same bits but coerces the int on every term
     active = range(len(roots))
     values = [0.0] * len(roots)  # |p| at each root's latest evaluation
     evaluations = 0
@@ -203,19 +192,21 @@ def _aberth(coeffs, start=None, pairs_from=None):
             if p == 0:
                 continue
             if dp == 0:
-                roots[i] = z * 1.0000001 + 1e-12
-                still.append(i)
-                continue
-            ratio = p / dp
-            s = 0j
-            for w in roots[:i] + roots[i + 1:]:
-                s += _ONE / (z - w or 1e-20)
-            for w in roots[pairs:]:
-                s += _ONE / (z - w.conjugate() or 1e-20)
-            denom = 1 - ratio * s
-            step = ratio if denom == 0 else ratio / denom
-            z = roots[i] = z - step
-            if abs(step) / (1 + abs(z)) >= 1e-14:  # false for a NaN step
+                z = z * 1.0000001 + 1e-12
+                moving = True
+            else:
+                ratio = p / dp
+                s = 0j
+                for w in [*roots[:i], *roots[i + 1:], *mirrors]:  # one list, where + makes two
+                    s += one / (z - w or 1e-20)
+                denom = 1 - ratio * s
+                step = ratio if denom == 0 else ratio / denom
+                z = z - step
+                moving = abs(step) / (1 + abs(z)) >= 1e-14  # false for a NaN step
+            roots[i] = z
+            if i >= pairs:
+                mirrors[i - pairs] = z.conjugate()
+            if moving:
                 still.append(i)
         active = still
         # residuals at machine level end the solve too: a strict step bound can
@@ -234,24 +225,27 @@ def _same_bits(x: complex, y: complex) -> bool:
             and math.copysign(1.0, x.imag) == math.copysign(1.0, y.imag))
 
 
-def _newton_polish(coeffs, z):
-    """Up to three Newton steps from z: the polished z and p(z).
+def _newton_polish(top, rest, z):
+    """Up to three Newton steps from z: the polished z and p(z).  p comes reversed, as
+    ``_certified`` forms it once per solve: its lead, then the rest from z^(d-1) down to z^0.
 
     A step that leaves z the same in every bit ends the polish, since each
     later step would repeat the same arithmetic at the same z.
     """
-    for _ in range(3):
-        p, dp = _horner_pair(coeffs, z)
-        if p == 0 or dp == 0:
+    for k in range(4):
+        p, dp = top, 0j
+        for c in rest:
+            dp = dp * z + p
+            p = p * z + c
+        if k == 3 or p == 0 or dp == 0:
             return z, p
         step = p / dp
         if abs(step) > 1e-2 * (1 + abs(z)):
             return z, p  # polish must not wander off a converged iterate
         z_next = z - step
-        if _same_bits(z_next, z):
+        if z_next == z and _same_bits(z_next, z):
             return z, p
         z = z_next
-    return z, _horner_pair(coeffs, z)[0]
 
 
 def _certified(coeffs, tol, start=None, pairs_from=None):
@@ -264,7 +258,8 @@ def _certified(coeffs, tol, start=None, pairs_from=None):
     try:
         if len(coeffs) > 1:
             found, sweeps, evaluations = _aberth(coeffs, start, pairs_from)
-            polished = [_newton_polish(coeffs, z) for z in found]
+            top, rest = coeffs[-1], coeffs[-2::-1]
+            polished = [_newton_polish(top, rest, z) for z in found]
         found = [z for z, _ in polished]
         residuals = [abs(p) for _, p in polished]
     except OverflowError as exc:
@@ -282,11 +277,11 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
     """All roots of p with residual certification, solved cold.
 
     Origin roots are deflated analytically first whenever the constant term is
-    exactly zero.  Raises DomainError for a negative or non-finite tol or a
-    coefficient that is not finite as a double, and ConvergenceError (carrying
-    the best iterate) if the residual bound tol * (1 + max|coeff|) cannot be
-    certified, if an iterate or residual overflows or is not finite, or if
-    fewer roots than the degree are found.
+    exactly zero; only they are tagged ORIGIN.  Raises DomainError for a
+    negative or non-finite tol or a coefficient that is not finite as a
+    double, and ConvergenceError (carrying the best iterate) if the residual
+    bound tol * (1 + max|coeff|) cannot be certified, if an iterate or residual
+    overflows or is not finite, or if fewer roots than the degree are found.
     """
     if p.is_zero or p.degree < 1:
         raise DomainError("root finding needs a nonzero polynomial of degree >= 1")
@@ -320,15 +315,22 @@ def zeros_of(n: int, omega, tol: float = DEFAULT_TOL) -> ZeroSet:
     The coefficients are real, so a set whose off-axis roots do not split
     evenly into upper and lower ones is wrong and raises ConvergenceError.
     """
+    return _member_zeros(n, omega, tol)[0]
+
+
+def _member_zeros(n: int, omega, tol: float) -> tuple:
+    """``zeros_of`` and the rounded member it found the roots of, whose coefficients are
+    the complex row ``skypoly._float_row`` (``find_zeros`` takes them as they are)."""
     n, om = as_member(n, omega)
-    zs = find_zeros(construct(n, om), tol=tol, omega=as_real(om, "omega"))
+    p = Polynomial(_float_row(n, om))
+    zs = find_zeros(p, tol=tol, omega=as_real(om, "omega"))
     off_axis = [z for z in zs.values() if not _on_axis(z)]
     upper = sum(z.imag > 0 for z in off_axis)
     if 2 * upper != len(off_axis):
         raise ConvergenceError(
             f"{upper} upper and {len(off_axis) - upper} lower off-axis roots: "
             "the set is not conjugate-symmetric", best=zs.values())
-    return zs
+    return zs, p
 
 
 def classify(zs: ZeroSet) -> ZeroCounts:
@@ -448,8 +450,7 @@ def _seeded(n: int, omega: float, reals: list, uppers: list, tol: float) -> list
     (two seeds can settle on one root).
     """
     r = len(reals)
-    coeffs = list(map(complex, construct(n, omega).to_inexact().coeffs))
-    found = _certified(coeffs, tol, reals + uppers, r)[0]
+    found = _certified(_float_row(n, omega), tol, reals + uppers, r)[0]
     settled, uppers = sorted(z.real for z in found[:r]), found[r:]
     kept = all(_on_axis(z) and (z.real > 0, z.real > -1) == (x.real > 0, x.real > -1)
                for z, x in zip(found, reals))
@@ -612,9 +613,10 @@ def trace(
             h = (target - current) / 2
             rejected += 1
             continue
-        for i, path in enumerate(paths):
-            positions[i] = perm[positions[i]]
-            path.append(new_roots[positions[i]])
+        if not seeded:  # a seeded layout keeps every path at its index
+            positions = [perm[k] for k in positions]
+        for path, k in zip(paths, positions):
+            path.append(new_roots[k])
         grid.append(target)
         if crossing:
             events.append(next_int)

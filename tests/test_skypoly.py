@@ -6,7 +6,7 @@ import pytest
 
 from skyburst import skypoly
 from skyburst.errors import DomainError, PoleError
-from skyburst.scalarfield import pochhammer
+from skyburst.scalarfield import as_omega, pochhammer
 from skyburst.skypoly import (
     Polynomial,
     construct,
@@ -353,3 +353,42 @@ class TestTaylorAboutMinusOne:
                     acc = acc + c * power
                     power = power * one_plus_z
                 assert acc == construct(n, w)
+
+
+class TestFloatRow:
+    OMEGAS = (F(1, 3), F(22, 7), F(-7, 3), 0.37, 2.5, -2.5, 13.0, 1e-300, 3, 17, 0, -45, F(-1, 2))
+
+    @staticmethod
+    def _refusal(call):
+        try:
+            call()
+        except (PoleError, DomainError) as exc:
+            return type(exc), str(exc)
+        raise AssertionError("no refusal")
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_is_the_rounded_construction_bit_for_bit(self, n):
+        for w in self.OMEGAS:
+            reference = list(map(complex, construct(n, w).to_inexact().coeffs))
+            row = skypoly._float_row(n, as_omega(w))
+            assert repr(row) == repr(reference)
+            assert all(type(c) is complex for c in row)
+
+    def test_integer_omega_low_coefficients_are_exactly_zero(self):
+        for w in (3, 3.0, F(3)):
+            row = skypoly._float_row(9, as_omega(w))
+            assert repr(row[:6]) == repr([0j] * 6) and row[6] != 0
+
+    @pytest.mark.parametrize("n, w", [(5, -3), (5, -3.0), (4, F(-4)), (40, -1)])
+    def test_pole_is_the_construction_pole(self, n, w):
+        expected = self._refusal(lambda: construct(n, w))
+        assert expected[0] is PoleError
+        assert self._refusal(lambda: skypoly._float_row(n, as_omega(w))) == expected
+
+    @pytest.mark.parametrize("n, w", [(400, math.nextafter(-280.0, 0)),
+                                      (400, F(math.nextafter(-280.0, 0))),
+                                      (2, F(-1) + F(1, 10 ** 400))], ids=["float", "fraction", "near-pole"])
+    def test_double_range_overflow_is_the_rounding_refusal(self, n, w):
+        expected = self._refusal(lambda: construct(n, w).to_inexact())
+        assert expected[0] is DomainError and "outside the double range" in expected[1]
+        assert self._refusal(lambda: skypoly._float_row(n, w)) == expected

@@ -176,6 +176,14 @@ class TestFindZeros:
         with pytest.raises(error, match=message):
             find_zeros(Polynomial(coeffs))
 
+    def test_only_deflated_roots_are_origin_roots(self):
+        # an origin root is an exactly zero constant term, deflated; the iteration's roots of
+        # modulus 1.414e-160 are not origin roots, however small
+        zs = find_zeros(Polynomial([2e-160, 0.0, 1e160]))
+        assert classify(zs).origin == 0
+        assert [abs(z) for z in zs.values()] == pytest.approx([2 ** 0.5 * 1e-160] * 2, rel=1e-7)
+        assert classify(find_zeros(Polynomial([0.0, 2e-160, 0.0, 1e160]))).origin == 1
+
     def test_no_kissing_with_endpoints(self):
         for n, w in [(5, F(1, 2)), (9, F(7, 2)), (6, F(22, 7))]:
             vals = zeros_of(n, w).values()
@@ -232,10 +240,20 @@ def test_real_root_below_minus_one_is_not_tagged_off_axis():
     assert tag is not ZeroTag.COMPLEX
 
 
+def _horner_pair(coeffs, z):
+    # value and derivative at z for an ascending coefficient list: the reference Horner pass
+    p = coeffs[-1]
+    dp = 0j
+    for c in reversed(coeffs[:-1]):
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
 def _polish_three_steps(coeffs, z):
     # the reference polish: always up to three Newton steps
     for _ in range(3):
-        p, dp = zeros._horner_pair(coeffs, z)
+        p, dp = _horner_pair(coeffs, z)
         if p == 0 or dp == 0:
             return z
         step = p / dp
@@ -250,10 +268,10 @@ def test_newton_polish_is_the_three_step_polish_bit_for_bit():
         coeffs = list(map(complex, construct(n, w).to_inexact().coeffs))
         roots, _, _ = zeros._aberth(coeffs)
         for z0 in roots + [r * (1 + 1e-9) for r in roots]:
-            z, p = zeros._newton_polish(coeffs, z0)
+            z, p = zeros._newton_polish(coeffs[-1], coeffs[-2::-1], z0)
             assert repr(z) == repr(_polish_three_steps(coeffs, z0))
             # the residual find_zeros reads is p(z) at the returned z
-            assert repr(p) == repr(zeros._horner_pair(coeffs, z)[0])
+            assert repr(p) == repr(_horner_pair(coeffs, z)[0])
 
 
 def _aberth_reference(coeffs, start=None, pairs_from=None):
@@ -276,7 +294,7 @@ def _aberth_reference(coeffs, start=None, pairs_from=None):
             if frozen[i]:
                 continue
             z = roots[i]
-            p, dp = zeros._horner_pair(c, z)
+            p, dp = _horner_pair(c, z)
             evaluations += 1
             values[i] = abs(p)
             if p == 0:
@@ -362,6 +380,27 @@ def test_aberth_mirrored_seeds_are_the_reference_sweep_bit_for_bit(args):
         for values in ([path[k - 1] for path in bundle.paths], zeros_of(args[0], w).values()):
             reals, uppers = _split(values)
             _assert_reference_outcome(_member_coeffs(args[0], w), reals + uppers, len(reals))
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3, zeros.MAX_ITERATIONS])
+def test_aberth_mirrored_guards_are_the_reference_sweep_bit_for_bit(sweeps, monkeypatch):
+    # mirrored solves through the guards, cut after a few sweeps too (the refusal carries the
+    # iterates), as a stale mirror is forgotten once the roots settle.  p = (z - 1)(z^2 + z + 4)
+    # has p'(1j) == 0 exactly: an upper seeded at 1j is nudged, and the real's next correction
+    # reads the nudged mirror
+    reals, uppers = _split(zeros_of(9, 0.5).values())
+    monkeypatch.setattr(zeros, "MAX_ITERATIONS", sweeps)
+    cubic = [-4 + 0j, 3 + 0j, 0j, 1 + 0j]
+    assert _horner_pair(cubic, 1j)[1] == 0
+    _assert_reference_outcome(cubic, [1.1 + 0j, 1j], 1)
+    _assert_reference_outcome(cubic, [1j, 1.1 + 0j, 1j], 2)  # a real and an upper both at 1j
+    # p (z^2 - 2z + 5): two uppers on one point, and an upper on the axis, on its own mirror
+    quintic = [-20 + 0j, 23 + 0j, -10 + 0j, 8 + 0j, -2 + 0j, 1 + 0j]
+    _assert_reference_outcome(quintic, [1.1 + 0j, 0.9 + 2.1j, 0.9 + 2.1j], 1)
+    _assert_reference_outcome(quintic, [1.1 + 0j, -0.4 + 2j, 1.2 + 0j], 1)
+    # a continuation's seed with its second upper set to the first
+    uppers[1] = uppers[0]
+    _assert_reference_outcome(_member_coeffs(9, 0.5), reals + uppers, len(reals))
 
 
 def _upper_hull(points):
