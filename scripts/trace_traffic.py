@@ -3,6 +3,7 @@
 Run from the root of a checkout:
 
     python scripts/trace_traffic.py [--src DIR] [--dump FILE]
+    python scripts/trace_traffic.py --wide [--src DIR] [--dump FILE]
     python scripts/trace_traffic.py --compare FILE FILE
 
 The first form imports skyburst from DIR (default: the ``src`` of this
@@ -21,7 +22,17 @@ where it occurs.  A coordinate counts as moved when its bits differ, so a
 sign-of-zero flip, which changes the CSV bytes (-0 against 0), counts too.
 Dumps compare only when both trees drew the same grids.
 
-All 4256 windows take about 100 s on one core.
+``--wide`` traces a wider scan, with the same defaults and window width: the
+3572 windows n = 3..40, start k - 1/2 + j/4 (k = 1..n+2, j = 0..3), which reach
+above omega = n and into windows whose seeded solves are refused.  It prints
+the count of each outcome (answered, or the refusal's type name) and one SHA-256
+over every answered window's grid, burst events and path bits and every
+refusal's type name.  Its ``--dump`` holds each window's outcome (a refusal's
+type name, or ``answered`` and a SHA-256 of that window), and ``--compare`` of
+two such dumps counts the windows by the pair of outcomes, so two trees' step
+recovery can be compared window by window.
+
+All 4256 windows take about 100 s on one core, the wide scan about as long.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import pickle
 import struct
 import sys
 from array import array
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,12 +82,56 @@ def traffic(src: Path, dump: Path | None) -> None:
             pickle.dump(coordinates, fh)
 
 
+def wide(src: Path, dump: Path | None) -> None:
+    sys.path[:0] = [str(src), str(ROOT)]
+    from skybench.workloads import WINDOW
+    from skyburst.errors import ConvergenceError, DomainError, TrackingError
+    from skyburst.zeros import trace
+
+    digest = hashlib.sha256()
+    outcomes = {}
+    for n in range(3, 41):
+        for start in (k - 0.5 + j / 4 for k in range(1, n + 3) for j in range(4)):
+            try:
+                bundle = trace(n, start, start + WINDOW)
+            except (ConvergenceError, DomainError, TrackingError) as exc:
+                outcomes[n, start] = type(exc).__name__
+                digest.update(repr((n, start, type(exc).__name__)).encode())
+                continue
+            bits = array("d", (x for path in bundle.paths for z in path for x in (z.real, z.imag)))
+            window = hashlib.sha256(repr((n, start, bundle.omega_grid, bundle.burst_events)).encode())
+            window.update(bits.tobytes())
+            outcomes[n, start] = f"answered {window.hexdigest()}"
+            digest.update(window.digest())
+    counts = Counter(outcome.split()[0] for outcome in outcomes.values())
+    print(f"windows {len(outcomes)}  " + "  ".join(f"{name} {count}" for name, count in sorted(counts.items())))
+    print(f"sha256 {digest.hexdigest()}")
+    if dump is not None:
+        with open(dump, "wb") as fh:
+            pickle.dump(outcomes, fh)
+
+
+def compare_outcomes(a: dict, b: dict) -> None:
+    pairs = Counter()
+    for key in a:
+        x, y = a[key].split()[0], b[key].split()[0]
+        if x == y == "answered" and a[key] != b[key]:
+            y = "answered, other bits"
+        pairs[x, y] += 1
+    for (x, y), count in sorted(pairs.items()):
+        print(f"{x} -> {y}  {count}")
+
+
 def compare(first: Path, second: Path) -> None:
     with open(first, "rb") as fh:
         a = pickle.load(fh)
     with open(second, "rb") as fh:
         b = pickle.load(fh)
-    if a.keys() != b.keys() or any(len(a[key]) != len(b[key]) for key in a):
+    if a.keys() != b.keys():
+        sys.exit("the dumps hold different windows")
+    if all(isinstance(outcome, str) for outcome in a.values()):
+        return compare_outcomes(a, b)
+    if any(len(a[key]) != len(b[key]) for key in a):
         sys.exit("the dumps hold different windows or grids")
     moved = 0
     worst_abs = worst_rel = (0.0, None)
@@ -97,11 +153,14 @@ def compare(first: Path, second: Path) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the skyburst source tree to trace")
-    parser.add_argument("--dump", type=Path, help="also write every path coordinate to this file")
+    parser.add_argument("--dump", type=Path, help="also write every path coordinate (with --wide, each window's outcome) to this file")
+    parser.add_argument("--wide", action="store_true", help="trace the wide scan in place of the workload's windows")
     parser.add_argument("--compare", type=Path, nargs=2, metavar="FILE", help="compare two dumps")
     args = parser.parse_args()
     if args.compare:
         compare(*args.compare)
+    elif args.wide:
+        wide(args.src, args.dump)
     else:
         traffic(args.src, args.dump)
 

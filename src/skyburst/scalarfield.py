@@ -99,8 +99,6 @@ def as_real(value, name: str) -> float:
 
 def as_point(value, name: str) -> complex:
     """A plain ``complex`` for any ``numbers.Complex`` but a bool, each part an ``as_real``."""
-    if type(value) is complex:  # the common case, returned without a copy
-        return value
     if not isinstance(value, numbers.Complex) or isinstance(value, bool):
         raise DomainError(f"cannot interpret {value!r} as {name}")
     return complex(as_real(value.real, name), as_real(value.imag, name))

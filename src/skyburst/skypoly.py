@@ -266,8 +266,10 @@ def construct(n: int, omega) -> Polynomial:
 
     Served by the direct sum, which is exact at every parameter without a
     pole, integer omega = m in {0, ..., n-1} included: there it equals the
-    degree/parameter symmetry z^(n-m) S_m^n (``construct_via_symmetry``, the
-    independent route the ``degree_symmetry`` sweep row checks it against).
+    degree/parameter symmetry z^(n-m) S_m^n (``construct_via_symmetry``).  The
+    ``degree_symmetry`` sweep row checks that on the integer rows, comparing
+    ``_Rows.member(n, m)`` with ``(m, n)`` shifted; it reads neither function, and
+    ``test_construct_series_is_the_member_row`` ties this route to those rows.
     """
     return construct_series(n, omega)
 

@@ -17,10 +17,10 @@ modulus group of the roots).  ``trace`` builds every root layout one way, in
 ``_seeded``: it iterates on the reals and the upper roots only, each conjugate
 mirrored, so the reals are real and each partner is an exact conjugate.  Inside
 an integer-free segment the seed is the layout accepted at the previous grid
-point, and the seed's order is the step's matching.  At the first grid point,
-past each integer crossing (the real-root count changes) and once more after a
-refused seeded solve, the seed is the on-axis reals and the uppers of a cold
-solve at the same point; a cold layout is matched by minimum total distance.
+point, the seed's order is the step's matching, and a refused seed halves the
+step as a far one does.  At the first grid point and past each integer crossing
+(the real-root count changes) the seed is the on-axis reals and the uppers of a
+cold solve there, matched across the crossing by minimum total distance.
 """
 
 from __future__ import annotations
@@ -409,9 +409,9 @@ class TrajectoryBundle:
     positions differ by less than the match threshold used to build the
     bundle.  Every position comes out of ``_seeded``: a real has imaginary part
     0.0 and an off-axis root's partner is its exact conjugate.  A seeded step
-    keeps each path at its layout index; a cold layout is assigned by the
-    minimum total distance (matching through a burst is ill-posed, the event
-    marks it).
+    keeps each path at its layout index; a layout past a crossing is assigned
+    by the minimum total distance (matching through a burst is ill-posed, the
+    event marks it).
 
     Segment ends sit INTEGER_OFFSET (or the requested start) away from the
     integer j they approach, where the k = n-j roots that collapse onto the
@@ -423,8 +423,8 @@ class TrajectoryBundle:
     paths: tuple
     burst_events: tuple
     match_threshold: float
-    cold_solves: int = 0     # solves started cold: the first point, each crossing, each refused seeded solve
-    rejected_steps: int = 0  # steps halved because the root sets moved match_threshold or more
+    cold_solves: int = 0     # solves started cold: the first point and each crossing
+    rejected_steps: int = 0  # steps halved: a refused seed, or root sets that moved match_threshold or more
 
     def segment_slices(self) -> list:
         """Inclusive index ranges of the grid between consecutive integer crossings."""
@@ -468,7 +468,7 @@ def _assign(xs, ys) -> list:
     shortest augmenting path over reduced costs, with row and column potentials
     kept feasible throughout (Kuhn-Munkres, Jonker-Volgenant form).  Ties go to
     the lowest column index, so the result is deterministic.  ``trace`` runs it
-    on cold layouts only.
+    at integer crossings only.
     """
     k = len(xs)
     if len(ys) != k:
@@ -528,23 +528,22 @@ def trace(
     """Continuation of all n zeros over [omega_start, omega_end].
 
     The grid keeps a fixed offset from every integer (the family degenerates
-    there); integer crossings hop from m - offset to m + offset, are matched
-    by the minimum total distance over the layouts at a crossing, and are
-    recorded as burst events.  Within a segment the local step is halved until
-    consecutive root sets match within match_threshold; a mismatch at a step of
-    MIN_STEP raises TrackingError.  A non-finite end, a range wider than MAX_SPAN, a base_step
-    below MIN_STEP or an end past about 2**33 (doubles MIN_STEP apart) raises DomainError.
+    there); integer crossings hop from m - offset to m + offset, are matched by
+    the minimum total distance over the layouts at a crossing, and are recorded
+    as burst events.  Within a segment the step is halved until the seeded solve
+    is accepted and moves no root match_threshold or more; at MIN_STEP a refusal
+    or a move raises TrackingError, chained to the refusal.  A non-finite end, a
+    range wider than MAX_SPAN, a base_step below MIN_STEP or an end past about
+    2**33 (doubles MIN_STEP apart) raises DomainError.
 
-    Each solve inside a segment starts from the layout accepted at the
-    previous grid point, a few hundredths away, and settles in about 3 Aberth
-    sweeps where a cold start takes some 9.  ``_seeded`` keeps its reals real
-    and on their side of 0 and -1, its uppers above the axis and its seed's
-    order, which is the step's matching, or refuses.  The first grid point and
-    each point past an integer crossing are solved cold, as the real-root count
-    changes there, and so is a refused seeded solve.  The cold set's on-axis
-    reals and uppers then seed ``_seeded`` at the same omega, and a refusal of
-    that seed raises its ConvergenceError.  ``_assign`` matches a cold layout.
-    Step halving gates every step inside a segment, seeded or cold.
+    Each solve inside a segment starts from the layout accepted at the previous
+    grid point and settles in about 3 Aberth sweeps where a cold start takes
+    some 9.  ``_seeded`` keeps its reals real and on their side of 0 and -1, its
+    uppers above the axis and its seed's order, the step's matching, or refuses.
+    Only the first grid point and each point past a crossing, where the
+    real-root count changes, are solved cold: the cold set's on-axis reals and
+    uppers seed ``_seeded`` at the same omega, a refusal there raises its
+    ConvergenceError, and ``_assign`` matches across the crossing.
 
     Because of the offset the end points of each segment are not at the
     origin: the k = n-j roots collapsing at the integer j sit at radius
@@ -574,60 +573,56 @@ def trace(
     if math.ulp(end) >= MIN_STEP:  # the grid would stop advancing: current + h == current
         raise DomainError(f"omega range ends where doubles are {math.ulp(end)} apart, not below {MIN_STEP}")
 
-    cold = rejected = 0
-    def solve(w: float, layout=None, r=0):
-        nonlocal cold
-        if layout is not None:
-            try:
-                return _seeded(n, w, layout[:r], layout[r::2], tol), r, True
-            except ConvergenceError:
-                pass
-        cold += 1
+    def cold(w: float):
         values = zeros_of(n, w, tol=tol).values()
         reals = [z for z in values if _on_axis(z)]
-        uppers = [z for z in values if z.imag > 0 and not _on_axis(z)]
-        return _seeded(n, w, reals, uppers, tol), len(reals), False
+        return _seeded(n, w, reals, [z for z in values if z.imag > 0 and not _on_axis(z)], tol), len(reals)
 
     current = start
-    roots, r, _ = solve(current)
+    roots, r = cold(current)
     grid = [current]
     events = []
     paths = [[z] for z in roots]
     positions = list(range(len(paths)))
-    h = base_step
+    h, rejected = base_step, 0
     while current < end - 1e-12:
         next_int = math.floor(current) + 1
         pre_boundary = next_int - INTEGER_OFFSET
-        crossing = abs(current - pre_boundary) < 1e-12 and pre_boundary < end
-        target = next_int + INTEGER_OFFSET if crossing else min(current + h, pre_boundary, end)
-        new_roots, new_r, seeded = solve(target, None if crossing else roots, r)
-        perm = range(len(roots)) if seeded else _assign(roots, new_roots)
-        disp = max(abs(z - new_roots[j]) for z, j in zip(roots, perm))
-        if not crossing and disp >= match_threshold:
-            if target - current <= MIN_STEP:
-                raise TrackingError(
-                    f"root sets at omega={current:.6f} and {target:.6f} moved {disp:.3f}, "
-                    f"beyond threshold {match_threshold}, with the step already at its floor",
-                    omega=target,
-                )
-            h = (target - current) / 2
-            rejected += 1
-            continue
-        if not seeded:  # a seeded layout keeps every path at its index
+        if abs(current - pre_boundary) < 1e-12 and pre_boundary < end:
+            target = next_int + INTEGER_OFFSET
+            new_roots, r = cold(target)
+            perm = _assign(roots, new_roots)
             positions = [perm[k] for k in positions]
+            events.append(next_int)
+            h = base_step
+        else:
+            target = min(current + h, pre_boundary, end)
+            try:  # the seed's order is the matching: every path keeps its layout index
+                new_roots = _seeded(n, target, roots[:r], roots[r::2], tol)
+            except ConvergenceError as exc:
+                refusal, disp = exc, math.inf
+            else:
+                refusal, disp = None, max(abs(z - w) for z, w in zip(roots, new_roots))
+            if disp >= match_threshold:
+                if target - current <= MIN_STEP:
+                    why = (f"moved {disp:.3f}, beyond threshold {match_threshold}," if refusal is None
+                           else f"could not be matched, the seed was refused ({refusal}),")
+                    raise TrackingError(f"root sets at omega={current:.6f} and {target:.6f} {why} with the step "
+                                        "already at its floor", omega=target) from refusal
+                h = (target - current) / 2
+                rejected += 1
+                continue
+            h = min(base_step, 2 * h)
         for path, k in zip(paths, positions):
             path.append(new_roots[k])
         grid.append(target)
-        if crossing:
-            events.append(next_int)
-        current, roots, r = target, new_roots, new_r
-        h = base_step if crossing else min(base_step, 2 * h)
+        current, roots = target, new_roots
 
     return TrajectoryBundle(
         omega_grid=tuple(grid),
         paths=tuple(tuple(p) for p in paths),
         burst_events=tuple(events),
         match_threshold=match_threshold,
-        cold_solves=cold,
+        cold_solves=1 + len(events),
         rejected_steps=rejected,
     )

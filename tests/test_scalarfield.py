@@ -263,8 +263,10 @@ class TestReal:
 
 class TestPoint:
     def test_a_complex_is_returned_as_is(self):
+        # the value, not the object: repr tells the -0.0 imaginary part from 0.0
         z = complex(0.5, -0.0)
-        assert as_point(z, "a point") is z
+        got = as_point(z, "a point")
+        assert type(got) is complex and repr(got) == repr(z) == "(0.5-0j)"
 
     @pytest.mark.parametrize("value", [0.5 + 0.25j, np.complex128(0.5 + 0.25j), np.complex64(0.5 + 0.25j),
                                        0.5, 2, Fraction(1, 2), np.float32(0.5), np.int64(2)])

@@ -478,6 +478,13 @@ def test_coincident_upper_seeds_at_a_root_are_refused():
         zeros._seeded(9, 0.5, reals, uppers, zeros.DEFAULT_TOL)
 
 
+def test_upper_seeds_below_the_axis_are_refused():
+    # seeds that settle on the lower roots leave their side of the real axis
+    reals, uppers = _split(zeros_of(9, 0.5).values())
+    with pytest.raises(ConvergenceError, match="left its side of the real axis, of 0 or of -1"):
+        zeros._seeded(9, 0.5, reals, [u.conjugate() for u in uppers], zeros.DEFAULT_TOL)
+
+
 def test_polish_fixed_point_tells_signed_zeros_apart():
     assert zeros._same_bits(complex(0.0, 1.0), complex(0.0, 1.0))
     assert not zeros._same_bits(complex(-0.0, 1.0), complex(0.0, 1.0))
@@ -779,42 +786,60 @@ class TestTrace:
         assert len(steps) == warm + bundle.cold_solves
         assert all(steps)
 
-    def test_failed_seeded_solve_is_repeated_cold(self, monkeypatch):
-        # every seed from a layout is refused; the refinement of each cold set is not
-        cold_values, seeded = zeros.zeros_of, zeros._seeded
-        pending, refused = [], []
+    @staticmethod
+    def _refusing(monkeypatch, refuse):
+        # wraps zeros_of and _seeded: a warm seed (a _seeded call not right after a zeros_of at
+        # the same omega) is refused when refuse(omega of the last layout, w) holds; returns
+        # the omegas of the cold solves and of the refused seeds, and one entry per _assign call
+        cold_values, seeded, assign = zeros.zeros_of, zeros._seeded, zeros._assign
+        colds, refused, assigned, last = [], [], [], []
 
         def cold(n, w, tol):
-            pending.append(w)
+            colds.append(w)
             return cold_values(n, w, tol)
 
         def refuse_warm_seeds(n, w, reals, uppers, tol):
-            if pending and pending.pop() == w:
-                return seeded(n, w, reals, uppers, tol)
-            refused.append(w)
-            raise ConvergenceError("seed refused")
+            if colds[-1] != w and refuse(last[-1], w):
+                refused.append(w)
+                raise ConvergenceError("seed refused")
+            last.append(w)
+            return seeded(n, w, reals, uppers, tol)
+
+        def counted(xs, ys):
+            assigned.append(len(xs))
+            return assign(xs, ys)
 
         monkeypatch.setattr(zeros, "zeros_of", cold)
         monkeypatch.setattr(zeros, "_seeded", refuse_warm_seeds)
-        fallback = trace(9, 0.05, 3.5)
-        monkeypatch.undo()
-        assert fallback.omega_grid == trace(9, 0.05, 3.5).omega_grid
-        assert len(refused) >= len(fallback.omega_grid) - 1 - len(fallback.burst_events)
-        assert fallback.cold_solves == len(fallback.omega_grid) + fallback.rejected_steps
-        assert fallback.burst_events == (1, 2, 3)
-        # every point is the refined cold layout there, assigned to the last by minimum total
-        # distance
-        positions = list(range(9))
-        last = None
-        for k, w in enumerate(fallback.omega_grid):
-            layout = zeros._seeded(9, w, *_split(zeros_of(9, w).values()), zeros.DEFAULT_TOL)
-            if last is not None:
-                perm = _assign(last, layout)
-                positions = [perm[j] for j in positions]
-            assert [path[k] for path in fallback.paths] == [layout[j] for j in positions]
-            last = layout
-        assert_conjugate_partners(fallback)
-        assert_step_bound(fallback)
+        monkeypatch.setattr(zeros, "_assign", counted)
+        return colds, refused, assigned
+
+    def test_refused_seeds_at_the_step_floor_raise_tracking_error(self, monkeypatch):
+        # every warm seed is refused: the step is halved down to MIN_STEP, as for a step
+        # that moves too far, and the refusal is chained, never repaired by a cold solve
+        colds, refused, assigned = self._refusing(monkeypatch, lambda before, w: True)
+        with pytest.raises(TrackingError, match="the seed was refused") as info:
+            trace(9, 0.05, 3.5)
+        assert 0.05 < info.value.omega <= 0.05 + zeros.MIN_STEP
+        assert isinstance(info.value.__cause__, ConvergenceError)
+        assert "moved" not in str(info.value)
+        assert colds == [0.05] and not assigned
+        assert len(refused) == 16 and refused == sorted(refused, reverse=True)
+
+    def test_refused_seed_at_the_full_step_is_halved(self, monkeypatch):
+        # a warm seed a full base step from the last layout is refused, a half step is not:
+        # each refusal is a rejected step, and only the crossings are solved cold and assigned
+        colds, refused, assigned = self._refusing(monkeypatch, lambda before, w: w - before > 0.015)
+        bundle = trace(9, 0.05, 3.5)
+        assert bundle.burst_events == (1, 2, 3) and refused
+        assert bundle.rejected_steps == len(refused)
+        assert bundle.cold_solves == 1 + len(bundle.burst_events) == len(colds)
+        assert colds == [0.05] + [m + zeros.INTEGER_OFFSET for m in bundle.burst_events]
+        assert assigned == [9] * len(bundle.burst_events)
+        for lo, hi in bundle.segment_slices():
+            assert all(bundle.omega_grid[k + 1] - bundle.omega_grid[k] <= 0.01 + 1e-12 for k in range(lo, hi))
+        assert_conjugate_partners(bundle)
+        assert_step_bound(bundle)
 
     @pytest.mark.parametrize("args", [(9, 0.05, 8.95), (15, 0.05, 14.95), (17, 0.05, 1.95),
                                       (3, 0.05, 2.95, 0.05, 0.02), (21, 0.5, 2.5)], ids=str)
