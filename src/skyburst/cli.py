@@ -130,7 +130,7 @@ def cmd_verify(args: argparse.Namespace):
 
 def cmd_zeros(args: argparse.Namespace):
     om = args.omega
-    zs, p = _member_zeros(args.n, om, args.tolerance)  # p: the rounded polynomial the roots were found on
+    zs, p = _member_zeros(args.n, om)  # p: the rounded polynomial the roots were found on
     roots = [
         {"index": idx, "re": _fmt(z.real), "im": _fmt(z.imag), "tag": tag.value, "residual": _fmt(abs(p(z)))}
         for idx, (z, tag) in enumerate(zs.roots)
@@ -147,8 +147,7 @@ def cmd_zeros(args: argparse.Namespace):
 
 
 def cmd_trajectory(args: argparse.Namespace):
-    bundle = trace(args.n, args.omega_start, args.omega_end, base_step=args.step,
-                   match_threshold=args.match_threshold, tol=args.tolerance)
+    bundle = trace(args.n, args.omega_start, args.omega_end, base_step=args.step)
     grid = [_fmt(w) for w in bundle.omega_grid]
     if args.output_format == "json":  # the (re, im) tuples are written as arrays
         paths = [[(_fmt(z.real), _fmt(z.imag)) for z in path] for path in bundle.paths]
@@ -199,14 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, cmd, output_format=None, omega=True, tol=False):
+    def add_common(p, cmd, output_format=None, omega=True):
         # --format exists only where output_format is given; "text" is the default elsewhere
         p.set_defaults(cmd=cmd, output_format=output_format or "text")
         if output_format:
             p.add_argument("--format", choices=("json", "csv"), dest="output_format")
         p.add_argument("--out", default=None, dest="output_path", metavar="PATH")
-        if tol:
-            p.add_argument("--tol", type=positive_float, default=1e-10, dest="tolerance")
         if omega:
             p.add_argument("--omega", required=True, help='parameter, "p/q" or decimal')
             p.add_argument("--exact", action="store_true", help="require exact rational arithmetic")
@@ -232,15 +229,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="roots of S_n^omega with tags and residuals")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, cmd_zeros, "csv", tol=True)
+    add_common(p, cmd_zeros, "csv")
 
     p = sub.add_parser("trajectory", help="zero paths over an omega range")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--omega-start", type=float, required=True)
     p.add_argument("--omega-end", type=float, required=True)
     p.add_argument("--step", type=positive_float, default=0.02)
-    p.add_argument("--match-threshold", type=positive_float, default=0.1, dest="match_threshold")
-    add_common(p, cmd_trajectory, "csv", omega=False, tol=True)
+    add_common(p, cmd_trajectory, "csv", omega=False)
 
     p = sub.add_parser("detn", help="moment determinant, direct vs closed form")
     p.add_argument("--n", type=int, required=True)

@@ -56,6 +56,7 @@ AXIS_TOL = 1e-9          # |Im z| <= AXIS_TOL * (1 + |z|) counts as real
 SIMPLICITY_THRESHOLD = 1e-6
 INTEGER_OFFSET = 1e-3    # continuation grids never sample closer to an integer
 MIN_STEP = 1e-6
+MATCH_THRESHOLD = 0.1    # a continuation step moving a root this far or more is halved
 MAX_ITERATIONS = 500
 DEFAULT_TOL = 1e-10
 MAX_SPAN = 1000.0        # widest omega range trace accepts: at the default step, some 50,000 grid points
@@ -309,21 +310,22 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
     )
 
 
-def zeros_of(n: int, omega, tol: float = DEFAULT_TOL) -> ZeroSet:
-    """Roots of the degree-n family member: exact coefficients, rounded once.
+def zeros_of(n: int, omega) -> ZeroSet:
+    """Roots of the degree-n family member: exact coefficients, rounded once, each
+    root certified to ``DEFAULT_TOL`` as ``find_zeros`` does.
 
     The coefficients are real, so a set whose off-axis roots do not split
     evenly into upper and lower ones is wrong and raises ConvergenceError.
     """
-    return _member_zeros(n, omega, tol)[0]
+    return _member_zeros(n, omega)[0]
 
 
-def _member_zeros(n: int, omega, tol: float) -> tuple:
+def _member_zeros(n: int, omega) -> tuple:
     """``zeros_of`` and the rounded member it found the roots of, whose coefficients are
     the complex row ``skypoly._float_row`` (``find_zeros`` takes them as they are)."""
     n, om = as_member(n, omega)
     p = Polynomial(_float_row(n, om))
-    zs = find_zeros(p, tol=tol, omega=as_real(om, "omega"))
+    zs = find_zeros(p, omega=as_real(om, "omega"))
     off_axis = [z for z in zs.values() if not _on_axis(z)]
     upper = sum(z.imag > 0 for z in off_axis)
     if 2 * upper != len(off_axis):
@@ -406,12 +408,11 @@ class TrajectoryBundle:
 
     paths[i][k] is the position of path i at omega_grid[k]; burst_events lists
     the integers crossed.  Within an integer-free stretch consecutive path
-    positions differ by less than the match threshold used to build the
-    bundle.  Every position comes out of ``_seeded``: a real has imaginary part
-    0.0 and an off-axis root's partner is its exact conjugate.  A seeded step
-    keeps each path at its layout index; a layout past a crossing is assigned
-    by the minimum total distance (matching through a burst is ill-posed, the
-    event marks it).
+    positions differ by less than ``MATCH_THRESHOLD``.  Every position comes
+    out of ``_seeded``: a real has imaginary part 0.0 and an off-axis root's
+    partner is its exact conjugate.  A seeded step keeps each path at its
+    layout index; a layout past a crossing is assigned by the minimum total
+    distance (matching through a burst is ill-posed, the event marks it).
 
     Segment ends sit INTEGER_OFFSET (or the requested start) away from the
     integer j they approach, where the k = n-j roots that collapse onto the
@@ -422,9 +423,12 @@ class TrajectoryBundle:
     omega_grid: tuple
     paths: tuple
     burst_events: tuple
-    match_threshold: float
-    cold_solves: int = 0     # solves started cold: the first point and each crossing
-    rejected_steps: int = 0  # steps halved: a refused seed, or root sets that moved match_threshold or more
+    rejected_steps: int = 0  # steps halved: a refused seed, or root sets that moved MATCH_THRESHOLD or more
+
+    @property
+    def cold_solves(self) -> int:
+        """Solves started cold: the first point and one past each crossing."""
+        return 1 + len(self.burst_events)
 
     def segment_slices(self) -> list:
         """Inclusive index ranges of the grid between consecutive integer crossings."""
@@ -438,9 +442,10 @@ class TrajectoryBundle:
         return out
 
 
-def _seeded(n: int, omega: float, reals: list, uppers: list, tol: float) -> list:
-    """The layout at omega, refined from seeds near its roots: the sorted reals as
-    complex(x, 0.0), then each upper in seed order followed by its exact conjugate.
+def _seeded(n: int, omega: float, reals: list, uppers: list) -> list:
+    """The layout at omega, refined from seeds near its roots and certified to
+    ``DEFAULT_TOL``: the sorted reals as complex(x, 0.0), then each upper in seed
+    order followed by its exact conjugate.
 
     Only the reals and the uppers are iterated, each upper's conjugate mirrored.  ``trace``
     seeds it with the layout of a nearby point of the segment, or with the on-axis reals and
@@ -450,7 +455,7 @@ def _seeded(n: int, omega: float, reals: list, uppers: list, tol: float) -> list
     (two seeds can settle on one root).
     """
     r = len(reals)
-    found = _certified(_float_row(n, omega), tol, reals + uppers, r)[0]
+    found = _certified(_float_row(n, omega), DEFAULT_TOL, reals + uppers, r)[0]
     settled, uppers = sorted(z.real for z in found[:r]), found[r:]
     kept = all(_on_axis(z) and (z.real > 0, z.real > -1) == (x.real > 0, x.real > -1)
                for z, x in zip(found, reals))
@@ -517,24 +522,18 @@ def _clamp_away(w: float, upward: bool) -> float:
     return w
 
 
-def trace(
-    n: int,
-    omega_start: float,
-    omega_end: float,
-    base_step: float = 0.02,
-    match_threshold: float = 0.1,
-    tol: float = DEFAULT_TOL,
-) -> TrajectoryBundle:
+def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02) -> TrajectoryBundle:
     """Continuation of all n zeros over [omega_start, omega_end].
 
     The grid keeps a fixed offset from every integer (the family degenerates
     there); integer crossings hop from m - offset to m + offset, are matched by
     the minimum total distance over the layouts at a crossing, and are recorded
     as burst events.  Within a segment the step is halved until the seeded solve
-    is accepted and moves no root match_threshold or more; at MIN_STEP a refusal
-    or a move raises TrackingError, chained to the refusal.  A non-finite end, a
-    range wider than MAX_SPAN, a base_step below MIN_STEP or an end past about
-    2**33 (doubles MIN_STEP apart) raises DomainError.
+    is accepted and moves no root ``MATCH_THRESHOLD`` or more; at MIN_STEP a
+    refusal or a move raises TrackingError, chained to the refusal.  Every solve
+    is certified to ``DEFAULT_TOL``.  A non-finite end, a range wider than
+    MAX_SPAN, a base_step below MIN_STEP or an end past about 2**33 (doubles
+    MIN_STEP apart) raises DomainError.
 
     Each solve inside a segment starts from the layout accepted at the previous
     grid point and settles in about 3 Aberth sweeps where a cold start takes
@@ -552,17 +551,15 @@ def trace(
     if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("continuation needs degree >= 1")
     omega_start, omega_end = as_real(omega_start, "omega_start"), as_real(omega_end, "omega_end")
-    base_step, match_threshold = as_real(base_step, "base_step"), as_real(match_threshold, "match_threshold")
+    base_step = as_real(base_step, "base_step")
     if not (math.isfinite(omega_start) and math.isfinite(omega_end)):
         raise DomainError(f"omega range must be finite, got [{omega_start}, {omega_end}]")
     if not (0 <= omega_start < omega_end):
         raise DomainError("need 0 <= omega_start < omega_end")
     if omega_end - omega_start > MAX_SPAN:
         raise DomainError(f"omega range wider than {MAX_SPAN}: [{omega_start}, {omega_end}]")
-    # a NaN threshold would never reject a step; refuse it with the other non-finite values
-    for name, value in (("base_step", base_step), ("match_threshold", match_threshold)):
-        if not 0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    if not 0 < base_step < math.inf:
+        raise DomainError(f"base_step must be positive and finite, got {base_step}")
     if base_step < MIN_STEP:
         raise DomainError(f"base_step must be at least {MIN_STEP}, got {base_step}")
 
@@ -574,9 +571,9 @@ def trace(
         raise DomainError(f"omega range ends where doubles are {math.ulp(end)} apart, not below {MIN_STEP}")
 
     def cold(w: float):
-        values = zeros_of(n, w, tol=tol).values()
+        values = zeros_of(n, w).values()
         reals = [z for z in values if _on_axis(z)]
-        return _seeded(n, w, reals, [z for z in values if z.imag > 0 and not _on_axis(z)], tol), len(reals)
+        return _seeded(n, w, reals, [z for z in values if z.imag > 0 and not _on_axis(z)]), len(reals)
 
     current = start
     roots, r = cold(current)
@@ -598,14 +595,14 @@ def trace(
         else:
             target = min(current + h, pre_boundary, end)
             try:  # the seed's order is the matching: every path keeps its layout index
-                new_roots = _seeded(n, target, roots[:r], roots[r::2], tol)
+                new_roots = _seeded(n, target, roots[:r], roots[r::2])
             except ConvergenceError as exc:
                 refusal, disp = exc, math.inf
             else:
                 refusal, disp = None, max(abs(z - w) for z, w in zip(roots, new_roots))
-            if disp >= match_threshold:
+            if disp >= MATCH_THRESHOLD:
                 if target - current <= MIN_STEP:
-                    why = (f"moved {disp:.3f}, beyond threshold {match_threshold}," if refusal is None
+                    why = (f"moved {disp:.3f}, beyond threshold {MATCH_THRESHOLD}," if refusal is None
                            else f"could not be matched, the seed was refused ({refusal}),")
                     raise TrackingError(f"root sets at omega={current:.6f} and {target:.6f} {why} with the step "
                                         "already at its floor", omega=target) from refusal
@@ -622,7 +619,5 @@ def trace(
         omega_grid=tuple(grid),
         paths=tuple(tuple(p) for p in paths),
         burst_events=tuple(events),
-        match_threshold=match_threshold,
-        cold_solves=1 + len(events),
         rejected_steps=rejected,
     )

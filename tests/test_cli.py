@@ -192,6 +192,11 @@ class TestZeros:
         got = [complex(float(r["re"]), float(r["im"])) for r in rows]
         assert got == [z for z, _ in zeros_of(n, float(omega)).roots]
 
+    def test_tol_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--n", "5", "--omega", "1/2", "--tol", "1e-3"])
+        assert exc.value.code == 2
+
 
 class TestTrajectory:
     def test_csv_structure(self, capsys):
@@ -263,12 +268,15 @@ class TestTrajectory:
         assert out.stderr.startswith("skyburst: omega range ends where doubles are")
 
     def test_tracking_error_exit_code(self, capsys):
-        code, _, err = run(
-            capsys, "trajectory", "--n", "2", "--omega-start", "0.3",
-            "--omega-end", "0.5", "--step", "0.05", "--match-threshold", "1e-10",
-        )
-        assert code == 3
-        assert "threshold" in err
+        code, out, err = run(capsys, "trajectory", "--n", "28", "--omega-start", "29.0", "--omega-end", "29.875")
+        assert (code, out) == (3, "")
+        assert "moved 0.385, beyond threshold 0.1" in err
+
+    @pytest.mark.parametrize("option", ["--tol", "--match-threshold"])
+    def test_tol_and_match_threshold_are_not_options(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["trajectory", "--n", "2", "--omega-start", "0.3", "--omega-end", "0.5", option, "1e-3"])
+        assert exc.value.code == 2
 
 
 class TestDetn:
@@ -413,7 +421,7 @@ def test_negative_value_separated_from_its_option(capsys, argv):
          0, "621bffeea5368fcd7f6c9d6d4756d7c39925188fbd4a2db60ce3a090820102da"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5 --format json",
          0, "d3b5119f34f636567f8625d6aff71d59b890c553a421cf5684473e9b8b81688b"),
-        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step 0.05 --match-threshold 1e-10",
+        ("trajectory --n 28 --omega-start 29.0 --omega-end 29.875",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("detn --n 4 --omega 1/2 --exact",
          0, "1de25264bddbd5436f2a25da45d846c1fed6977dc8300b0eb9b2f4b17a15e267"),
@@ -431,12 +439,8 @@ def test_stdout_bytes_pinned(capsys, argv, code, digest):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("zeros --n 5 --omega 1/2 --tol inf", "must be finite"),
-        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --tol inf", "must be finite"),
         ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step nan", "must be positive"),
         ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --step inf", "must be finite"),
-        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --match-threshold nan", "must be positive"),
-        ("trajectory --n 2 --omega-start 0.3 --omega-end 0.5 --match-threshold inf", "must be finite"),
     ],
 )
 def test_non_finite_tolerance_step_and_threshold_refused(capsys, argv, message):

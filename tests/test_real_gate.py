@@ -23,7 +23,6 @@ from skyburst import (
     find_zeros,
     genfun_compare,
     trace,
-    zeros_of,
 )
 
 P = construct(3, F(1, 3))
@@ -36,13 +35,7 @@ ARGUMENTS = [
      (1, F(1, 2), np.float64(0.5), np.float32(0.5))),
     ("trace base_step", lambda x: trace(2, 0.3, 0.5, base_step=x), False,
      (1, F(1, 20), np.float64(0.05), np.float32(0.05))),
-    ("trace match_threshold", lambda x: trace(2, 0.3, 0.5, base_step=0.05, match_threshold=x), False,
-     (1, F(1, 10), np.float64(0.1), np.float32(0.1))),
-    ("trace tol", lambda x: trace(2, 0.3, 0.5, base_step=0.05, tol=x), False,
-     (1, F(1, 10**9), np.float64(1e-9), np.float32(1e-9))),
     ("find_zeros tol", lambda x: find_zeros(P, tol=x), False,
-     (1, F(1, 10**9), np.float64(1e-9), np.float32(1e-9))),
-    ("zeros_of tol", lambda x: zeros_of(3, F(1, 3), tol=x), False,
      (1, F(1, 10**9), np.float64(1e-9), np.float32(1e-9))),
     ("genfun_compare z", lambda x: genfun_compare(F(1, 2), x, 0.1, 8), True,
      (0, F(1, 3), np.float64(0.5), np.float32(0.5), np.complex128(0.4 + 0.2j))),

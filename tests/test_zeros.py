@@ -475,14 +475,14 @@ def test_coincident_upper_seeds_at_a_root_are_refused():
     reals, uppers = _split(zeros_of(9, 0.5).values())
     uppers[1] = uppers[0]
     with pytest.raises(ConvergenceError, match="one point"):
-        zeros._seeded(9, 0.5, reals, uppers, zeros.DEFAULT_TOL)
+        zeros._seeded(9, 0.5, reals, uppers)
 
 
 def test_upper_seeds_below_the_axis_are_refused():
     # seeds that settle on the lower roots leave their side of the real axis
     reals, uppers = _split(zeros_of(9, 0.5).values())
     with pytest.raises(ConvergenceError, match="left its side of the real axis, of 0 or of -1"):
-        zeros._seeded(9, 0.5, reals, [u.conjugate() for u in uppers], zeros.DEFAULT_TOL)
+        zeros._seeded(9, 0.5, reals, [u.conjugate() for u in uppers])
 
 
 def test_polish_fixed_point_tells_signed_zeros_apart():
@@ -619,11 +619,17 @@ class TestSimplicity:
             assert simplicity_margin(zeros_of(n, w)) > SIMPLICITY_THRESHOLD
 
 
+def _trace(monkeypatch, n, start, end, step=0.02, threshold=zeros.MATCH_THRESHOLD):
+    # trace with its swap gate set to threshold: (3, .05, 2.95, .05, .02) is pinned at 0.02
+    monkeypatch.setattr(zeros, "MATCH_THRESHOLD", threshold)
+    return trace(n, start, end, step)
+
+
 def assert_step_bound(bundle):
     for lo, hi in bundle.segment_slices():
         for path in bundle.paths:
             for k in range(lo, hi):
-                assert abs(path[k + 1] - path[k]) < bundle.match_threshold
+                assert abs(path[k + 1] - path[k]) < zeros.MATCH_THRESHOLD
 
 
 def assert_neg_unit_schedule(bundle):
@@ -675,7 +681,7 @@ class TestAssignment:
 
 class TestTrace:
     def test_single_root_drifts_toward_minus_one(self):
-        bundle = trace(1, 0.1, 5.0, 0.05, 0.1)
+        bundle = trace(1, 0.1, 5.0, 0.05)
         assert len(bundle.paths) == 1
         xs = [z.real for z in bundle.paths[0]]
         assert all(-1 < x < 0 for x in xs)
@@ -683,7 +689,7 @@ class TestTrace:
         assert bundle.burst_events == (1, 2, 3, 4)
 
     def test_quadratic_loop_and_capture(self):
-        bundle = trace(2, 0.05, 2.5, 0.02, 0.1)
+        bundle = trace(2, 0.05, 2.5, 0.02)
         assert len(bundle.paths) == 2
         assert bundle.burst_events == (1, 2)
         segs = bundle.segment_slices()
@@ -699,21 +705,21 @@ class TestTrace:
         assert all(_tag_root(captured[k]) is ZeroTag.NEG_UNIT for k in range(lo1, hi1 + 1))
 
     def test_grid_avoids_integers(self):
-        bundle = trace(2, 0.05, 2.5, 0.02, 0.1)
+        bundle = trace(2, 0.05, 2.5, 0.02)
         for w in bundle.omega_grid:
             assert abs(w - round(w)) > 5e-4
 
     def test_step_bound_within_segments(self):
-        assert_step_bound(trace(3, 0.05, 2.95, 0.05, 0.1))
+        assert_step_bound(trace(3, 0.05, 2.95, 0.05))
 
     def test_path_count_and_interval_population(self):
-        bundle = trace(9, 0.05, 3.5, 0.02, 0.1)
+        bundle = trace(9, 0.05, 3.5, 0.02)
         assert len(bundle.paths) == 9
         assert_neg_unit_schedule(bundle)
 
     def test_loop_closure_late_segment(self):
         # by segment (3, 4) the returning cluster is genuinely inside |z| < 0.1
-        bundle = trace(9, 3.01, 3.99, 0.02, 0.1)
+        bundle = trace(9, 3.01, 3.99, 0.02)
         (lo, hi), = bundle.segment_slices()
         for path in bundle.paths:
             seg = [path[k] for k in range(lo, hi + 1)]
@@ -722,7 +728,7 @@ class TestTrace:
                 assert abs(seg[-1]) < 0.1
 
     def test_conjugate_pairing_within_segments(self):
-        assert_conjugate_partners(trace(9, 0.05, 2.5, 0.02, 0.1))
+        assert_conjugate_partners(trace(9, 0.05, 2.5, 0.02))
 
     def test_eight_upper_pairs(self):
         # n = 17 on (0, 1) has 8 conjugate pairs, then 7 past the burst
@@ -732,11 +738,12 @@ class TestTrace:
         assert_conjugate_partners(bundle)
         assert_neg_unit_schedule(bundle)
 
-    def test_grid_and_bursts_pinned(self):
+    def test_grid_and_bursts_pinned(self, monkeypatch):
         # the grids of the cold-started continuation, unchanged by seeding, by the
         # Newton-polygon start, by settled roots leaving the sweep, by mirrored seeded
         # solves and by refining each cold set mirrored, and a SHA-256 of each whole bundle
-        # (re-recorded with each of the last four); (3, ..., 0.02) rejects and halves 38 steps
+        # (re-recorded with each of the last four); (3, ..., 0.02), a swap gate of 0.02,
+        # rejects and halves 38 steps
         for args, length, bursts, digest in [
             ((9, 0.05, 8.95), 456, tuple(range(1, 9)),
              "84acea79427082ecd4ba488ca08c250f09b0fc69d9ede92a588caf0d302d9fb9"),
@@ -749,7 +756,7 @@ class TestTrace:
             ((21, 0.5, 2.5), 106, (1, 2),
              "40911db5228f161c8ff82f1cfcaf480c1966c10a5ab4b7e5650d62ef811989ce"),
         ]:
-            bundle = trace(*args)
+            bundle = _trace(monkeypatch, *args)
             assert len(bundle.omega_grid) == length
             assert bundle.burst_events == bursts
             whole = repr((bundle.omega_grid, bundle.paths, bundle.burst_events))
@@ -775,8 +782,8 @@ class TestTrace:
         seeded = zeros._seeded
         steps = []
 
-        def checked(n, w, reals, uppers, tol):
-            found = seeded(n, w, reals, uppers, tol)
+        def checked(n, w, reals, uppers):
+            found = seeded(n, w, reals, uppers)
             steps.append(_assign(uppers, found[len(reals)::2]) == list(range(len(uppers))))
             return found
 
@@ -794,16 +801,16 @@ class TestTrace:
         cold_values, seeded, assign = zeros.zeros_of, zeros._seeded, zeros._assign
         colds, refused, assigned, last = [], [], [], []
 
-        def cold(n, w, tol):
+        def cold(n, w):
             colds.append(w)
-            return cold_values(n, w, tol)
+            return cold_values(n, w)
 
-        def refuse_warm_seeds(n, w, reals, uppers, tol):
+        def refuse_warm_seeds(n, w, reals, uppers):
             if colds[-1] != w and refuse(last[-1], w):
                 refused.append(w)
                 raise ConvergenceError("seed refused")
             last.append(w)
-            return seeded(n, w, reals, uppers, tol)
+            return seeded(n, w, reals, uppers)
 
         def counted(xs, ys):
             assigned.append(len(xs))
@@ -843,10 +850,10 @@ class TestTrace:
 
     @pytest.mark.parametrize("args", [(9, 0.05, 8.95), (15, 0.05, 14.95), (17, 0.05, 1.95),
                                       (3, 0.05, 2.95, 0.05, 0.02), (21, 0.5, 2.5)], ids=str)
-    def test_layouts_are_exact_at_every_grid_point(self, args):
+    def test_layouts_are_exact_at_every_grid_point(self, args, monkeypatch):
         # cold points included: each real is complex(x, 0.0) and each upper's partner is its
         # conjugate in every bit, not only within the 1e-9 of assert_conjugate_partners
-        bundle = trace(*args)
+        bundle = _trace(monkeypatch, *args)
         for points in zip(*bundle.paths):
             assert all(repr(z.imag) == "0.0" for z in points if zeros._on_axis(z))
             uppers = sorted(repr(z) for z in points if z.imag > 0)
@@ -857,8 +864,8 @@ class TestTrace:
         # refuses it, where it used to become two paths along one root
         cold_values = zeros.zeros_of
 
-        def doubled(n, w, tol):
-            zs = cold_values(n, w, tol)
+        def doubled(n, w):
+            zs = cold_values(n, w)
             first, second = _split(zs.values())[1][:2]
             twice = {second: first, second.conjugate(): first.conjugate()}
             return dataclasses.replace(zs, roots=tuple((twice.get(z, z), tag) for z, tag in zs.roots))
@@ -867,12 +874,15 @@ class TestTrace:
         with pytest.raises(ConvergenceError, match="one point"):
             trace(9, 0.05, 0.5)
 
-    def test_cold_solves_and_rejected_steps_are_counted(self):
+    def test_cold_solves_and_rejected_steps_are_counted(self, monkeypatch):
         # the first point and one point past each crossing: no seeded solve is refused
         bundle = trace(9, 0.05, 8.95)
         assert bundle.cold_solves == 1 + len(bundle.burst_events) and bundle.rejected_steps == 1
-        halved = trace(3, 0.05, 2.95, 0.05, 0.02)
+        halved = _trace(monkeypatch, 3, 0.05, 2.95, 0.05, 0.02)
         assert halved.rejected_steps == 38 and halved.cold_solves == 3
+        # the count is derived: no constructor can set one that disagrees with the crossings
+        with pytest.raises(TypeError):
+            zeros.TrajectoryBundle(omega_grid=(0.5,), paths=((-0.5,),), burst_events=(), cold_solves=3)
 
     def test_positions_are_mpmath_roots(self):
         # every 5th grid point against mpmath's roots of the exact polynomial at 50 digits
@@ -888,8 +898,18 @@ class TestTrace:
                         assert min(abs(z - root) for root in roots) <= 1e-13 * (1 + abs(z))
 
     def test_tracking_error_on_unreachable_threshold(self):
-        with pytest.raises(TrackingError):
-            trace(3, 0.3, 0.6, 0.05, match_threshold=1e-10)
+        # a step of MIN_STEP at omega 29.04 still moves a root 0.385
+        with pytest.raises(TrackingError, match="moved 0.385, beyond threshold 0.1") as info:
+            trace(28, 29.0, 29.875)
+        assert info.value.__cause__ is None
+
+    def test_residual_refusal_at_the_step_floor_raises_tracking_error(self):
+        # no seeded step from the first point's cold layout is certified, down to MIN_STEP
+        with pytest.raises(TrackingError, match="the seed was refused") as info:
+            trace(23, 24.75, 25.625)
+        assert 24.75 < info.value.omega <= 24.75 + zeros.MIN_STEP
+        assert isinstance(info.value.__cause__, ConvergenceError)
+        assert "exceeds bound" in str(info.value.__cause__)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -939,8 +959,8 @@ class TestTrace:
         assert out.returncode == 0 and "omega range ends where doubles are" in out.stdout, out.stderr
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
-    @pytest.mark.parametrize("name", ["base_step", "match_threshold"])
+    @pytest.mark.parametrize("name", ["base_step"])
     def test_non_finite_or_non_positive_step_and_threshold_refused(self, name, value):
-        # disp >= nan is always false, so a NaN threshold would accept every step
+        # nan < MIN_STEP is false, so a NaN step would pass the floor check alone
         with pytest.raises(DomainError, match=name):
             trace(2, 0.3, 0.5, **{name: value})
