@@ -19,7 +19,8 @@ operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
 omega = p/q one integer L makes every moment it reads an integer multiple of
 q/L, so the recursion runs on integer vectors over one denominator each and
 yields integer pairs, divided out once, and the closed product is likewise
-one integer numerator over one integer denominator.  ``bilinear`` pairs real
+one integer numerator over one integer denominator.  One pass serves both
+readers (``_pulled``).  ``bilinear`` pairs real
 polynomials, each coefficient read exactly, in one integer sum; it and the
 sweep's ``orthogonality`` row each form their own moment list and product,
 and share only ``_integer_moments`` and ``_moment_pole``.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 from operator import mul
 
 from .errors import DomainError, ExistenceError, PoleError
@@ -113,7 +113,7 @@ def bilinear(f: Polynomial, g: Polynomial, omega):
     return rounded_ratio(om, w.denominator * total, scale * df * dg)
 
 
-def _levinson(n: int, w: Fraction, top: int):
+def _levinson(n: int, w: Fraction):
     """Two-sided Levinson recursion on the Toeplitz moments nu_k of omega = w.
 
     Keeps the monic forward polynomial a_k (orthogonal to 1, z, ..., z^(k-1))
@@ -127,10 +127,10 @@ def _levinson(n: int, w: Fraction, top: int):
     Yields d_0, ..., d_(n-1), then a_n: O(n^2) exact operations in all.  The
     pivots read the moments nu_(1-n)..nu_(n-1), the entries of the n x n
     matrix, and a_n reads nu_n as well (b_n, which would read nu_-n, is never
-    formed); ``top`` is the highest index the caller reads, n-1 or n.
+    formed).
 
     The work is in integers.  ``_integer_moments`` writes every moment read,
-    k = 1-n..top, as nu_k = (q/L) m_k with one integer L and integers m_k
+    k = 1-n..n, as nu_k = (q/L) m_k with one integer L and integers m_k
     (the scaling ``bilinear`` uses too).  The multipliers in the two updates
     are ratios of inner products and do not see the scale, so the recursion
     runs on m; a_k and b_k are integer vectors, each over one positive
@@ -141,13 +141,13 @@ def _levinson(n: int, w: Fraction, top: int):
     pair (row, d_a); the caller divides out once.
     The one possible pole (k = -p at integer omega) is left out of L and
     raised when first read: step k reads nu_-k..nu_k, and a_n reads nu_n.  A
-    caller that takes only the first n pivots (``islice``) therefore sees the
-    pole exactly when the n x n matrix holds it.  The leading minors
-    before it are nonzero, so no zero pivot can come first.  A zero pivot
-    raises ExistenceError.
+    caller that stops after the first n pivots therefore sees the pole
+    exactly when the n x n matrix holds it.  The leading minors before it are
+    nonzero, so no zero pivot can come first.  A zero pivot raises
+    ExistenceError.
     """
     p, q = w.numerator, w.denominator
-    scale, m = _integer_moments(w, range(1 - n, top + 1))
+    scale, m = _integer_moments(w, range(1 - n, n + 1))
     o = n - 1  # m[o] is m_0
     a, da = [1], 1
     b, db = [1], 1
@@ -163,9 +163,32 @@ def _levinson(n: int, w: Fraction, top: int):
         if k < n - 1:
             b, db = _sub_scaled(bz, db, sum(map(mul, b, m[o - k - 1:o])) * da, db * dot, za, da)
         a, da = a_next, da_next
-    if q == 1 and 1 - n <= -p <= top:
-        reduced_moment(-p, w)  # a_n read nu_n
+    if q == 1 and -p == n > 0:
+        reduced_moment(-p, w)  # a_n read nu_n (a_0 = 1 reads nothing)
     yield a, da
+
+
+_latest = None  # (n, w, items pulled, the pass) of the latest member
+
+
+def _pulled(n: int, w: Fraction, count: int) -> list:
+    """The first ``count`` items of the Levinson pass of (n, exact w), the latest one kept.
+
+    Pulled an item at a time, so both readers of a member share one pass and a
+    pole is raised at the item that reads it; a refused pass is dropped, never
+    resumed.  The kept generator serves one thread.
+    """
+    global _latest
+    if _latest is None or _latest[:2] != (n, w):
+        _latest = n, w, [], _levinson(n, w)
+    items, levinson = _latest[2:]
+    try:
+        while len(items) < count:
+            items.append(next(levinson))
+    except BaseException:  # it ended the generator
+        _latest = None
+        raise
+    return items[:count]
 
 
 def _sub_scaled(x: list, dx: int, fn: int, fd: int, y: list, dy: int):
@@ -182,11 +205,11 @@ def _sub_scaled(x: list, dx: int, fn: int, fd: int, y: list, dy: int):
 def toeplitz_det_direct(n: int, omega):
     """Reduced Toeplitz moment determinant D_n, the product of the n Levinson pivots.
 
-    Reads only the moments nu_(1-n)..nu_(n-1) of the matrix.  The full
-    determinant is sigma^n times this value.
+    Reads only the moments nu_(1-n)..nu_(n-1) of the matrix: it stops after
+    the n pivots.  The full determinant is sigma^n times this value.
     """
     n, om = as_member(n, omega)
-    pivots = list(islice(_levinson(n, as_fraction(om), n - 1), n))
+    pivots = _pulled(n, as_fraction(om), n)
     return rounded_ratio(om, math.prod([num for num, _ in pivots]), math.prod([den for _, den in pivots]))
 
 
@@ -236,7 +259,7 @@ def construct_determinantal(n: int, omega) -> Polynomial:
         raise ExistenceError(
             f"no orthogonal polynomial at integer omega = {om}; use the symmetry route"
         )
-    *_, (row, den) = _levinson(n, w, n)
+    row, den = _pulled(n, w, n + 1)[n]
     return _ratio_poly(om, row, den)
 
 

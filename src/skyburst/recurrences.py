@@ -88,8 +88,9 @@ class _Sweep(_Rows):
     per omega and direction.  ``det(n, w)`` is D_n as an integer pair
     (numerator, denominator), the running products of the pivots of one
     Levinson pass up to n_max per omega.  The pivots are pulled only as far
-    as the degrees reached, so a moment pole is raised at the degree whose
-    matrix first holds it, as ``toeplitz_det_direct(n, w)`` raises it.
+    as the degrees reached and a_(n_max) never, so a moment pole is raised at
+    the degree whose matrix first holds it, as ``toeplitz_det_direct(n, w)``
+    raises it.
     ``moments(w)`` is (L, m), one integer moment list over -n_max..n_max
     (``_integer_moments``) with m_0 at index n_max, formed once per omega for
     the orthogonality row.
@@ -143,7 +144,7 @@ class _Sweep(_Rows):
     def det(self, n: int, w: Fraction) -> tuple:
         key = (w.numerator, w.denominator)
         if key not in self._passes:
-            self._passes[key] = _levinson(self.n_max, w, self.n_max - 1), [(1, 1)]
+            self._passes[key] = _levinson(self.n_max, w), [(1, 1)]
         levinson, dets = self._passes[key]
         while len(dets) <= n:
             (num, den), (pn, pd) = dets[-1], next(levinson)

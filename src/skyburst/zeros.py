@@ -604,7 +604,7 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
                 if target - current <= MIN_STEP:
                     why = (f"moved {disp:.3f}, beyond threshold {MATCH_THRESHOLD}," if refusal is None
                            else f"could not be matched, the seed was refused ({refusal}),")
-                    raise TrackingError(f"root sets at omega={current:.6f} and {target:.6f} {why} with the step "
+                    raise TrackingError(f"root sets at omega={current!r} and {target!r} {why} with the step "
                                         "already at its floor", omega=target) from refusal
                 h = (target - current) / 2
                 rejected += 1

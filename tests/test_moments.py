@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import skyburst
+from skyburst import moments
 from skyburst.errors import DomainError, ExistenceError, PoleError
 from skyburst.moments import (
     bilinear,
@@ -291,6 +292,69 @@ class TestDeterminantalRoute:
     def test_negative_degree_refused(self):
         with pytest.raises(DomainError):
             construct_determinantal(-1, F(1, 2))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts the Levinson passes run, starting from an empty memo."""
+    calls = []
+    levinson = moments._levinson
+
+    def counted(n, w):
+        calls.append((n, w))
+        return levinson(n, w)
+
+    monkeypatch.setattr(moments, "_levinson", counted)
+    monkeypatch.setattr(moments, "_latest", None)
+    return calls
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("poly_first", [True, False])
+    def test_one_pass_per_member_in_either_order(self, passes, poly_first):
+        n, w = 17, F(-13, 9)
+        if poly_first:
+            poly, det = construct_determinantal(n, w), toeplitz_det_direct(n, w)
+        else:
+            det, poly = toeplitz_det_direct(n, w), construct_determinantal(n, w)
+        assert (poly, det) == (construct(n, w), toeplitz_det_closed(n, w))
+        assert passes == [(n, w)]
+
+    @pytest.mark.parametrize("poly_first", [True, False])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pole_one_moment_past_the_matrix_in_either_order(self, passes, poly_first, n):
+        # a_n reads nu_n, whose pole is at omega = -n; the n x n determinant does not
+        w = F(-n)
+        if not poly_first:
+            assert toeplitz_det_direct(n, w) == toeplitz_det_closed(n, w)
+        with pytest.raises(PoleError, match=f"at k={n},"):
+            construct_determinantal(n, w)
+        assert toeplitz_det_direct(n, w) == toeplitz_det_closed(n, w)
+
+    def test_refused_pass_is_dropped(self, passes):
+        for _ in range(2):
+            with pytest.raises(PoleError, match="at k=3,"):
+                toeplitz_det_direct(4, F(-3))
+        assert len(passes) == 2
+        assert toeplitz_det_direct(4, F(-7, 2)) == toeplitz_det_closed(4, F(-7, 2))
+        assert construct_determinantal(4, F(-7, 2)) == construct(4, F(-7, 2))
+
+    def test_interleaved_members(self, passes):
+        a, b = (9, F(5, 4)), (9, F(-5, 4))
+        for n, w in (a, b, a):
+            assert toeplitz_det_direct(n, w) == toeplitz_det_closed(n, w)
+            assert construct_determinantal(n, w) == construct(n, w)
+        assert passes == [a, b, a]
+
+    def test_float_and_its_binary_fraction_share_a_pass(self, passes):
+        n, x = 12, 0.37
+        w = F(x)
+        det, exact_det = toeplitz_det_direct(n, x), toeplitz_det_direct(n, w)
+        exact_poly, poly = construct_determinantal(n, w), construct_determinantal(n, x)
+        assert (type(det), type(exact_det)) == (float, Fraction)
+        assert det == float(exact_det) and exact_det == toeplitz_det_closed(n, w)
+        assert exact_poly == construct(n, w) and poly == exact_poly.to_inexact()
+        assert passes == [(n, w)]
 
 
 def test_import_leaves_numpy_out():

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -902,6 +903,13 @@ class TestTrace:
         with pytest.raises(TrackingError, match="moved 0.385, beyond threshold 0.1") as info:
             trace(28, 29.0, 29.875)
         assert info.value.__cause__ is None
+
+    def test_tracking_error_names_two_points(self):
+        # at the step floor the two omegas are at most MIN_STEP apart; repr tells them apart
+        with pytest.raises(TrackingError) as info:
+            trace(28, 29.0, 29.875)
+        current, target = map(float, re.match(r"root sets at omega=(\S+) and (\S+) ", str(info.value)).groups())
+        assert target == info.value.omega and current < target <= current + zeros.MIN_STEP
 
     def test_residual_refusal_at_the_step_floor_raises_tracking_error(self):
         # no seeded step from the first point's cold layout is certified, down to MIN_STEP
