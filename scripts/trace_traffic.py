@@ -13,7 +13,9 @@ CLI's.  It prints the number of windows and of refusals (typed errors), the
 totals of ``cold_solves`` and ``rejected_steps``, and one SHA-256 over every
 window's grid, burst events and per-path tags (a refusal enters as its type
 name).  Two trees that print the same digest draw the same paths with the
-same classification, whatever their last digits.
+same classification, whatever their last digits.  ``trace_traffic.expected``
+beside this script holds the two lines of this tree, and CI fails when the
+output differs from them.
 
 ``--dump`` also writes every path coordinate, window by window, to FILE.  The
 second form reads two such files and prints how many coordinates moved and

@@ -16,10 +16,13 @@ stays in the other roots' corrections (Bini and Fiorentino 2000).
 modulus group of the roots).  ``trace`` builds every root layout one way, in
 ``_seeded``: it iterates on the reals and the upper roots only, each conjugate
 mirrored, so the reals are real and each partner is an exact conjugate.  Inside
-an integer-free segment the seed is the layout accepted at the previous grid
-point, the seed's order is the step's matching, and a refused seed halves the
-step as a far one does.  At the first grid point and past each integer crossing
-(the real-root count changes) the seed is the on-axis reals and the uppers of a
+an integer-free segment it is a predictor-corrector (Allgower and Georg,
+*Numerical Continuation Methods*): the seed is the segment's last accepted
+layouts extrapolated to the next grid point (``_predicted``), Aberth runs only
+until the roots are in Newton's basin, and the polish finishes them.  The
+seed's order is the step's matching, and a refused seed halves the step as a
+far one does.  At the first grid point and past each integer crossing (the
+real-root count changes) the seed is the on-axis reals and the uppers of a
 cold solve there, matched across the crossing by minimum total distance.
 """
 
@@ -58,6 +61,8 @@ INTEGER_OFFSET = 1e-3    # continuation grids never sample closer to an integer
 MIN_STEP = 1e-6
 MATCH_THRESHOLD = 0.1    # a continuation step moving a root this far or more is halved
 MAX_ITERATIONS = 500
+NEWTON_BASIN = 1e-4      # a seeded Aberth solve ends after a sweep moving no root this far, relative to |z|
+ROUNDING_FLOOR = 2.0 ** -52  # the polish ends at a Newton step below this times |z|
 DEFAULT_TOL = 1e-10
 MAX_SPAN = 1000.0        # widest omega range trace accepts: at the default step, some 50,000 grid points
 
@@ -78,7 +83,7 @@ class ZeroSet:
     omega: float
     residual_max: float
     iterations: int = 0   # Aberth sweeps; 0 when deflation leaves no polynomial
-    evaluations: int = 0  # Aberth root evaluations, at most iterations * (roots left after deflation)
+    evaluations: int = 0  # root evaluations: Aberth's, at most iterations * (roots left), and the polish's
 
     def values(self, include_origin: bool = True) -> list:
         return [z for z, tag in self.roots if include_origin or tag is not ZeroTag.ORIGIN]
@@ -142,10 +147,10 @@ def _aberth(coeffs, start=None, pairs_from=None):
 
     Simultaneous (Ehrlich-style) iteration.  A cold solve starts from
     ``_polygon_start``, one circle per modulus group of the roots, and takes
-    some 9 sweeps on the degrees 16..60 of ``zeros_scan`` (17 at most).  From
-    complex start points near the roots, as ``_seeded`` passes them, it settles
-    in about 3 sweeps from the layout of the previous grid point and in one
-    from the roots of a cold solve at the same point.
+    some 9 sweeps on the degrees 16..60 of ``zeros_scan`` (17 at most).  A
+    seeded solve (``start`` given, as ``_seeded`` passes it) only has to bring
+    its roots into Newton's basin for the polish: about 1.6 sweeps from a
+    ``trace`` prediction, one from the roots of a cold solve at the same point.
 
     Every pinned root set depends on the order of the arithmetic here, which
     is the same as that of a Horner pass from the leading coefficient down
@@ -166,6 +171,9 @@ def _aberth(coeffs, start=None, pairs_from=None):
       roots' sums (Bini and Fiorentino, Numer. Algorithms 23, 2000; MPSolve
       does the same).  The solve ends when no root is active or every root's
       latest |p| is at machine level.
+    - A seeded solve also ends after a sweep in which no root was nudged or
+      moved ``NEWTON_BASIN`` * |z| or more; its roots then go to
+      ``_newton_polish``.
     ``test_zeros_of_pinned``, ``TestTrace::test_grid_and_bursts_pinned`` and
     the ``test_aberth_*_is_the_reference_sweep_bit_for_bit`` tests enforce it.
     """
@@ -173,7 +181,8 @@ def _aberth(coeffs, start=None, pairs_from=None):
     c = [x / lead for x in coeffs]
     top, rest = c[-1], c[-2::-1]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
-    roots = _polygon_start(c) if start is None else list(start)
+    seeded = start is not None
+    roots = list(start) if seeded else _polygon_start(c)
     pairs = len(roots) if pairs_from is None else pairs_from
     mirrors = [w.conjugate() for w in roots[pairs:]]  # conj(roots[pairs + k]) at each moment
     one = 1 + 0j  # 1 / dz gives the same bits but coerces the int on every term
@@ -183,6 +192,7 @@ def _aberth(coeffs, start=None, pairs_from=None):
     for sweep in range(1, MAX_ITERATIONS + 1):
         evaluations += len(active)
         still = []
+        far = False  # a root was nudged or moved NEWTON_BASIN * |z| or more this sweep
         for i in active:
             z = roots[i]
             p, dp = top, 0j
@@ -194,7 +204,7 @@ def _aberth(coeffs, start=None, pairs_from=None):
                 continue
             if dp == 0:
                 z = z * 1.0000001 + 1e-12
-                moving = True
+                moving = far = True
             else:
                 ratio = p / dp
                 s = 0j
@@ -204,6 +214,8 @@ def _aberth(coeffs, start=None, pairs_from=None):
                 step = ratio if denom == 0 else ratio / denom
                 z = z - step
                 moving = abs(step) / (1 + abs(z)) >= 1e-14  # false for a NaN step
+                if abs(step) >= NEWTON_BASIN * abs(z):
+                    far = True
             roots[i] = z
             if i >= pairs:
                 mirrors[i - pairs] = z.conjugate()
@@ -212,46 +224,38 @@ def _aberth(coeffs, start=None, pairs_from=None):
         active = still
         # residuals at machine level end the solve too: a strict step bound can
         # limit-cycle in the last ulp near clustered roots
-        if not active or all(v < resid_floor for v in values):
+        if not active or all(v < resid_floor for v in values) or seeded and not far:
             return roots, sweep, evaluations
     raise ConvergenceError(
         f"root iteration did not settle in {MAX_ITERATIONS} sweeps", best=roots
     )
 
 
-def _same_bits(x: complex, y: complex) -> bool:
-    """x and y are the same double pair; unlike ==, this tells -0.0 from +0.0."""
-    return (x == y
-            and math.copysign(1.0, x.real) == math.copysign(1.0, y.real)
-            and math.copysign(1.0, x.imag) == math.copysign(1.0, y.imag))
-
-
 def _newton_polish(top, rest, z):
-    """Up to three Newton steps from z: the polished z and p(z).  p comes reversed, as
-    ``_certified`` forms it once per solve: its lead, then the rest from z^(d-1) down to z^0.
+    """Up to three Newton steps from z: the polished z, p(z) and the evaluations made.
+    p comes reversed, as ``_certified`` forms it once per solve: its lead, then the rest
+    from z^(d-1) down to z^0.
 
-    A step that leaves z the same in every bit ends the polish, since each
-    later step would repeat the same arithmetic at the same z.
+    A step below the rounding floor 2^-52 |z| ends the polish at the point it was
+    evaluated at: the step would move z by about an ulp at most.
     """
-    for k in range(4):
+    for k in range(1, 5):
         p, dp = top, 0j
         for c in rest:
             dp = dp * z + p
             p = p * z + c
-        if k == 3 or p == 0 or dp == 0:
-            return z, p
+        if k == 4 or p == 0 or dp == 0:
+            return z, p, k
         step = p / dp
-        if abs(step) > 1e-2 * (1 + abs(z)):
-            return z, p  # polish must not wander off a converged iterate
-        z_next = z - step
-        if z_next == z and _same_bits(z_next, z):
-            return z, p
-        z = z_next
+        size = abs(step)
+        if size > 1e-2 * (1 + abs(z)) or size < ROUNDING_FLOOR * abs(z):
+            return z, p, k  # polish must not wander off a converged iterate, nor chase its last bit
+        z = z - step
 
 
 def _certified(coeffs, tol, start=None, pairs_from=None):
-    """``_aberth`` and the polish, certified |p(z)| <= tol * (1 + max|c|) at each
-    root: (roots, largest residual, sweeps, evaluations).  ConvergenceError, with
+    """``_aberth`` and the polish, certified |p(z)| <= tol * (1 + max|c|) at each root:
+    (roots, largest residual, sweeps, root evaluations of both).  ConvergenceError, with
     the best iterate, when the bound fails or a value overflows or is not finite."""
     bound = tol * (1 + max(abs(c) for c in coeffs))
     polished = []
@@ -261,8 +265,9 @@ def _certified(coeffs, tol, start=None, pairs_from=None):
             found, sweeps, evaluations = _aberth(coeffs, start, pairs_from)
             top, rest = coeffs[-1], coeffs[-2::-1]
             polished = [_newton_polish(top, rest, z) for z in found]
-        found = [z for z, _ in polished]
-        residuals = [abs(p) for _, p in polished]
+        found = [z for z, _, _ in polished]
+        residuals = [abs(p) for _, p, _ in polished]
+        evaluations += sum(k for _, _, k in polished)
     except OverflowError as exc:
         raise ConvergenceError(f"root iteration overflowed: {exc}") from exc
     # the iteration can settle on NaN iterates (max() drops a NaN): refuse them
@@ -424,6 +429,7 @@ class TrajectoryBundle:
     paths: tuple
     burst_events: tuple
     rejected_steps: int = 0  # steps halved: a refused seed, or root sets that moved MATCH_THRESHOLD or more
+    evaluations: int = 0     # root evaluations, Aberth's and the polish's, of every certified solve
 
     @property
     def cold_solves(self) -> int:
@@ -442,20 +448,20 @@ class TrajectoryBundle:
         return out
 
 
-def _seeded(n: int, omega: float, reals: list, uppers: list) -> list:
+def _seeded(n: int, omega: float, reals: list, uppers: list) -> tuple:
     """The layout at omega, refined from seeds near its roots and certified to
     ``DEFAULT_TOL``: the sorted reals as complex(x, 0.0), then each upper in seed
     order followed by its exact conjugate.
 
-    Only the reals and the uppers are iterated, each upper's conjugate mirrored.  ``trace``
-    seeds it with the layout of a nearby point of the segment, or with the on-axis reals and
-    the uppers of a cold ``zeros_of`` set at omega itself.  S_n(0) and S_n(-1) are nonzero
-    off the integers, so a real that leaves the axis or crosses 0 or -1 raises
-    ConvergenceError, as do an upper on or below the axis and two roots equal as doubles
-    (two seeds can settle on one root).
+    Also returns its root evaluations.  Only the reals and the uppers are iterated, each
+    upper's conjugate mirrored.  ``trace`` seeds it with a prediction from the segment's
+    layouts, or with the on-axis reals and the uppers of a cold ``zeros_of`` set at omega
+    itself.  S_n(0) and S_n(-1) are nonzero off the integers, so a real that leaves the axis
+    or crosses 0 or -1 raises ConvergenceError, as do an upper on or below the axis and two
+    roots equal as doubles (two seeds can settle on one root).
     """
     r = len(reals)
-    found = _certified(_float_row(n, omega), DEFAULT_TOL, reals + uppers, r)[0]
+    found, _, _, evaluations = _certified(_float_row(n, omega), DEFAULT_TOL, reals + uppers, r)
     settled, uppers = sorted(z.real for z in found[:r]), found[r:]
     kept = all(_on_axis(z) and (z.real > 0, z.real > -1) == (x.real > 0, x.real > -1)
                for z, x in zip(found, reals))
@@ -463,7 +469,28 @@ def _seeded(n: int, omega: float, reals: list, uppers: list) -> list:
         raise ConvergenceError("a seeded root left its side of the real axis, of 0 or of -1", best=found)
     if len(set(settled)) < r or len(set(uppers)) < len(uppers):
         raise ConvergenceError("two seeded roots settled on one point", best=found)
-    return [complex(x, 0.0) for x in settled] + [w for u in uppers for w in (u, u.conjugate())]
+    return [complex(x, 0.0) for x in settled] + [w for u in uppers for w in (u, u.conjugate())], evaluations
+
+
+def _predicted(segment: list, target: float, r: int) -> tuple:
+    """Seeds (reals, uppers) for the step to target: the Lagrange polynomial through the
+    segment's accepted layouts (at most three, the latest last) at target, summed left to
+    right as ``_aberth`` sums; a real's imaginary part stays 0.0.  The latest layout itself
+    when a predicted real would cross 0 or -1 or a predicted upper would reach the axis."""
+    ws = [w for w, _ in segment]
+    weights = [math.prod((target - v) / (w - v) for v in ws if v != w) for w in ws]
+    latest = segment[-1][1]
+    seeds = []
+    for k in [*range(r), *range(r, len(latest), 2)]:
+        z = 0j
+        for c, (_, layout) in zip(weights, segment):
+            z += c * layout[k]
+        x = latest[k]
+        if (k < r and (z.real > 0, z.real > -1) != (x.real > 0, x.real > -1)
+                or k >= r and (not z.imag > 0 or _on_axis(z))):
+            return latest[:r], latest[r::2]
+        seeds.append(z)
+    return seeds[:r], seeds[r:]
 
 
 def _assign(xs, ys) -> list:
@@ -535,10 +562,12 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
     MAX_SPAN, a base_step below MIN_STEP or an end past about 2**33 (doubles
     MIN_STEP apart) raises DomainError.
 
-    Each solve inside a segment starts from the layout accepted at the previous
-    grid point and settles in about 3 Aberth sweeps where a cold start takes
+    Each solve inside a segment is seeded by ``_predicted`` (the quadratic through
+    the segment's last three layouts, the line through two, else the layout) and
+    takes about 1.6 Aberth sweeps, to Newton's basin, where a cold start takes
     some 9.  ``_seeded`` keeps its reals real and on their side of 0 and -1, its
     uppers above the axis and its seed's order, the step's matching, or refuses.
+    A step's move is measured from the accepted layout, not the prediction.
     Only the first grid point and each point past a crossing, where the
     real-root count changes, are solved cold: the cold set's on-axis reals and
     uppers seed ``_seeded`` at the same omega, a refusal there raises its
@@ -571,12 +600,14 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
         raise DomainError(f"omega range ends where doubles are {math.ulp(end)} apart, not below {MIN_STEP}")
 
     def cold(w: float):
-        values = zeros_of(n, w).values()
+        values = (zs := zeros_of(n, w)).values()
         reals = [z for z in values if _on_axis(z)]
-        return _seeded(n, w, reals, [z for z in values if z.imag > 0 and not _on_axis(z)]), len(reals)
+        layout, spent = _seeded(n, w, reals, [z for z in values if z.imag > 0 and not _on_axis(z)])
+        return layout, len(reals), zs.evaluations + spent
 
     current = start
-    roots, r = cold(current)
+    roots, r, evaluations = cold(current)
+    segment = [(current, roots)]  # the segment's last accepted layouts, at most three
     grid = [current]
     events = []
     paths = [[z] for z in roots]
@@ -587,18 +618,21 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
         pre_boundary = next_int - INTEGER_OFFSET
         if abs(current - pre_boundary) < 1e-12 and pre_boundary < end:
             target = next_int + INTEGER_OFFSET
-            new_roots, r = cold(target)
+            new_roots, r, spent = cold(target)
+            evaluations += spent
             perm = _assign(roots, new_roots)
             positions = [perm[k] for k in positions]
             events.append(next_int)
+            segment = []
             h = base_step
         else:
             target = min(current + h, pre_boundary, end)
             try:  # the seed's order is the matching: every path keeps its layout index
-                new_roots = _seeded(n, target, roots[:r], roots[r::2])
+                new_roots, spent = _seeded(n, target, *_predicted(segment, target, r))
             except ConvergenceError as exc:
                 refusal, disp = exc, math.inf
             else:
+                evaluations += spent
                 refusal, disp = None, max(abs(z - w) for z, w in zip(roots, new_roots))
             if disp >= MATCH_THRESHOLD:
                 if target - current <= MIN_STEP:
@@ -614,10 +648,12 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
             path.append(new_roots[k])
         grid.append(target)
         current, roots = target, new_roots
+        segment = [*segment[-2:], (current, roots)]
 
     return TrajectoryBundle(
         omega_grid=tuple(grid),
         paths=tuple(tuple(p) for p in paths),
         burst_events=tuple(events),
         rejected_steps=rejected,
+        evaluations=evaluations,
     )

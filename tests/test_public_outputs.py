@@ -110,5 +110,7 @@ def test_public_results_and_refusals_pinned():
     # zeros_of (118) and fizzle_gap (8) lines moved: roots and gaps in their last digits, which
     # can swap the sorted order of a conjugate pair; and when settled roots left the sweep:
     # every returned ZeroSet gained its evaluations count, and 46 zeros_of and 7 fizzle_gap
-    # results moved in their last digits
-    assert _digest() == ("4480d3fa5689d84204d8a5564e9fa46882860bb361c39f75c90281e6fb2d0b8c", 10908)
+    # results moved in their last digits; and when the polish stopped at the rounding floor:
+    # every ZeroSet's evaluations gained the polish's, and the roots of 100 zeros_of and 3
+    # fizzle_gap results moved in their last digits
+    assert _digest() == ("400dac7d3f3ab6bbc0da009085973eecc757fa4a87a4588e21c24748cee79079", 10908)

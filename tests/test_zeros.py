@@ -195,7 +195,9 @@ class TestFindZeros:
 def test_zeros_of_pinned():
     # repr of every root set (or the refusal) at n in 5..40, re-recorded when the cold start
     # became the Newton-polygon circles (every tag held, every root moved by at most 1.3e-14
-    # relative) and when settled roots left the sweep (the same, 5.0e-15; repr gained evaluations)
+    # relative), when settled roots left the sweep (the same, 5.0e-15; repr gained evaluations)
+    # and when the polish stopped at the rounding floor (at most 1.6e-15; evaluations count
+    # the polish's too)
     digest = hashlib.sha256()
     for w in (F(1, 2), F(7, 3), 2.5, 0.37):
         for n in range(5, 41):
@@ -204,7 +206,7 @@ def test_zeros_of_pinned():
             except Exception as exc:
                 digest.update(f"{type(exc).__name__}|{exc}".encode())
             digest.update(b"\n")
-    assert digest.hexdigest() == "602520d50a8d0c66b6a451bb8901ef14d3e5916abcfd10bd0b8702a94f92dbf3"
+    assert digest.hexdigest() == "cbbbdab0714ab93aeae96bb24674c15b9a26868e80dcfe7231ec18c26039fa33"
 
 
 def test_thirty_at_twenty_one_halves_has_eleven_roots_in_unit_interval():
@@ -252,13 +254,13 @@ def _horner_pair(coeffs, z):
 
 
 def _polish_three_steps(coeffs, z):
-    # the reference polish: always up to three Newton steps
+    # the reference polish: up to three Newton steps, ending at a step below 2^-52 |z|
     for _ in range(3):
         p, dp = _horner_pair(coeffs, z)
         if p == 0 or dp == 0:
             return z
         step = p / dp
-        if abs(step) > 1e-2 * (1 + abs(z)):
+        if abs(step) > 1e-2 * (1 + abs(z)) or abs(step) < 2.0 ** -52 * abs(z):
             return z
         z = z - step
     return z
@@ -269,15 +271,18 @@ def test_newton_polish_is_the_three_step_polish_bit_for_bit():
         coeffs = list(map(complex, construct(n, w).to_inexact().coeffs))
         roots, _, _ = zeros._aberth(coeffs)
         for z0 in roots + [r * (1 + 1e-9) for r in roots]:
-            z, p = zeros._newton_polish(coeffs[-1], coeffs[-2::-1], z0)
+            z, p, evaluations = zeros._newton_polish(coeffs[-1], coeffs[-2::-1], z0)
             assert repr(z) == repr(_polish_three_steps(coeffs, z0))
             # the residual find_zeros reads is p(z) at the returned z
             assert repr(p) == repr(_horner_pair(coeffs, z)[0])
+            assert 1 <= evaluations <= 4
 
 
 def _aberth_reference(coeffs, start=None, pairs_from=None):
     # the reference sweep: _horner_pair and a loop over j, in the order _aberth keeps;
-    # a frozen root is skipped as i and kept as j; then a loop over the mirrored conjugates
+    # a frozen root is skipped as i and kept as j; then a loop over the mirrored conjugates.
+    # A seeded solve also ends after a sweep in which no root was nudged or moved
+    # NEWTON_BASIN * |z| or more
     lead = coeffs[-1]
     c = [x / lead for x in coeffs]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
@@ -291,6 +296,7 @@ def _aberth_reference(coeffs, start=None, pairs_from=None):
     values = [0.0] * d
     evaluations = 0
     for sweep in range(1, zeros.MAX_ITERATIONS + 1):
+        far = False
         for i in range(d):
             if frozen[i]:
                 continue
@@ -303,6 +309,7 @@ def _aberth_reference(coeffs, start=None, pairs_from=None):
                 continue
             if dp == 0:
                 roots[i] = z * 1.0000001 + 1e-12
+                far = True
                 continue
             ratio = p / dp
             s = 0j
@@ -324,7 +331,9 @@ def _aberth_reference(coeffs, start=None, pairs_from=None):
             rel = abs(step) / (1 + abs(roots[i]))
             if rel < 1e-14 or math.isnan(rel):
                 frozen[i] = True
-        if all(frozen) or all(v < resid_floor for v in values):
+            if abs(step) >= zeros.NEWTON_BASIN * abs(roots[i]):
+                far = True
+        if all(frozen) or all(v < resid_floor for v in values) or (start is not None and not far):
             return roots, sweep, evaluations
     raise ConvergenceError(
         f"root iteration did not settle in {zeros.MAX_ITERATIONS} sweeps", best=roots
@@ -486,13 +495,6 @@ def test_upper_seeds_below_the_axis_are_refused():
         zeros._seeded(9, 0.5, reals, [u.conjugate() for u in uppers])
 
 
-def test_polish_fixed_point_tells_signed_zeros_apart():
-    assert zeros._same_bits(complex(0.0, 1.0), complex(0.0, 1.0))
-    assert not zeros._same_bits(complex(-0.0, 1.0), complex(0.0, 1.0))
-    assert not zeros._same_bits(complex(1.0, -0.0), complex(1.0, 0.0))
-    assert not zeros._same_bits(complex(1.0, 0.0), complex(1.0, 5e-324))
-
-
 class TestClassify:
     def test_quadratic(self):
         counts = classify(zeros_of(2, F(1, 2)))
@@ -597,11 +599,11 @@ class TestFizzle:
 
     def test_small_degree_gaps_pinned(self):
         # repr of each gap at n <= 12, where every gap is below 1: the refusal left them bit for bit;
-        # re-recorded when the cold start became the Newton-polygon circles and when settled
-        # roots left the sweep
+        # re-recorded when the cold start became the Newton-polygon circles, when settled
+        # roots left the sweep and when the polish stopped at the rounding floor
         gaps = [fizzle_gap(n, w) for n in range(1, 13) for w in (n + F(1, 2), 2 * n + F(1, 3), 5 * n + F(1, 2))]
         digest = hashlib.sha256(repr(gaps).encode()).hexdigest()
-        assert digest == "6158ecbd2258baf558e2172a20e84625171912d234feb56b13389b5e227acdcc"
+        assert digest == "40b205448d953e8310769aba29340f0cdaaf982948999b23dee636cc430b54ea"
 
 
 class TestSimplicity:
@@ -742,20 +744,20 @@ class TestTrace:
     def test_grid_and_bursts_pinned(self, monkeypatch):
         # the grids of the cold-started continuation, unchanged by seeding, by the
         # Newton-polygon start, by settled roots leaving the sweep, by mirrored seeded
-        # solves and by refining each cold set mirrored, and a SHA-256 of each whole bundle
-        # (re-recorded with each of the last four); (3, ..., 0.02), a swap gate of 0.02,
-        # rejects and halves 38 steps
+        # solves, by refining each cold set mirrored and by predicted seeds, and a SHA-256
+        # of each whole bundle (re-recorded with each of the last five); (3, ..., 0.02), a
+        # swap gate of 0.02, rejects and halves 38 steps
         for args, length, bursts, digest in [
             ((9, 0.05, 8.95), 456, tuple(range(1, 9)),
-             "84acea79427082ecd4ba488ca08c250f09b0fc69d9ede92a588caf0d302d9fb9"),
+             "4ea63b4dfaf790f00046d46e9fd51707861a93bf9b879b6aa4a8226bebd2e553"),
             ((15, 0.05, 14.95), 763, tuple(range(1, 15)),
-             "7c2641008a83664eb1a8bf31c202ec20f3617901e7a2536aeace9f61201bc5cd"),
+             "a574df950b4fa5ad84fdcc63decf1ce6b5d919b43ecdb7ae865e5a057045091b"),
             ((17, 0.05, 1.95), 98, (1,),
-             "2c69070bd3bc87fa68bc8aa8b165fb8ea1b8942b9dda0a204cae6c73e61e1f67"),
+             "8708ceaf4a58b662a6865fa3f289fc410f462f289228afdd2deb31db29cd7829"),
             ((3, 0.05, 2.95, 0.05, 0.02), 86, (1, 2),
-             "7981a2a0e65b965c7f641d9a7b8a7f83dfe3dc555ced7f35522cb501df41dabc"),
+             "d708d9afef118d8b08e46922879e2886f54b882118d0e74b3dd1413e7cd51e3e"),
             ((21, 0.5, 2.5), 106, (1, 2),
-             "40911db5228f161c8ff82f1cfcaf480c1966c10a5ab4b7e5650d62ef811989ce"),
+             "9d128e8bb03c844ed4343ec830b5a90d345f97315f256953046dd8bf8a4b3974"),
         ]:
             bundle = _trace(monkeypatch, *args)
             assert len(bundle.omega_grid) == length
@@ -784,9 +786,9 @@ class TestTrace:
         steps = []
 
         def checked(n, w, reals, uppers):
-            found = seeded(n, w, reals, uppers)
+            found, evaluations = seeded(n, w, reals, uppers)
             steps.append(_assign(uppers, found[len(reals)::2]) == list(range(len(uppers))))
-            return found
+            return found, evaluations
 
         monkeypatch.setattr(zeros, "_seeded", checked)
         bundle = trace(*args)
@@ -885,24 +887,62 @@ class TestTrace:
         with pytest.raises(TypeError):
             zeros.TrajectoryBundle(omega_grid=(0.5,), paths=((-0.5,),), burst_events=(), cold_solves=3)
 
+    def test_evaluations_count_every_certified_solve(self, monkeypatch):
+        # Aberth's and the polish's root evaluations: the cold solves' and the seeded solves'
+        certified, spent = zeros._certified, []
+
+        def counted(*args):
+            found = certified(*args)
+            spent.append(found[3])
+            return found
+
+        monkeypatch.setattr(zeros, "_certified", counted)
+        bundle = trace(3, 0.05, 2.95)
+        assert len(spent) == len(bundle.omega_grid) + bundle.cold_solves
+        assert bundle.evaluations == sum(spent) == 1130
+
+    @staticmethod
+    def _mpmath_roots(n, w):
+        # mpmath's roots of the exact polynomial at 50 digits
+        exact = construct(n, F(w)).coeffs
+        with mpmath.workdps(50):
+            return [complex(z) for z in mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / c.denominator for c in reversed(exact)], maxsteps=200, extraprec=200)]
+
     def test_positions_are_mpmath_roots(self):
-        # every 5th grid point against mpmath's roots of the exact polynomial at 50 digits
+        # every 5th grid point
         for args in [(9, 0.05, 2.95), (17, 0.5, 1.375)]:
             bundle = trace(*args)
-            with mpmath.workdps(50):
-                for k in range(0, len(bundle.omega_grid), 5):
-                    exact = construct(args[0], F(bundle.omega_grid[k])).coeffs
-                    roots = [complex(z) for z in mpmath.polyroots(
-                        [mpmath.mpf(c.numerator) / c.denominator for c in reversed(exact)])]
-                    for path in bundle.paths:
-                        z = path[k]
-                        assert min(abs(z - root) for root in roots) <= 1e-13 * (1 + abs(z))
+            for k in range(0, len(bundle.omega_grid), 5):
+                roots = self._mpmath_roots(args[0], bundle.omega_grid[k])
+                for path in bundle.paths:
+                    z = path[k]
+                    assert min(abs(z - root) for root in roots) <= 1e-13 * (1 + abs(z))
+
+    def test_polish_follows_a_seeded_solve_that_stops_short(self):
+        # at omega 5.999 the residual stop ends the seeded solves with |p| at machine level and
+        # roots some 1e-5 to 1e-3 (relative) from the true ones, which the residual bound
+        # certifies; the Newton polish brings them to about 1e-12
+        bundle = trace(19, 5.4453125, 6.3203125)
+        near = [k for k, w in enumerate(bundle.omega_grid) if abs(w - 6) <= 0.01]
+        assert near
+        for k in near:
+            roots = self._mpmath_roots(19, bundle.omega_grid[k])
+            for path in bundle.paths:
+                z = path[k]
+                assert min(abs(z - root) for root in roots) <= 1e-10 * (1 + abs(z))
 
     def test_tracking_error_on_unreachable_threshold(self):
-        # a step of MIN_STEP at omega 29.04 still moves a root 0.385
-        with pytest.raises(TrackingError, match="moved 0.385, beyond threshold 0.1") as info:
-            trace(28, 29.0, 29.875)
+        # a step of MIN_STEP at omega 29.5 still moves a root 0.258
+        with pytest.raises(TrackingError, match="moved 0.258, beyond threshold 0.1") as info:
+            trace(31, 29.5, 30.375)
         assert info.value.__cause__ is None
+
+    def test_refused_seed_among_crowded_reals_raises_tracking_error(self):
+        # above omega = n the reals crowd towards -1, and a seeded real crosses it
+        with pytest.raises(TrackingError, match="the seed was refused") as info:
+            trace(28, 29.0, 29.875)
+        assert "left its side of the real axis, of 0 or of -1" in str(info.value.__cause__)
 
     def test_tracking_error_names_two_points(self):
         # at the step floor the two omegas are at most MIN_STEP apart; repr tells them apart
