@@ -26,7 +26,7 @@ from .moments import toeplitz_det_closed, toeplitz_det_direct
 from .recurrences import DEFAULT_OMEGA_GRID, genfun_compare, run_identity_suite
 from .scalarfield import as_omega, parse_rational
 from .skypoly import construct
-from .zeros import _member_zeros, _tag_root, trace
+from .zeros import _tag_root, trace, zeros_of
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -130,7 +130,8 @@ def cmd_verify(args: argparse.Namespace):
 
 def cmd_zeros(args: argparse.Namespace):
     om = args.omega
-    zs, p = _member_zeros(args.n, om)  # p: the rounded polynomial the roots were found on
+    zs = zeros_of(args.n, om)
+    p = construct(args.n, om).to_inexact()  # the rounded polynomial the roots were found on
     roots = [
         {"index": idx, "re": _fmt(z.real), "im": _fmt(z.imag), "tag": tag.value, "residual": _fmt(abs(p(z)))}
         for idx, (z, tag) in enumerate(zs.roots)

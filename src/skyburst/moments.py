@@ -9,7 +9,8 @@ computes with the reduced moments nu_k = (-1)^k / (k + omega); every identity
 downstream is then a rational identity checkable with zero tolerance.  A float
 omega is computed on its exact binary rational and each result rounded once
 (``scalarfield.rounded_ratio``).  Only ``moment`` (for a float omega) reinstates
-sigma, which for determinants enters as sigma^n.
+sigma, which for determinants enters as sigma^n; it forms sigma on the exact
+reduced argument omega - round(omega), so sigma is 0 at every integer omega.
 
 The operational convention is Toeplitz: <z^j, z^k> = mu_{j-k}.  The moment
 determinant and the monic polynomial defined by orthogonality both come from
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import DomainError, ExistenceError, PoleError
+from .errors import ExistenceError, PoleError
 from .scalarfield import as_finite, as_fraction, as_integer, as_member, as_omega, rounded_ratio
 from .skypoly import Polynomial, _ratio_poly
 
@@ -57,12 +58,14 @@ def reduced_moment(k: int, omega):
 
 
 def moment(k: int, omega):
-    """Reduced moment in exact mode; the full moment sigma*nu_k in float mode."""
+    """Reduced moment in exact mode; the full moment sigma*nu_k in float mode, sigma formed as
+    (-1)^m sin(pi*(w - m))/pi, m = round(w): w - m is exact, so sigma is 0 at every integer w."""
     om = as_omega(omega)
     nu = reduced_moment(k, om)
-    if not isinstance(om, Fraction) and math.isinf(math.pi * om):  # sin(inf) is a math domain error
-        raise DomainError(f"pi * omega at omega={om} lies outside the double range")
-    return nu if isinstance(om, Fraction) else math.sin(math.pi * om) / math.pi * nu
+    if isinstance(om, Fraction):
+        return nu
+    m = round(om)
+    return math.sin(math.pi * (om - m)) * (-1) ** (m % 2) / math.pi * nu
 
 
 def _integer_moments(w: Fraction, ks: range) -> tuple:

@@ -253,11 +253,12 @@ def _newton_polish(top, rest, z):
         z = z - step
 
 
-def _certified(coeffs, tol, start=None, pairs_from=None):
-    """``_aberth`` and the polish, certified |p(z)| <= tol * (1 + max|c|) at each root:
-    (roots, largest residual, sweeps, root evaluations of both).  ConvergenceError, with
-    the best iterate, when the bound fails or a value overflows or is not finite."""
-    bound = tol * (1 + max(abs(c) for c in coeffs))
+def _certified(coeffs, start=None, pairs_from=None):
+    """``_aberth`` and the polish, certified |p(z)| <= DEFAULT_TOL * (1 + max|c|) at each
+    root: (roots, largest residual, sweeps, root evaluations of both).  ConvergenceError,
+    with the best iterate, when the bound fails or a value overflows or is not finite.
+    The bound reads ``DEFAULT_TOL`` at each call: every solve has this one certificate."""
+    bound = DEFAULT_TOL * (1 + max(abs(c) for c in coeffs))
     polished = []
     sweeps = evaluations = 0
     try:
@@ -279,20 +280,18 @@ def _certified(coeffs, tol, start=None, pairs_from=None):
     return found, residual_max, sweeps, evaluations
 
 
-def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan) -> ZeroSet:
-    """All roots of p with residual certification, solved cold.
+def find_zeros(p: Polynomial, *, omega: float = math.nan) -> ZeroSet:
+    """All roots of p, solved cold and certified |p(z)| <= DEFAULT_TOL * (1 + max|coeff|).
 
     Origin roots are deflated analytically first whenever the constant term is
     exactly zero; only they are tagged ORIGIN.  Raises DomainError for a
-    negative or non-finite tol or a coefficient that is not finite as a
-    double, and ConvergenceError (carrying the best iterate) if the residual
-    bound tol * (1 + max|coeff|) cannot be certified, if an iterate or residual
-    overflows or is not finite, or if fewer roots than the degree are found.
+    coefficient that is not finite as a double, and ConvergenceError (carrying
+    the best iterate) if the residual bound cannot be certified, if an iterate
+    or residual overflows or is not finite, or if fewer roots than the degree
+    are found.  The bound only accepts or refuses: it never changes a root.
     """
     if p.is_zero or p.degree < 1:
         raise DomainError("root finding needs a nonzero polynomial of degree >= 1")
-    if not 0 <= (tol := as_real(tol, "a tolerance")) < math.inf:
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
     # complex throughout: Horner steps mixing float and complex ran ~7% slower
     coeffs = list(map(complex, p.to_inexact().coeffs))
     if not all(map(cmath.isfinite, coeffs)):
@@ -304,7 +303,7 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
         origin_mult += 1
         coeffs = coeffs[1:]
 
-    found, residual_max, sweeps, evaluations = _certified(coeffs, tol)  # deflation keeps max|c|
+    found, residual_max, sweeps, evaluations = _certified(coeffs)  # deflation keeps max|c|
     if len(found) < len(coeffs) - 1:  # coefficients that vanish against the lead give no start
         raise ConvergenceError(f"{len(found)} roots found for degree {len(coeffs) - 1}", best=found)
     roots = [(0j, ZeroTag.ORIGIN)] * origin_mult
@@ -316,28 +315,22 @@ def find_zeros(p: Polynomial, tol: float = DEFAULT_TOL, omega: float = math.nan)
 
 
 def zeros_of(n: int, omega) -> ZeroSet:
-    """Roots of the degree-n family member: exact coefficients, rounded once, each
-    root certified to ``DEFAULT_TOL`` as ``find_zeros`` does.
+    """Roots of the degree-n family member, found by ``find_zeros`` on its exact
+    coefficients rounded once (``skypoly._float_row``, which is
+    ``construct(n, omega).to_inexact()`` bit for bit).
 
     The coefficients are real, so a set whose off-axis roots do not split
     evenly into upper and lower ones is wrong and raises ConvergenceError.
     """
-    return _member_zeros(n, omega)[0]
-
-
-def _member_zeros(n: int, omega) -> tuple:
-    """``zeros_of`` and the rounded member it found the roots of, whose coefficients are
-    the complex row ``skypoly._float_row`` (``find_zeros`` takes them as they are)."""
     n, om = as_member(n, omega)
-    p = Polynomial(_float_row(n, om))
-    zs = find_zeros(p, omega=as_real(om, "omega"))
+    zs = find_zeros(Polynomial(_float_row(n, om)), omega=as_real(om, "omega"))
     off_axis = [z for z in zs.values() if not _on_axis(z)]
     upper = sum(z.imag > 0 for z in off_axis)
     if 2 * upper != len(off_axis):
         raise ConvergenceError(
             f"{upper} upper and {len(off_axis) - upper} lower off-axis roots: "
             "the set is not conjugate-symmetric", best=zs.values())
-    return zs, p
+    return zs
 
 
 def classify(zs: ZeroSet) -> ZeroCounts:
@@ -378,7 +371,8 @@ def fizzle_gap(n: int, omega) -> float:
 
     Found from the expansion about -1 (exact coefficients, rounded once): for
     large omega the roots cluster at -1, where the shifted basis stays well
-    conditioned while the monomial basis loses most of its accuracy.  Every
+    conditioned while the monomial basis loses most of its accuracy.  The
+    roots are certified to ``DEFAULT_TOL`` as every other solve is.  Every
     zero lies in (-1, 0) here, so a gap of 1 or more (or NaN) is wrong and
     raises ConvergenceError.
     """
@@ -387,7 +381,7 @@ def fizzle_gap(n: int, omega) -> float:
         raise DomainError(f"fizzle regime needs omega > n, got omega={om}, n={n}")
     if n == 0:
         return 0.0
-    zs = find_zeros(Polynomial(taylor_about_minus_one(n, om)), tol=1e-9)
+    zs = find_zeros(Polynomial(taylor_about_minus_one(n, om)))
     gap = max(abs(t) for t in zs.values())
     if not gap < 1:
         raise ConvergenceError(f"fizzle gap {gap} at n={n}, omega={om} is not below 1", best=zs.values())
@@ -461,7 +455,7 @@ def _seeded(n: int, omega: float, reals: list, uppers: list) -> tuple:
     roots equal as doubles (two seeds can settle on one root).
     """
     r = len(reals)
-    found, _, _, evaluations = _certified(_float_row(n, omega), DEFAULT_TOL, reals + uppers, r)
+    found, _, _, evaluations = _certified(_float_row(n, omega), reals + uppers, r)
     settled, uppers = sorted(z.real for z in found[:r]), found[r:]
     kept = all(_on_axis(z) and (z.real > 0, z.real > -1) == (x.real > 0, x.real > -1)
                for z, x in zip(found, reals))

@@ -384,7 +384,9 @@ def test_negative_value_separated_from_its_option(capsys, argv):
 # and trajectory --n 3 streams were re-recorded when the cold start became the
 # Newton-polygon circles (last-digit moves, and the order of one conjugate pair), when
 # settled roots left the sweep and when the polish stopped at the rounding floor and
-# seeded solves at the Newton basin (last-digit moves each time).
+# seeded solves at the Newton basin (last-digit moves each time).  The zeros --n 6
+# streams (a float omega, and an integer one with four origin roots deflated) pin the
+# residual column, recorded before it was read off construct(n, omega).to_inexact().
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -418,6 +420,12 @@ def test_negative_value_separated_from_its_option(capsys, argv):
          0, "7f207bcd7fe27a91ec2271538caa28c9ed1195b52607e15128da0d32be93fc0d"),
         ("zeros --n 46 --omega 93/2",
          3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("zeros --n 6 --omega 0.37",
+         0, "cd537301582c2eae25646eff3643c0047298cc3daf07293ad207c634cbb2cb7c"),
+        ("zeros --n 6 --omega 0.37 --format json",
+         0, "7c932ea86f0087ff98bbb5e43c4745c6b1aa8980d844e121af86da69196f8d3b"),
+        ("zeros --n 6 --omega 2",
+         0, "9f657e6a2572344dd008d84b0774102e32a9bf0f3732fef0872d8b9914d89e7d"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5",
          0, "eb850a8eed509ffe89afffd663032055859cc33bfc3795fa3ff76d3f33816555"),
         ("trajectory --n 3 --omega-start 0.05 --omega-end 2.5 --format json",

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import skyburst
@@ -58,10 +59,27 @@ class TestMoments:
             assert moment(k, 0.37) == pytest.approx(want, rel=1e-14)
 
     def test_float_outside_double_range_refused(self):
-        # pi * omega overflows, and sin(inf) is a math domain error
-        with pytest.raises(DomainError, match="double range"):
-            moment(1, 1e308)
+        # pi * omega would overflow, but sigma is formed on omega - round(omega) = 0.0, so this
+        # is answered: sigma = +0.0 (1e308 is an even integer) times nu_1 = -1/(1 + 1e308) < 0
+        got = moment(1, 1e308)
+        assert got == 0 and math.copysign(1.0, got) == -1.0
         assert moment(1, F(10**308)) == reduced_moment(1, F(10**308))
+
+    @pytest.mark.parametrize("w", [2.0, -2.0, 2.0**60, 1e308, 1e6 + 0.25, -2.3, 0.37, 7.5, -0.5, 1e15 + 0.5])
+    def test_float_moment_against_mpmath(self, w):
+        # referee: sin(pi w)/pi * (-1)^k/(k + w) at 60 digits on the binary rational of w; at an
+        # integer-valued w the moment is exactly 0, where sin(pi * w) in doubles left ~1e-17
+        with mpmath.workdps(60):
+            x = mpmath.mpf(w)
+            for k in range(-4, 5):
+                if k + w == 0:
+                    continue
+                got = moment(k, w)
+                if w == round(w):
+                    assert got == 0, k
+                else:
+                    want = mpmath.sinpi(x) / mpmath.pi * (-1) ** k / (k + x)
+                    assert abs(got - want) <= 1e-15 * abs(want), k
 
     def test_prefactor_bookkeeping(self):
         # an exact moment leaves sigma = sin(pi w)/pi out; a float one carries it

@@ -18,14 +18,10 @@ import pytest
 
 from skyburst import (
     DomainError,
-    construct,
     emergence_angles,
-    find_zeros,
     genfun_compare,
     trace,
 )
-
-P = construct(3, F(1, 3))
 
 # (label, call with the argument x, whether x is a point, values it accepts)
 ARGUMENTS = [
@@ -35,8 +31,6 @@ ARGUMENTS = [
      (1, F(1, 2), np.float64(0.5), np.float32(0.5))),
     ("trace base_step", lambda x: trace(2, 0.3, 0.5, base_step=x), False,
      (1, F(1, 20), np.float64(0.05), np.float32(0.05))),
-    ("find_zeros tol", lambda x: find_zeros(P, tol=x), False,
-     (1, F(1, 10**9), np.float64(1e-9), np.float32(1e-9))),
     ("genfun_compare z", lambda x: genfun_compare(F(1, 2), x, 0.1, 8), True,
      (0, F(1, 3), np.float64(0.5), np.float32(0.5), np.complex128(0.4 + 0.2j))),
     ("genfun_compare T", lambda x: genfun_compare(F(1, 2), 0.1, x, 8), True,
