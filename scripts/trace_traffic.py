@@ -8,8 +8,8 @@ Run from the root of a checkout:
 
 The first form imports skyburst from DIR (default: the ``src`` of this
 checkout) and traces each window (n, start) of ``skybench.workloads.paths_slots()``
-over [start, start + WINDOW] with the defaults of ``trace``, which are the
-CLI's.  It prints the number of windows and of refusals (typed errors), the
+over [start, start + WINDOW] as the CLI does, at ``trace``'s one step
+``BASE_STEP``.  It prints the number of windows and of refusals (typed errors), the
 totals of ``cold_solves`` and ``rejected_steps``, and one SHA-256 over every
 window's grid, burst events and per-path tags (a refusal enters as its type
 name).  Two trees that print the same digest draw the same paths with the
@@ -24,7 +24,7 @@ where it occurs.  A coordinate counts as moved when its bits differ, so a
 sign-of-zero flip, which changes the CSV bytes (-0 against 0), counts too.
 Dumps compare only when both trees drew the same grids.
 
-``--wide`` traces a wider scan, with the same defaults and window width: the
+``--wide`` traces a wider scan, with the same step and window width: the
 3572 windows n = 3..40, start k - 1/2 + j/4 (k = 1..n+2, j = 0..3), which reach
 above omega = n and into windows whose seeded solves are refused.  It prints
 the count of each outcome (answered, or the refusal's type name) and one SHA-256

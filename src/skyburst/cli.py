@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -48,16 +47,7 @@ def _parse_omega(args: argparse.Namespace) -> Fraction | float:
         return as_omega(float(args.omega))
 
 
-# argparse types; argparse names them in its usage errors
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    if value == math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
+# an argparse type; argparse names it in its usage errors
 def rational_list(text: str) -> tuple:
     try:
         return tuple(parse_rational(tok) for tok in text.split(","))
@@ -148,7 +138,7 @@ def cmd_zeros(args: argparse.Namespace):
 
 
 def cmd_trajectory(args: argparse.Namespace):
-    bundle = trace(args.n, args.omega_start, args.omega_end, base_step=args.step)
+    bundle = trace(args.n, args.omega_start, args.omega_end)
     grid = [_fmt(w) for w in bundle.omega_grid]
     if args.output_format == "json":  # the (re, im) tuples are written as arrays
         paths = [[(_fmt(z.real), _fmt(z.imag)) for z in path] for path in bundle.paths]
@@ -236,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--omega-start", type=float, required=True)
     p.add_argument("--omega-end", type=float, required=True)
-    p.add_argument("--step", type=positive_float, default=0.02)
     add_common(p, cmd_trajectory, "csv", omega=False)
 
     p = sub.add_parser("detn", help="moment determinant, direct vs closed form")

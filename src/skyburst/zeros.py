@@ -60,11 +60,12 @@ SIMPLICITY_THRESHOLD = 1e-6
 INTEGER_OFFSET = 1e-3    # continuation grids never sample closer to an integer
 MIN_STEP = 1e-6
 MATCH_THRESHOLD = 0.1    # a continuation step moving a root this far or more is halved
+BASE_STEP = 0.02         # trace's step, before halving
 MAX_ITERATIONS = 500
 NEWTON_BASIN = 1e-4      # a seeded Aberth solve ends after a sweep moving no root this far, relative to |z|
 ROUNDING_FLOOR = 2.0 ** -52  # the polish ends at a Newton step below this times |z|
 DEFAULT_TOL = 1e-10
-MAX_SPAN = 1000.0        # widest omega range trace accepts: at the default step, some 50,000 grid points
+MAX_SPAN = 1000.0        # widest omega range trace accepts: at BASE_STEP, some 50,000 grid points
 
 
 class ZeroTag(str, Enum):
@@ -543,18 +544,19 @@ def _clamp_away(w: float, upward: bool) -> float:
     return w
 
 
-def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02) -> TrajectoryBundle:
+def trace(n: int, omega_start: float, omega_end: float) -> TrajectoryBundle:
     """Continuation of all n zeros over [omega_start, omega_end].
 
     The grid keeps a fixed offset from every integer (the family degenerates
     there); integer crossings hop from m - offset to m + offset, are matched by
     the minimum total distance over the layouts at a crossing, and are recorded
-    as burst events.  Within a segment the step is halved until the seeded solve
-    is accepted and moves no root ``MATCH_THRESHOLD`` or more; at MIN_STEP a
-    refusal or a move raises TrackingError, chained to the refusal.  Every solve
-    is certified to ``DEFAULT_TOL``.  A non-finite end, a range wider than
-    MAX_SPAN, a base_step below MIN_STEP or an end past about 2**33 (doubles
-    MIN_STEP apart) raises DomainError.
+    as burst events.  The step is ``BASE_STEP`` (read at each call) at the start
+    and past each crossing; it is halved until the seeded solve is accepted and
+    moves no root ``MATCH_THRESHOLD`` or more, and doubles back up to ``BASE_STEP``
+    after each accepted step.  At MIN_STEP a refusal or a move raises
+    TrackingError, chained to the refusal.  Every solve is certified to
+    ``DEFAULT_TOL``.  A non-finite end, a range wider than MAX_SPAN or an end past
+    about 2**33 (doubles MIN_STEP apart) raises DomainError.
 
     Each solve inside a segment is seeded by ``_predicted`` (the quadratic through
     the segment's last three layouts, the line through two, else the layout) and
@@ -574,17 +576,12 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
     if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("continuation needs degree >= 1")
     omega_start, omega_end = as_real(omega_start, "omega_start"), as_real(omega_end, "omega_end")
-    base_step = as_real(base_step, "base_step")
     if not (math.isfinite(omega_start) and math.isfinite(omega_end)):
         raise DomainError(f"omega range must be finite, got [{omega_start}, {omega_end}]")
     if not (0 <= omega_start < omega_end):
         raise DomainError("need 0 <= omega_start < omega_end")
     if omega_end - omega_start > MAX_SPAN:
         raise DomainError(f"omega range wider than {MAX_SPAN}: [{omega_start}, {omega_end}]")
-    if not 0 < base_step < math.inf:
-        raise DomainError(f"base_step must be positive and finite, got {base_step}")
-    if base_step < MIN_STEP:
-        raise DomainError(f"base_step must be at least {MIN_STEP}, got {base_step}")
 
     start = _clamp_away(omega_start, upward=omega_start >= round(omega_start))
     end = _clamp_away(omega_end, upward=omega_end > round(omega_end))
@@ -606,7 +603,7 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
     events = []
     paths = [[z] for z in roots]
     positions = list(range(len(paths)))
-    h, rejected = base_step, 0
+    h, rejected = BASE_STEP, 0
     while current < end - 1e-12:
         next_int = math.floor(current) + 1
         pre_boundary = next_int - INTEGER_OFFSET
@@ -618,7 +615,7 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
             positions = [perm[k] for k in positions]
             events.append(next_int)
             segment = []
-            h = base_step
+            h = BASE_STEP
         else:
             target = min(current + h, pre_boundary, end)
             try:  # the seed's order is the matching: every path keeps its layout index
@@ -637,7 +634,7 @@ def trace(n: int, omega_start: float, omega_end: float, base_step: float = 0.02)
                 h = (target - current) / 2
                 rejected += 1
                 continue
-            h = min(base_step, 2 * h)
+            h = min(BASE_STEP, 2 * h)
         for path, k in zip(paths, positions):
             path.append(new_roots[k])
         grid.append(target)

@@ -56,7 +56,7 @@ def zpow(k):
 
 @pytest.fixture(scope="module")
 def bundle9():
-    return trace(9, 0.05, 8.95, 0.02)
+    return trace(9, 0.05, 8.95)
 
 
 def test_criterion_1_exact_orthogonality():

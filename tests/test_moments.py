@@ -58,7 +58,7 @@ class TestMoments:
             want = (-1) ** (k % 2) * math.sin(math.pi * 0.37) / (math.pi * (k + 0.37))
             assert moment(k, 0.37) == pytest.approx(want, rel=1e-14)
 
-    def test_float_outside_double_range_refused(self):
+    def test_float_where_pi_omega_overflows_answered(self):
         # pi * omega would overflow, but sigma is formed on omega - round(omega) = 0.0, so this
         # is answered: sigma = +0.0 (1e308 is an even integer) times nu_1 = -1/(1 + 1e308) < 0
         got = moment(1, 1e308)

@@ -25,12 +25,10 @@ from skyburst import (
 
 # (label, call with the argument x, whether x is a point, values it accepts)
 ARGUMENTS = [
-    ("trace omega_start", lambda x: trace(2, x, 0.5, base_step=0.05), False,
+    ("trace omega_start", lambda x: trace(2, x, 0.5), False,
      (0, F(1, 4), np.float64(0.3), np.float32(0.3))),
-    ("trace omega_end", lambda x: trace(2, 0.3, x, base_step=0.05), False,
+    ("trace omega_end", lambda x: trace(2, 0.3, x), False,
      (1, F(1, 2), np.float64(0.5), np.float32(0.5))),
-    ("trace base_step", lambda x: trace(2, 0.3, 0.5, base_step=x), False,
-     (1, F(1, 20), np.float64(0.05), np.float32(0.05))),
     ("genfun_compare z", lambda x: genfun_compare(F(1, 2), x, 0.1, 8), True,
      (0, F(1, 3), np.float64(0.5), np.float32(0.5), np.complex128(0.4 + 0.2j))),
     ("genfun_compare T", lambda x: genfun_compare(F(1, 2), 0.1, x, 8), True,
