@@ -10,25 +10,28 @@ Roots are computed by simultaneous Aberth iteration with a Newton polish;
 float coefficients always come from the exact rational coefficients rounded
 once, so the conditioning of the coefficient sum never contaminates the
 input to the root finder.  A root that has settled leaves the sweep but
-stays in the other roots' corrections (Bini and Fiorentino 2000).
+stays in the other roots' corrections (Bini and Fiorentino 2000); in a
+seeded solve a root settles once it is in Newton's basin.
 
 ``find_zeros`` starts cold, from Bini's Newton-polygon circles (one per
 modulus group of the roots).  ``trace`` builds every root layout one way, in
-``_seeded``: it iterates on the reals and the upper roots only, each conjugate
-mirrored, so the reals are real and each partner is an exact conjugate.  Inside
-an integer-free segment it is a predictor-corrector (Allgower and Georg,
-*Numerical Continuation Methods*): the seed is the segment's last accepted
-layouts extrapolated to the next grid point (``_predicted``), Aberth runs only
-until the roots are in Newton's basin, and the polish finishes them.  The
-seed's order is the step's matching, and a refused seed halves the step as a
-far one does.  At the first grid point and past each integer crossing (the
-real-root count changes) the seed is the on-axis reals and the uppers of a
-cold solve there, matched across the crossing by minimum total distance.
+``_seeded``: it iterates on the reals, as floats, and on the upper roots only,
+each conjugate mirrored, so the reals are real and each partner is an exact
+conjugate.  Inside an integer-free segment it is a predictor-corrector
+(Allgower and Georg, *Numerical Continuation Methods*): the seed is the
+segment's last accepted layouts extrapolated to the next grid point
+(``_predicted``), Aberth runs on each root only until it is in Newton's basin,
+and the polish finishes them.  The seed's order is the step's matching, and a
+refused seed halves the step as a far one does.  At the first grid point and
+past each integer crossing (the real-root count changes) the seed is the
+on-axis reals and the uppers of a cold solve there, matched across the
+crossing by minimum total distance.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +69,9 @@ NEWTON_BASIN = 1e-4      # a seeded Aberth solve ends after a sweep moving no ro
 ROUNDING_FLOOR = 2.0 ** -52  # the polish ends at a Newton step below this times |z|
 DEFAULT_TOL = 1e-10
 MAX_SPAN = 1000.0        # widest omega range trace accepts: at BASE_STEP, some 50,000 grid points
+
+# the member row of the last solve: trace's cold point reads it twice, in zeros_of and in _seeded
+_member_row = functools.lru_cache(maxsize=1)(_float_row)
 
 
 class ZeroTag(str, Enum):
@@ -150,8 +156,9 @@ def _aberth(coeffs, start=None, pairs_from=None):
     ``_polygon_start``, one circle per modulus group of the roots, and takes
     some 9 sweeps on the degrees 16..60 of ``zeros_scan`` (17 at most).  A
     seeded solve (``start`` given, as ``_seeded`` passes it) only has to bring
-    its roots into Newton's basin for the polish: about 1.6 sweeps from a
-    ``trace`` prediction, one from the roots of a cold solve at the same point.
+    its roots into Newton's basin for the polish, and each root leaves the sweep
+    once it is there: 1.26 evaluations per root over ``trace(9, .05, 8.95)``
+    (1.61 sweeps a solve), one from the roots of a cold solve at the same point.
 
     Every pinned root set depends on the order of the arithmetic here, which
     is the same as that of a Horner pass from the leading coefficient down
@@ -167,65 +174,88 @@ def _aberth(coeffs, start=None, pairs_from=None):
       the same guard.  The mirrors are kept in a list, set again whenever
       their root moves (a step or the nudge at dp == 0), so one loop runs over
       the other roots and then the mirrors.  A cold solve has none.
+    - The roots before ``pairs_from`` are reals, iterated as floats: a Horner
+      pass on the real parts of the row (the real part of the complex pass at
+      a real point, bit for bit), and a sum from 0.0 over the other reals and
+      then, for each pair a +- ib in index order, the one term
+      2(x - a) / ((x - a)^2 + b^2), its denominator guarded as a difference
+      is.  The (a, b^2) are kept beside the mirrors and set with them.
     - A root is frozen once |p| is 0 or its step |step| / (1 + |z|) is below
-      1e-14 or NaN: it is not evaluated or moved again but stays in the other
+      1e-14 or NaN, and in a seeded solve once |step| is below
+      ``NEWTON_BASIN`` * |z| (Newton's basin; the polish finishes it).  A
+      frozen root is not evaluated or moved again but stays in the other
       roots' sums (Bini and Fiorentino, Numer. Algorithms 23, 2000; MPSolve
       does the same).  The solve ends when no root is active or every root's
       latest |p| is at machine level.
-    - A seeded solve also ends after a sweep in which no root was nudged or
-      moved ``NEWTON_BASIN`` * |z| or more; its roots then go to
-      ``_newton_polish``.
     ``test_zeros_of_pinned``, ``TestTrace::test_grid_and_bursts_pinned`` and
     the ``test_aberth_*_is_the_reference_sweep_bit_for_bit`` tests enforce it.
     """
     lead = coeffs[-1]
     c = [x / lead for x in coeffs]
     top, rest = c[-1], c[-2::-1]
-    resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
+    resid_floor = 64 * 2.220446049250313e-16 * (1 + max(map(abs, c)))
     seeded = start is not None
     roots = list(start) if seeded else _polygon_start(c)
     pairs = len(roots) if pairs_from is None else pairs_from
+    reals = 0 if pairs_from is None else pairs_from
+    roots[:reals] = [x.real for x in roots[:reals]]
+    real_top, real_rest = top.real, [a.real for a in rest]
     mirrors = [w.conjugate() for w in roots[pairs:]]  # conj(roots[pairs + k]) at each moment
+    conics = [(w.real, w.imag * w.imag) for w in roots[pairs:]]  # (a, b^2) of roots[pairs + k]
     one = 1 + 0j  # 1 / dz gives the same bits but coerces the int on every term
+    basin = NEWTON_BASIN if seeded else 0.0
     active = range(len(roots))
     values = [0.0] * len(roots)  # |p| at each root's latest evaluation
     evaluations = 0
     for sweep in range(1, MAX_ITERATIONS + 1):
         evaluations += len(active)
         still = []
-        far = False  # a root was nudged or moved NEWTON_BASIN * |z| or more this sweep
         for i in active:
             z = roots[i]
-            p, dp = top, 0j
-            for a in rest:
-                dp = dp * z + p
-                p = p * z + a
+            if i < reals:
+                p, dp = real_top, 0.0
+                for a in real_rest:
+                    dp = dp * z + p
+                    p = p * z + a
+            else:
+                p, dp = top, 0j
+                for a in rest:
+                    dp = dp * z + p
+                    p = p * z + a
             values[i] = abs(p)
             if p == 0:
                 continue
             if dp == 0:
                 z = z * 1.0000001 + 1e-12
-                moving = far = True
+                moving = True
             else:
                 ratio = p / dp
-                s = 0j
-                for w in [*roots[:i], *roots[i + 1:], *mirrors]:  # one list, where + makes two
-                    s += one / (z - w or 1e-20)
+                if i < reals:
+                    s = 0.0
+                    for w in [*roots[:i], *roots[i + 1:reals]]:
+                        s += 1.0 / (z - w or 1e-20)
+                    for a, b2 in conics:
+                        d = z - a
+                        s += 2 * d / (d * d + b2 or 1e-20)
+                else:
+                    s = 0j
+                    for w in [*roots[:i], *roots[i + 1:], *mirrors]:  # one list, where + makes two
+                        s += one / (z - w or 1e-20)
                 denom = 1 - ratio * s
                 step = ratio if denom == 0 else ratio / denom
                 z = z - step
-                moving = abs(step) / (1 + abs(z)) >= 1e-14  # false for a NaN step
-                if abs(step) >= NEWTON_BASIN * abs(z):
-                    far = True
+                size, modulus = abs(step), abs(z)
+                moving = size / (1 + modulus) >= 1e-14 and size >= basin * modulus  # false for a NaN step
             roots[i] = z
             if i >= pairs:
                 mirrors[i - pairs] = z.conjugate()
+                conics[i - pairs] = (z.real, z.imag * z.imag)
             if moving:
                 still.append(i)
         active = still
         # residuals at machine level end the solve too: a strict step bound can
         # limit-cycle in the last ulp near clustered roots
-        if not active or all(v < resid_floor for v in values) or seeded and not far:
+        if not active or all(v < resid_floor for v in values):
             return roots, sweep, evaluations
     raise ConvergenceError(
         f"root iteration did not settle in {MAX_ITERATIONS} sweeps", best=roots
@@ -235,38 +265,43 @@ def _aberth(coeffs, start=None, pairs_from=None):
 def _newton_polish(top, rest, z):
     """Up to three Newton steps from z: the polished z, p(z) and the evaluations made.
     p comes reversed, as ``_certified`` forms it once per solve: its lead, then the rest
-    from z^(d-1) down to z^0.
+    from z^(d-1) down to z^0.  A real root comes with the real parts of the row and
+    is polished in float arithmetic; every other root in complex.
 
     A step below the rounding floor 2^-52 |z| ends the polish at the point it was
     evaluated at: the step would move z by about an ulp at most.
     """
     for k in range(1, 5):
-        p, dp = top, 0j
+        p, dp = top, top - top  # 0j, or 0.0 on a real row
         for c in rest:
             dp = dp * z + p
             p = p * z + c
         if k == 4 or p == 0 or dp == 0:
             return z, p, k
         step = p / dp
-        size = abs(step)
-        if size > 1e-2 * (1 + abs(z)) or size < ROUNDING_FLOOR * abs(z):
+        size, modulus = abs(step), abs(z)
+        if size > 1e-2 * (1 + modulus) or size < ROUNDING_FLOOR * modulus:
             return z, p, k  # polish must not wander off a converged iterate, nor chase its last bit
         z = z - step
 
 
 def _certified(coeffs, start=None, pairs_from=None):
     """``_aberth`` and the polish, certified |p(z)| <= DEFAULT_TOL * (1 + max|c|) at each
-    root: (roots, largest residual, sweeps, root evaluations of both).  ConvergenceError,
+    root: (roots, largest residual, sweeps, root evaluations of both).  The reals before
+    ``pairs_from`` come back as floats, polished on the real row.  ConvergenceError,
     with the best iterate, when the bound fails or a value overflows or is not finite.
     The bound reads ``DEFAULT_TOL`` at each call: every solve has this one certificate."""
-    bound = DEFAULT_TOL * (1 + max(abs(c) for c in coeffs))
+    bound = DEFAULT_TOL * (1 + max(map(abs, coeffs)))
     polished = []
     sweeps = evaluations = 0
     try:
         if len(coeffs) > 1:
             found, sweeps, evaluations = _aberth(coeffs, start, pairs_from)
             top, rest = coeffs[-1], coeffs[-2::-1]
-            polished = [_newton_polish(top, rest, z) for z in found]
+            reals = pairs_from or 0
+            real_rest = [a.real for a in rest]
+            polished = [_newton_polish(top.real, real_rest, x) for x in found[:reals]]
+            polished += [_newton_polish(top, rest, z) for z in found[reals:]]
         found = [z for z, _, _ in polished]
         residuals = [abs(p) for _, p, _ in polished]
         evaluations += sum(k for _, _, k in polished)
@@ -324,7 +359,7 @@ def zeros_of(n: int, omega) -> ZeroSet:
     evenly into upper and lower ones is wrong and raises ConvergenceError.
     """
     n, om = as_member(n, omega)
-    zs = find_zeros(Polynomial(_float_row(n, om)), omega=as_real(om, "omega"))
+    zs = find_zeros(Polynomial(_member_row(n, om)), omega=as_real(om, "omega"))
     off_axis = [z for z in zs.values() if not _on_axis(z)]
     upper = sum(z.imag > 0 for z in off_axis)
     if 2 * upper != len(off_axis):
@@ -448,18 +483,19 @@ def _seeded(n: int, omega: float, reals: list, uppers: list) -> tuple:
     ``DEFAULT_TOL``: the sorted reals as complex(x, 0.0), then each upper in seed
     order followed by its exact conjugate.
 
-    Also returns its root evaluations.  Only the reals and the uppers are iterated, each
-    upper's conjugate mirrored.  ``trace`` seeds it with a prediction from the segment's
-    layouts, or with the on-axis reals and the uppers of a cold ``zeros_of`` set at omega
-    itself.  S_n(0) and S_n(-1) are nonzero off the integers, so a real that leaves the axis
-    or crosses 0 or -1 raises ConvergenceError, as do an upper on or below the axis and two
-    roots equal as doubles (two seeds can settle on one root).
+    Also returns its root evaluations.  Only the reals and the uppers are iterated: the
+    reals (the real parts of their seeds) as floats, Aberth's and the polish's, and each
+    upper with its conjugate mirrored.  ``trace`` seeds it with a prediction from the
+    segment's layouts, or with the on-axis reals and the uppers of a cold ``zeros_of`` set
+    at omega itself, whose row it reads again from ``_member_row``.  S_n(0) and S_n(-1) are
+    nonzero off the integers, so a real that crosses 0 or -1 raises ConvergenceError, as do
+    an upper on or below the axis and two roots equal as doubles (two seeds can settle on
+    one root).
     """
     r = len(reals)
-    found, _, _, evaluations = _certified(_float_row(n, omega), reals + uppers, r)
-    settled, uppers = sorted(z.real for z in found[:r]), found[r:]
-    kept = all(_on_axis(z) and (z.real > 0, z.real > -1) == (x.real > 0, x.real > -1)
-               for z, x in zip(found, reals))
+    found, _, _, evaluations = _certified(_member_row(n, omega), reals + uppers, r)
+    settled, uppers = sorted(found[:r]), found[r:]
+    kept = all((x > 0, x > -1) == (s.real > 0, s.real > -1) for x, s in zip(found, reals))
     if not kept or any(_on_axis(u) or u.imag < 0 for u in uppers):
         raise ConvergenceError("a seeded root left its side of the real axis, of 0 or of -1", best=found)
     if len(set(settled)) < r or len(set(uppers)) < len(uppers):
@@ -560,9 +596,10 @@ def trace(n: int, omega_start: float, omega_end: float) -> TrajectoryBundle:
 
     Each solve inside a segment is seeded by ``_predicted`` (the quadratic through
     the segment's last three layouts, the line through two, else the layout) and
-    takes about 1.6 Aberth sweeps, to Newton's basin, where a cold start takes
-    some 9.  ``_seeded`` keeps its reals real and on their side of 0 and -1, its
-    uppers above the axis and its seed's order, the step's matching, or refuses.
+    takes about 1.6 Aberth sweeps, each root only until it is in Newton's basin,
+    where a cold start takes some 9.  ``_seeded`` keeps its reals real and on
+    their side of 0 and -1, its uppers above the axis and its seed's order, the
+    step's matching, or refuses.
     A step's move is measured from the accepted layout, not the prediction.
     Only the first grid point and each point past a crossing, where the
     real-root count changes, are solved cold: the cold set's on-axis reals and

@@ -255,10 +255,10 @@ def test_real_root_below_minus_one_is_not_tagged_off_axis():
     assert tag is not ZeroTag.COMPLEX
 
 
-def _horner_pair(coeffs, z):
+def _horner_pair(coeffs, z, dp=0j):
     # value and derivative at z for an ascending coefficient list: the reference Horner pass
+    # (dp=0.0 on a real row)
     p = coeffs[-1]
-    dp = 0j
     for c in reversed(coeffs[:-1]):
         dp = dp * z + p
         p = p * z + c
@@ -290,13 +290,27 @@ def test_newton_polish_is_the_three_step_polish_bit_for_bit():
             assert 1 <= evaluations <= 4
 
 
+def test_real_horner_is_the_real_part_of_the_complex_horner_bit_for_bit():
+    # a seeded real is evaluated in float on the real parts of the row: at a real point the
+    # complex pass has imaginary parts of 0 throughout, so its real parts are the float pass
+    for n, w in itertools.product((5, 12, 21), (F(1, 2), F(7, 3), 8.999, 0.37)):
+        coeffs = _member_coeffs(n, w)
+        real_row = [c.real for c in coeffs]
+        for x in [z.real for z in zeros_of(n, w).values()] + [-0.999, -0.5, 0.25, 1.5]:
+            p, dp = _horner_pair(coeffs, complex(x, 0.0))
+            assert (repr(p.real), repr(dp.real)) == tuple(map(repr, _horner_pair(real_row, x, 0.0)))
+
+
 def _aberth_reference(coeffs, start=None, pairs_from=None):
     # the reference sweep: _horner_pair and a loop over j, in the order _aberth keeps;
     # a frozen root is skipped as i and kept as j; then a loop over the mirrored conjugates.
-    # A seeded solve also ends after a sweep in which no root was nudged or moved
-    # NEWTON_BASIN * |z| or more
+    # The roots before pairs_from are reals: a float Horner pass on the real parts of the row,
+    # then a loop over the other reals and one over the pairs, each pair a +- ib one term
+    # 2(x - a) / ((x - a)^2 + b^2).  A seeded solve also freezes a root whose step is below
+    # NEWTON_BASIN * |z|
     lead = coeffs[-1]
     c = [x / lead for x in coeffs]
+    real_c = [x.real for x in c]
     resid_floor = 64 * 2.220446049250313e-16 * (1 + max(abs(x) for x in c))
     if start is None:
         roots = zeros._polygon_start(c)  # the start is tested on its own, below
@@ -304,16 +318,18 @@ def _aberth_reference(coeffs, start=None, pairs_from=None):
         roots = [complex(z) for z in start]
     d = len(roots)
     pairs = d if pairs_from is None else pairs_from
+    reals = 0 if pairs_from is None else pairs_from
+    for i in range(reals):
+        roots[i] = roots[i].real
     frozen = [False] * d
     values = [0.0] * d
     evaluations = 0
     for sweep in range(1, zeros.MAX_ITERATIONS + 1):
-        far = False
         for i in range(d):
             if frozen[i]:
                 continue
             z = roots[i]
-            p, dp = _horner_pair(c, z)
+            p, dp = _horner_pair(real_c, z, 0.0) if i < reals else _horner_pair(c, z)
             evaluations += 1
             values[i] = abs(p)
             if p == 0:
@@ -321,31 +337,46 @@ def _aberth_reference(coeffs, start=None, pairs_from=None):
                 continue
             if dp == 0:
                 roots[i] = z * 1.0000001 + 1e-12
-                far = True
                 continue
             ratio = p / dp
-            s = 0j
-            for j in range(d):
-                if j == i:
-                    continue
-                dz = z - roots[j]
-                if dz == 0:
-                    dz = 1e-20
-                s += 1 / dz
-            for j in range(pairs, d):
-                dz = z - roots[j].conjugate()
-                if dz == 0:
-                    dz = 1e-20
-                s += 1 / dz
+            if i < reals:
+                s = 0.0
+                for j in range(reals):
+                    if j == i:
+                        continue
+                    dx = z - roots[j]
+                    if dx == 0:
+                        dx = 1e-20
+                    s += 1.0 / dx
+                for j in range(pairs, d):
+                    dx = z - roots[j].real
+                    q = dx * dx + roots[j].imag * roots[j].imag
+                    if q == 0:
+                        q = 1e-20
+                    s += 2 * dx / q
+            else:
+                s = 0j
+                for j in range(d):
+                    if j == i:
+                        continue
+                    dz = z - roots[j]
+                    if dz == 0:
+                        dz = 1e-20
+                    s += 1 / dz
+                for j in range(pairs, d):
+                    dz = z - roots[j].conjugate()
+                    if dz == 0:
+                        dz = 1e-20
+                    s += 1 / dz
             denom = 1 - ratio * s
             step = ratio if denom == 0 else ratio / denom
             roots[i] = z - step
             rel = abs(step) / (1 + abs(roots[i]))
             if rel < 1e-14 or math.isnan(rel):
                 frozen[i] = True
-            if abs(step) >= zeros.NEWTON_BASIN * abs(roots[i]):
-                far = True
-        if all(frozen) or all(v < resid_floor for v in values) or (start is not None and not far):
+            if start is not None and abs(step) < zeros.NEWTON_BASIN * abs(roots[i]):
+                frozen[i] = True
+        if all(frozen) or all(v < resid_floor for v in values):
             return roots, sweep, evaluations
     raise ConvergenceError(
         f"root iteration did not settle in {zeros.MAX_ITERATIONS} sweeps", best=roots
@@ -768,20 +799,21 @@ class TestTrace:
     def test_grid_and_bursts_pinned(self, monkeypatch):
         # the grids of the cold-started continuation, unchanged by seeding, by the
         # Newton-polygon start, by settled roots leaving the sweep, by mirrored seeded
-        # solves, by refining each cold set mirrored and by predicted seeds, and a SHA-256
-        # of each whole bundle (re-recorded with each of the last five); (3, ..., 0.05, 0.02),
+        # solves, by refining each cold set mirrored, by predicted seeds and by seeded reals
+        # iterated as floats, and a SHA-256 of each whole bundle (re-recorded with each of the
+        # last six); (3, ..., 0.05, 0.02),
         # a step of 0.05 and a swap gate of 0.02, rejects and halves 38 steps
         for args, length, bursts, digest in [
             ((9, 0.05, 8.95), 456, tuple(range(1, 9)),
-             "4ea63b4dfaf790f00046d46e9fd51707861a93bf9b879b6aa4a8226bebd2e553"),
+             "f751304c3bf90bd71539e3cc31ef19498586f1308488f37dbc73e53b2dbd2533"),
             ((15, 0.05, 14.95), 763, tuple(range(1, 15)),
-             "a574df950b4fa5ad84fdcc63decf1ce6b5d919b43ecdb7ae865e5a057045091b"),
+             "9faeefddc9a82ddfb632cf2045219443d9bb82fe84149ee3203aca52364c5dda"),
             ((17, 0.05, 1.95), 98, (1,),
-             "8708ceaf4a58b662a6865fa3f289fc410f462f289228afdd2deb31db29cd7829"),
+             "d6e3be7ae18f6d15eb1cb027d69b420c5234c922cd937c92087119e85147a61c"),
             ((3, 0.05, 2.95, 0.05, 0.02), 86, (1, 2),
-             "d708d9afef118d8b08e46922879e2886f54b882118d0e74b3dd1413e7cd51e3e"),
+             "3b4cb0d3fd3c17b34f93f74b36a66245d40dfa46fe9f3509f2d7cd9c1e06f420"),
             ((21, 0.5, 2.5), 106, (1, 2),
-             "9d128e8bb03c844ed4343ec830b5a90d345f97315f256953046dd8bf8a4b3974"),
+             "ede0098d6f5370f54f39f5228681249c4c7195cb86654db54cfc978b549d31aa"),
         ]:
             bundle = _trace(monkeypatch, *args)
             assert len(bundle.omega_grid) == length
@@ -923,7 +955,7 @@ class TestTrace:
         monkeypatch.setattr(zeros, "_certified", counted)
         bundle = trace(3, 0.05, 2.95)
         assert len(spent) == len(bundle.omega_grid) + bundle.cold_solves
-        assert bundle.evaluations == sum(spent) == 1130
+        assert bundle.evaluations == sum(spent) == 1091
 
     @staticmethod
     def _mpmath_roots(n, w):
@@ -943,6 +975,36 @@ class TestTrace:
                     z = path[k]
                     assert min(abs(z - root) for root in roots) <= 1e-13 * (1 + abs(z))
 
+    def test_reals_are_floats_through_every_seeded_solve(self, monkeypatch):
+        # every real of every layout of trace(9, .05, 8.95) leaves Aberth as a float, is polished
+        # in float on the real row, and reaches the layout as complex(x, 0.0); the root
+        # evaluations fell from 14857 when reals were iterated as complex
+        aberth, polish = zeros._aberth, zeros._newton_polish
+        polished = set()
+
+        def typed_aberth(coeffs, start=None, pairs_from=None):
+            roots, sweeps, evaluations = aberth(coeffs, start, pairs_from)
+            if pairs_from is not None:
+                assert all(type(x) is float for x in roots[:pairs_from])
+                assert all(type(z) is complex for z in roots[pairs_from:])
+            return roots, sweeps, evaluations
+
+        def typed_polish(top, rest, z):
+            found = polish(top, rest, z)
+            if type(z) is float:
+                assert type(top) is float and all(type(c) is float for c in rest)
+                assert type(found[0]) is float and type(found[1]) is float
+                polished.add(found[0])
+            return found
+
+        monkeypatch.setattr(zeros, "_aberth", typed_aberth)
+        monkeypatch.setattr(zeros, "_newton_polish", typed_polish)
+        bundle = trace(9, 0.05, 8.95)
+        assert bundle.evaluations == 13928
+        reals = [z for path in bundle.paths for z in path if z.imag == 0]
+        assert len(reals) > 1000
+        assert all(repr(z.imag) == "0.0" and z.real in polished for z in reals)
+
     def test_polish_follows_a_seeded_solve_that_stops_short(self):
         # at omega 5.999 the residual stop ends the seeded solves with |p| at machine level and
         # roots some 1e-5 to 1e-3 (relative) from the true ones, which the residual bound
@@ -956,9 +1018,22 @@ class TestTrace:
                 z = path[k]
                 assert min(abs(z - root) for root in roots) <= 1e-10 * (1 + abs(z))
 
+    def test_polish_near_nine_keeps_its_accuracy(self):
+        # at omega 8.999 in a 15-window the residual stop ends seeded solves after one sweep and
+        # the polish finishes the small uppers; within 0.05 of 9 every coordinate stays within
+        # the worst error iterating reals as complex left, 1.1013e-8 (1 + |z|) from mpmath
+        bundle = trace(15, 8.5, 9.375)
+        near = [k for k, w in enumerate(bundle.omega_grid) if abs(w - 9) <= 0.05]
+        assert len(near) >= 4
+        for k in near:
+            roots = self._mpmath_roots(15, bundle.omega_grid[k])
+            for path in bundle.paths:
+                z = path[k]
+                assert min(abs(z - root) for root in roots) <= 1.102e-8 * (1 + abs(z))
+
     def test_tracking_error_on_unreachable_threshold(self):
-        # a step of MIN_STEP at omega 29.5 still moves a root 0.258
-        with pytest.raises(TrackingError, match="moved 0.258, beyond threshold 0.1") as info:
+        # a step of MIN_STEP at omega 29.5 still moves a root 0.239 (the cold layout there is wrong)
+        with pytest.raises(TrackingError, match="moved 0.239, beyond threshold 0.1") as info:
             trace(31, 29.5, 30.375)
         assert info.value.__cause__ is None
 
@@ -976,12 +1051,17 @@ class TestTrace:
         assert target == info.value.omega and current < target <= current + zeros.MIN_STEP
 
     def test_residual_refusal_at_the_step_floor_raises_tracking_error(self):
-        # no seeded step from the first point's cold layout is certified, down to MIN_STEP
+        # a seeded step at omega 36.1123 fails its residual bound, down to MIN_STEP
+        with pytest.raises(TrackingError, match="the seed was refused") as info:
+            trace(39, 36.0, 36.875)
+        assert 36.1122 < info.value.omega < 36.1123
+        assert isinstance(info.value.__cause__, ConvergenceError)
+        assert "exceeds bound" in str(info.value.__cause__)
+        # and no seeded step from the first point's cold layout of (23, 24.75) is accepted
         with pytest.raises(TrackingError, match="the seed was refused") as info:
             trace(23, 24.75, 25.625)
         assert 24.75 < info.value.omega <= 24.75 + zeros.MIN_STEP
         assert isinstance(info.value.__cause__, ConvergenceError)
-        assert "exceeds bound" in str(info.value.__cause__)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
