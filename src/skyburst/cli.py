@@ -93,7 +93,7 @@ def _summary(name: str, reports: list) -> str:
 
 
 def cmd_verify(args: argparse.Namespace):
-    reports = run_identity_suite(args.n_max, omegas=args.omega_grid, printed_variants=args.printed_variants)
+    reports = run_identity_suite(args.n_max, omegas=args.omega_grid)
     all_ok = all(r.passed for r in reports)
     payload = [
         {
@@ -210,11 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=rational_list,
         default=DEFAULT_OMEGA_GRID,
         help='comma-separated rationals overriding the built-in grid, e.g. "1/3,1/2,22/7"',
-    )
-    p.add_argument(
-        "--printed-variants",
-        action="store_true",
-        help="swap the faulty printed recurrence forms into the sweep (must then fail)",
     )
     add_common(p, cmd_verify, "text", omega=False)
 

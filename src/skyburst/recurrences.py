@@ -21,12 +21,15 @@ polynomial or scalar is formed on the way.
 
 Two published forms of these relations circulate with typos; the corrected
 identities used here were fixed by exact-arithmetic comparison at small
-degrees, and the faulty printed forms are kept under ``*_printed`` names
-purely so regression tests can show they fail:
+degrees.  Each faulty printed form has one private core beside the true one,
+shown under a ``*_printed`` name and checked by the sweep's two
+``*_printed_rejected`` rows, which pass only while it fails:
 
 * parameter shift: the z-free factor n^2/((omega+n)(omega+n+1)) is the one
-  that holds; variants with n*z^2 or n^2*z do not.
-* lifting: the final term carries no factor of z.
+  that holds; the printed n*z^2 (``_omega_up(..., printed=True)``) does not,
+  and neither does the n^2*z also seen in print.
+* lifting: the final term carries no factor of z (``_lifting_printed``
+  gives it one).
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class _Sweep(_Rows):
         self._passes = {}  # (p, q) -> (Levinson pass, D_0..D_k as integer pairs)
         self._moments = {}  # (p, q) -> (L, m)
 
-    def table_sum(self, n: int, w: Fraction, lift: bool, extra_z_on_last: bool = False) -> list:
+    def table_sum(self, n: int, w: Fraction, lift: bool) -> list:
         """Integer numerator of the lifting (``lift``) or the lowering sum, from the rows of S_0..S_n.
 
         With (1+omega)_l / l! S_l^omega = (-1)^l N_l / (q^l l!) for the integer
@@ -135,9 +138,7 @@ class _Sweep(_Rows):
                 sums.append([q * (ell + 1) * (u + v) for u, v in zip([*acc, 0], row)])
         acc = sums[n]
         out = [x + y for x, y in zip(acc + [0], [0] + acc)]  # times 1+z
-        if extra_z_on_last:
-            out.append(0)
-        for k, c in enumerate(self.member(n, w)[0], extra_z_on_last):
+        for k, c in enumerate(self.member(n, w)[0]):
             out[k] += c
         return out
 
@@ -182,13 +183,8 @@ def step_mixed(n: int, omega) -> Polynomial:
     return _ratio_poly(om, *_mixed(n, om, _Rows(n)))
 
 
-# (k, s) for the term n^k/((omega+n)(omega+n+1)) z^s S_{n-1}^omega: the identity, then the printed forms
-_OMEGA_UP = (2, 0)
-_OMEGA_UP_PRINTED = {"nz2": (1, 2), "n2z": (2, 1)}
-
-
-def _omega_up(n: int, om, rows: _Rows, form: tuple = _OMEGA_UP) -> tuple:
-    # n^k/((omega+n)(omega+n+1)) = n^k q^2 / ((p+nq)(p+(n+1)q))
+def _omega_up(n: int, om, rows: _Rows, printed: bool = False) -> tuple:
+    # n^2/((omega+n)(omega+n+1)) = n^2 q^2 / ((p+nq)(p+(n+1)q)); the printed form has n z^2 for n^2
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     den = (p + n * q) * (p + (n + 1) * q)
@@ -196,9 +192,8 @@ def _omega_up(n: int, om, rows: _Rows, form: tuple = _OMEGA_UP) -> tuple:
         raise PoleError(f"parameter shift pole: (omega+n)(omega+n+1) = 0 at omega={om}")
     top, d_top = rows.member(n, w)
     low, d_low = rows.member(n - 1, w)
-    power, shift = form
-    factor = n ** power * q * q
-    return _add(top, d_top, [0] * shift + [factor * c for c in low], den * d_low)
+    factor = (n if printed else n * n) * q * q
+    return _add(top, d_top, [0, 0] * printed + [factor * c for c in low], den * d_low)
 
 
 def step_omega_up(n: int, omega) -> Polynomial:
@@ -209,28 +204,32 @@ def step_omega_up(n: int, omega) -> Polynomial:
     return _ratio_poly(om, *_omega_up(n, om, _Rows(n)))
 
 
-def step_omega_up_printed(n: int, omega, variant: str = "nz2") -> Polynomial:
-    """Faulty printed forms of the parameter shift, kept for falsification tests.
+def step_omega_up_printed(n: int, omega) -> Polynomial:
+    """Faulty printed parameter shift, factor n*z^2 where n^2 holds; falsification only.
 
-    variant "nz2": factor n*z^2; variant "n2z": factor n^2*z.  Neither
-    reproduces S_n^(omega+1).
+    It does not reproduce S_n^(omega+1).
     """
     if (n := as_integer(n, "a degree")) < 1:
         raise DomainError("parameter shift needs n >= 1")
-    if variant not in _OMEGA_UP_PRINTED:
-        raise DomainError(f"unknown printed variant {variant!r}")
     om = as_omega(omega)
-    return _ratio_poly(om, *_omega_up(n, om, _Rows(n), _OMEGA_UP_PRINTED[variant]))
+    return _ratio_poly(om, *_omega_up(n, om, _Rows(n), printed=True))
 
 
-def _lifting(n: int, om, rows: _Sweep, extra_z_on_last: bool = False) -> tuple:
+def _lifting(n: int, om, rows: _Sweep) -> tuple:
     # over (-1)^n q^n (2+omega)_n
     w = as_fraction(om)
     p, q = w.numerator, w.denominator
     scale = math.prod([(2 + i) * q + p for i in range(n)])
     if scale == 0:
         raise PoleError(f"lifting scale pole: poch(2+{om}, {n}) = 0")
-    return rows.table_sum(n, w, True, extra_z_on_last), -scale if n % 2 else scale
+    return rows.table_sum(n, w, True), -scale if n % 2 else scale
+
+
+def _lifting_printed(n: int, om, rows: _Sweep) -> tuple:
+    # the printed last term is z N_n: add (z - 1) N_n to the lifting row, over the same denominator
+    row, den = _lifting(n, om, rows)
+    last = rows.member(n, as_fraction(om))[0]
+    return [u + v - c for u, v, c in zip(row + [0], [0, *last], last + [0])], den
 
 
 def lifting(n: int, omega) -> Polynomial:
@@ -250,7 +249,7 @@ def lifting(n: int, omega) -> Polynomial:
 def lifting_printed(n: int, omega) -> Polynomial:
     """Faulty printed lifting (spurious z on the final term); falsification only."""
     n, om = as_member(n, omega)
-    return _ratio_poly(om, *_lifting(n, om, _Sweep(n), extra_z_on_last=True))
+    return _ratio_poly(om, *_lifting_printed(n, om, _Sweep(n)))
 
 
 def _lowering(n: int, om, rows: _Sweep) -> tuple:
@@ -379,7 +378,7 @@ def _residual(lhs: tuple, rhs: tuple) -> Fraction:
     return Fraction(worst, abs(dx * dy)) if worst else _ZERO
 
 
-def _boundary_residual(n: int, w: Fraction, printed, rows: _Rows) -> Fraction:
+def _boundary_residual(n: int, w: Fraction, rows: _Rows) -> Fraction:
     row, den = rows.member(n, w)
     # S_n^(m)(-1) = m! t_m for S_n(z) = sum_m t_m (1+z)^m: one Taylor shift of the member row
     t = row[:]
@@ -392,7 +391,7 @@ def _boundary_residual(n: int, w: Fraction, printed, rows: _Rows) -> Fraction:
     return max(derivatives, _residual(([num], zero_den), ([row[0]], den)))
 
 
-def _orthogonality_residual(n: int, w: Fraction, printed, rows: _Sweep) -> Fraction:
+def _orthogonality_residual(n: int, w: Fraction, rows: _Sweep) -> Fraction:
     row, den = rows.member(n, w)
     # <S_n, z^k> = q dots_k / (L B_n), one Toeplitz product of the member row on the sweep's
     # moment list of omega; only a nonzero coefficient reads a moment, and so raises its pole
@@ -406,7 +405,7 @@ def _orthogonality_residual(n: int, w: Fraction, printed, rows: _Sweep) -> Fract
     return max(gap, _ONE) if dots[n] == 0 else gap
 
 
-def _cauchy_residual(n: int, w: Fraction, printed, rows: _Sweep) -> Fraction:
+def _cauchy_residual(n: int, w: Fraction, rows: _Sweep) -> Fraction:
     closed, closed_den = _det_closed(n, w)  # first: its poles come before the moment poles
     det, det_den = rows.det(n, w)
     return _residual(([closed], closed_den), ([det], det_den))
@@ -417,32 +416,24 @@ def _member_derivative(n: int, w: Fraction, rows: _Rows) -> tuple:
     return [k * c for k, c in enumerate(row)][1:], den
 
 
-# identity_id -> (least degree, residual(n, w, printed, rows)), for an exact
+# identity_id -> (least degree, residual(n, w, rows)), for an exact
 # omega w and the call's ``_Sweep`` rows.  Each residual is max |lhs - rhs| of two
 # integer cores (``_residual``) and is exactly 0 when the identity holds at
-# (n, omega); ``printed`` swaps in the faulty printed form where one exists.
-# The lambdas look the cores up at call time, so a wrapper installed on a
+# (n, omega).  The lambdas look the cores up at call time, so a wrapper installed on a
 # module attribute (a tracer, a mock) sees every call.
 _IDENTITIES = {
     "orthogonality": (0, _orthogonality_residual),
     "cauchy_determinant": (0, _cauchy_residual),
-    "mixed_step": (1, lambda n, w, printed, rows: _residual(_mixed(n, w, rows), rows.member(n, w))),
-    "omega_shift": (1, lambda n, w, printed, rows: _residual(
-        _omega_up(n, w, rows, _OMEGA_UP_PRINTED["nz2"] if printed else _OMEGA_UP),
-        rows.member(n, w + 1),
-    )),
-    "derivative_recurrence": (1, lambda n, w, printed, rows: _residual(
+    "mixed_step": (1, lambda n, w, rows: _residual(_mixed(n, w, rows), rows.member(n, w))),
+    "omega_shift": (1, lambda n, w, rows: _residual(_omega_up(n, w, rows), rows.member(n, w + 1))),
+    "derivative_recurrence": (1, lambda n, w, rows: _residual(
         _differential(n, w, rows), _member_derivative(n, w, rows)
     )),
-    "lifting": (0, lambda n, w, printed, rows: _residual(
-        _lifting(n, w, rows, printed), rows.member(n, w + 1)
-    )),
-    "lowering": (0, lambda n, w, printed, rows: _residual(
-        _lowering(n, w, rows), rows.member(n, w - 1)
-    )),
-    "ode": (0, lambda n, w, printed, rows: _residual(_ode(n, w, rows), ([], 1))),
+    "lifting": (0, lambda n, w, rows: _residual(_lifting(n, w, rows), rows.member(n, w + 1))),
+    "lowering": (0, lambda n, w, rows: _residual(_lowering(n, w, rows), rows.member(n, w - 1))),
+    "ode": (0, lambda n, w, rows: _residual(_ode(n, w, rows), ([], 1))),
     # the reflection is stated for omega > 0; a negative grid point checks it from |omega|
-    "negative_reflection": (0, lambda n, w, printed, rows: _residual(
+    "negative_reflection": (0, lambda n, w, rows: _residual(
         _reflection(n, abs(w), rows), rows.member(n, -abs(w))
     )),
     "boundary_values": (0, _boundary_residual),
@@ -454,16 +445,11 @@ def _report(identity_id: str, n: int, w, residual: Fraction, rejected: bool = Fa
     return IdentityReport(identity_id, (n, w), residual, (residual == 0) != rejected)
 
 
-def run_identity_suite(
-    n_max: int = 8,
-    omegas=DEFAULT_OMEGA_GRID,
-    printed_variants: bool = False,
-) -> list:
+def run_identity_suite(n_max: int = 8, omegas=DEFAULT_OMEGA_GRID) -> list:
     """Run the exact identity sweep; returns IdentityReports in deterministic order.
 
-    Includes two falsification rows that pass only when the faulty printed
-    variants produce a nonzero residual.  ``printed_variants=True`` swaps the
-    faulty forms into the main families (so the sweep must then fail).
+    Ends with two falsification rows at (1, 1/2) that pass only while the
+    faulty printed parameter shift and lifting give a nonzero residual.
     """
     n_max = as_degree(n_max)
     rows = _Sweep(n_max)  # every table of the call; none outlives it
@@ -473,7 +459,7 @@ def run_identity_suite(
         for n in range(n_max + 1):
             for identity_id, (least, residual) in _IDENTITIES.items():
                 if n >= least:
-                    reports.append(_report(identity_id, n, w, residual(n, w, printed_variants, rows)))
+                    reports.append(_report(identity_id, n, w, residual(n, w, rows)))
     params = [Fraction(m) for m in range(n_max)]
     for n in range(1, n_max + 1):
         for m in range(n):
@@ -481,8 +467,10 @@ def run_identity_suite(
             row, den = rows.member(m, n)
             residual = _residual(rows.member(n, m), ([0] * (n - m) + row, den))
             reports.append(_report("degree_symmetry", n, params[m], residual))
-    half = Fraction(1, 2)
-    for identity_id in ("omega_shift", "lifting"):
-        residual = _IDENTITIES[identity_id][1](1, half, True, _Sweep(1))
+    half, rows = Fraction(1, 2), _Sweep(1)
+    for identity_id, printed in (
+        ("omega_shift", _omega_up(1, half, rows, printed=True)), ("lifting", _lifting_printed(1, half, rows))
+    ):
+        residual = _residual(printed, rows.member(1, half + 1))
         reports.append(_report(f"{identity_id}_printed_rejected", 1, half, residual, rejected=True))
     return reports

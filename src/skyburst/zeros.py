@@ -92,8 +92,8 @@ class ZeroSet:
     iterations: int = 0   # Aberth sweeps; 0 when deflation leaves no polynomial
     evaluations: int = 0  # root evaluations: Aberth's, at most iterations * (roots left), and the polish's
 
-    def values(self, include_origin: bool = True) -> list:
-        return [z for z, tag in self.roots if include_origin or tag is not ZeroTag.ORIGIN]
+    def values(self) -> list:
+        return [z for z, _ in self.roots]
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,7 @@ def fizzle_gap(n: int, omega) -> float:
 
 def simplicity_margin(zs: ZeroSet) -> float:
     """Minimum pairwise distance among non-origin roots; inf for fewer than two."""
-    vals = zs.values(include_origin=False)
+    vals = [z for z, tag in zs.roots if tag is not ZeroTag.ORIGIN]
     if len(vals) < 2:
         return math.inf
     return min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])

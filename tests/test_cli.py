@@ -100,10 +100,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n-max", "0")
         assert code == 0
 
-    def test_printed_variants_fail(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n-max", "1", "--printed-variants")
+    def test_failing_row_exits_one(self, capsys, printed_forms):
+        with printed_forms():
+            code, out, _ = run(capsys, "verify", "--n-max", "1")
         assert code == 1
-        assert "FAIL" in out
+        assert "omega_shift: FAIL" in out and "result: FAILURES PRESENT" in out
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "1", "--format", "json")
@@ -382,6 +383,8 @@ def test_negative_value_separated_from_its_option(capsys, argv):
 # each seeded root left the sweep at the basin (last-digit moves each time).  The zeros --n 6
 # streams (a float omega, and an integer one with four origin roots deflated) pin the
 # residual column, recorded before it was read off construct(n, omega).to_inexact().
+# The verify --printed-variants stream is the argparse refusal of an option that is gone:
+# exit 2 and nothing on stdout.
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -404,7 +407,7 @@ def test_negative_value_separated_from_its_option(capsys, argv):
         ("verify --n-max 2 --format csv",
          0, "05f257d305a89c5b16363e36764e97e002bf48ebeceee523481aad5972604098"),
         ("verify --n-max 1 --printed-variants",
-         1, "2f1edfe23a5b4689f54a97219252927b0257a5be4d2840f36b51c8bffe60613a"),
+         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("verify --n-max 12 --omega-grid 22/7,-13/9,41/2",
          0, "1bf6ee65e8504f47c75e81b236d3eabf4b559fff4c9beb2bae7fbca978404a6e"),
         ("verify --n-max 12 --omega-grid 22/7,-13/9,41/2 --format csv",
@@ -436,7 +439,7 @@ def test_negative_value_separated_from_its_option(capsys, argv):
     ],
 )
 def test_stdout_bytes_pinned(capsys, argv, code, digest):
-    got_code, out, _ = run(capsys, *argv.split())
+    got_code, out, _ = _outcome(capsys, argv.split())
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
@@ -489,5 +492,5 @@ def test_process_exit_status():
     def status(*argv):
         return subprocess.run([sys.executable, "-m", "skyburst.cli", *argv], capture_output=True, env=env).returncode
 
-    assert status("verify", "--n-max", "1", "--printed-variants") == 1
+    assert status("verify", "--n-max", "1") == 0
     assert status("coeffs", "--n", "3", "--omega", "-2") == 2

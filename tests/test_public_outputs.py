@@ -79,8 +79,7 @@ def _calls(w):
         for n in range(N_MAX + 1):
             yield f"{fn.__name__}({n})", lambda: fn(n, w)
     for n in range(1, N_MAX + 1):
-        for variant in ("nz2", "n2z"):
-            yield f"step_omega_up_printed({n}, {variant})", lambda: step_omega_up_printed(n, w, variant)
+        yield f"step_omega_up_printed({n}, nz2)", lambda: step_omega_up_printed(n, w)
         for m in range(n + 1):
             yield f"derivative_at_minus_one({m}, {n})", lambda: derivative_at_minus_one(m, n, w)
         for k in range(n + 2):
@@ -123,8 +122,9 @@ def test_public_results_and_refusals_pinned():
     # every ZeroSet's evaluations gained the polish's, and the roots of 100 zeros_of and 3
     # fizzle_gap results moved in their last digits; and when moment formed sigma on the
     # reduced argument: only the 65 moment(k) lines at 2.0, -2.0 (float and float64) and -2.3
-    # moved, the first three to signed zeros
-    assert _digest() == ("79e30e4a6b7cef8e9cfe90a6b4c6ebedb7476ee20bfcc0b75565c71faa7422cd", 10908)
+    # moved, the first three to signed zeros; and when step_omega_up_printed lost its variant:
+    # only the 288 step_omega_up_printed(n, n2z) lines left, and no line moved
+    assert _digest() == ("e022d23fb3a4aa8220e983c51b0ebe07451fed17402be9a84c4845b1c4de3f2d", 10620)
 
 
 if __name__ == "__main__":

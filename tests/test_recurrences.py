@@ -1,5 +1,6 @@
 import hashlib
 import math
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,7 @@ FLOAT_PARITY = {
     "lowering": lowering,
     "differential_step": differential_step,
     "ode_residual": ode_residual,
-    "step_omega_up_printed": lambda n, w: (step_omega_up_printed(n, w, "nz2"), step_omega_up_printed(n, w, "n2z")),
+    "step_omega_up_printed": step_omega_up_printed,
 }
 
 
@@ -143,17 +144,22 @@ class TestOmegaShift:
         assert step_omega_up(1, F(0)).coeffs == (F(1, 2), F(1))
 
     def test_printed_variants_fail(self):
-        target = construct(1, F(3, 2))
-        assert step_omega_up_printed(1, F(1, 2), variant="nz2") != target
-        assert step_omega_up_printed(1, F(1, 2), variant="n2z") != target
+        # the printed factors n z^2 (step_omega_up_printed) and n^2 z, built from Polynomial arithmetic
+        for n in range(1, 6):
+            for w in GRID:
+                target, low = construct(n, w + 1), construct(n - 1, w) * (1 / ((w + n) * (w + n + 1)))
+                nz2 = construct(n, w) + (n * low).shifted(2)
+                n2z = construct(n, w) + (n * n * low).shifted(1)
+                assert step_omega_up_printed(n, w) == nz2 != target
+                assert n2z != target
 
     def test_printed_variant_residual_nonzero(self):
         diff = step_omega_up_printed(1, F(1, 2)) - construct(1, F(3, 2))
         assert max(abs(c) for c in diff.coeffs) > 0
 
-    def test_unknown_variant(self):
-        with pytest.raises(DomainError):
-            step_omega_up_printed(1, F(1, 2), variant="bogus")
+    def test_variant_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            step_omega_up_printed(1, F(1, 2), variant="nz2")
 
 
 class TestLiftingLowering:
@@ -322,12 +328,12 @@ def _public_residual(identity_id: str, n: int, w: Fraction, printed: bool) -> Fr
     if identity_id == "degree_symmetry":
         return _gap(construct(n, w), skypoly.construct_via_symmetry(n, int(w)))
     if identity_id in ("omega_shift_printed_rejected", "lifting_printed_rejected"):
-        printed_form = step_omega_up_printed(n, w, "nz2") if identity_id.startswith("omega") else lifting_printed(n, w)
+        printed_form = step_omega_up_printed(n, w) if identity_id.startswith("omega") else lifting_printed(n, w)
         return _gap(printed_form, construct(n, w + 1))
     steps = {
         "mixed_step": lambda: _gap(step_mixed(n, w), construct(n, w)),
         "omega_shift": lambda: _gap(
-            step_omega_up_printed(n, w, "nz2") if printed else step_omega_up(n, w), construct(n, w + 1)
+            step_omega_up_printed(n, w) if printed else step_omega_up(n, w), construct(n, w + 1)
         ),
         "derivative_recurrence": lambda: _gap(differential_step(n, w), construct(n, w).derivative()),
         "lifting": lambda: _gap(lifting_printed(n, w) if printed else lifting(n, w), construct(n, w + 1)),
@@ -343,13 +349,16 @@ def _zpow(k: int) -> Polynomial:
 
 
 class TestIdentitySuite:
-    def test_reports_match_pinned_digest(self):
-        # SHA-256 of every report over these sweeps, recorded before the sweep ran on integer rows
+    def test_reports_match_pinned_digest(self, printed_forms):
+        # SHA-256 of every report over these sweeps, recorded before the sweep ran on integer rows;
+        # the printed half has the faulty printed cores in the omega_shift and lifting rows
         digest = hashlib.sha256()
         for grid in (GRID, (F(-13, 9), F(-5, 2), F(-1, 3))):
             for n_max in (0, 5, 12):
-                for printed in (False, True):
-                    for r in run_identity_suite(n_max, grid, printed):
+                for printed in (nullcontext, printed_forms):
+                    with printed():
+                        reports = run_identity_suite(n_max, grid)
+                    for r in reports:
                         digest.update(
                             f"{r.identity_id}|{r.params!r}|{r.residual_norm}|"
                             f"{type(r.residual_norm).__name__}|{r.passed}\n".encode()
@@ -389,11 +398,13 @@ class TestIdentitySuite:
                     digest.update(f"{w}|{n_max}|{type(exc).__name__}|{exc}\n".encode())
         assert digest.hexdigest() == "63dd8a76ea130f685f6716f5ceb01867cc00cbdcea36f9e3c45ad114e2f35f3c"
 
-    def test_reports_at_degree_20_pinned(self):
+    def test_reports_at_degree_20_pinned(self, printed_forms):
         # a float and a negative grid point, recorded as the refusals above
         digest = hashlib.sha256()
-        for printed in (False, True):
-            for r in run_identity_suite(20, (F(1, 3), 0.37, F(-13, 9)), printed):
+        for printed in (nullcontext, printed_forms):
+            with printed():
+                reports = run_identity_suite(20, (F(1, 3), 0.37, F(-13, 9)))
+            for r in reports:
                 digest.update(
                     f"{r.identity_id}|{r.params!r}|{r.residual_norm}|"
                     f"{type(r.residual_norm).__name__}|{r.passed}\n".encode()
@@ -401,10 +412,11 @@ class TestIdentitySuite:
         assert digest.hexdigest() == "184d035541f7a42d74f7eec200532631658cc2564998f060e7efffe2276815b2"
 
     @pytest.mark.parametrize("printed", [False, True])
-    def test_residuals_equal_public_step_oracle(self, printed):
+    def test_residuals_equal_public_step_oracle(self, printed, printed_forms):
         # every residual recomputed with the public steps in Fraction arithmetic: zero gaps,
         # and with the printed forms swapped in, the nonzero cross-multiplied ones
-        reports = run_identity_suite(8, DEFAULT_OMEGA_GRID + (F(-13, 9), F(41, 2)), printed)
+        with printed_forms() if printed else nullcontext():
+            reports = run_identity_suite(8, DEFAULT_OMEGA_GRID + (F(-13, 9), F(41, 2)))
         assert {r.residual_norm != 0 for r in reports} == {False, True}
         for r in reports:
             assert type(r.residual_norm) is Fraction
@@ -446,11 +458,15 @@ class TestIdentitySuite:
         assert len(main) == 11
         assert len(families - main) == 2
 
-    def test_printed_variants_break_the_sweep(self):
-        reports = run_identity_suite(n_max=1, printed_variants=True)
+    def test_printed_variants_break_the_sweep(self, printed_forms):
+        with printed_forms():
+            reports = run_identity_suite(n_max=1)
         failed = {r.identity_id for r in reports if not r.passed}
-        assert "omega_shift" in failed
-        assert "lifting" in failed
+        assert failed == {"omega_shift", "lifting"}
+
+    def test_printed_variants_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            run_identity_suite(1, printed_variants=True)
 
     def test_residuals_exactly_zero(self):
         for r in run_identity_suite(n_max=2):

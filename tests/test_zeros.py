@@ -226,7 +226,7 @@ def test_thirty_at_twenty_one_halves_has_eleven_roots_in_unit_interval():
 
 
 def test_root_set_is_conjugate_symmetric_at_fifteen():
-    vals = zeros_of(15, 7.9985).values(include_origin=False)
+    vals = zeros_of(15, 7.9985).values()
     upper = sum(z.imag > AXIS_TOL * (1 + abs(z)) for z in vals)
     lower = sum(z.imag < -AXIS_TOL * (1 + abs(z)) for z in vals)
     assert upper == lower
@@ -666,6 +666,13 @@ class TestSimplicity:
 
     def test_single_root_sentinel(self):
         assert simplicity_margin(zeros_of(1, F(1, 2))) == math.inf
+
+    def test_origin_roots_left_out(self):
+        # S_6^2 = z^4 S_2^6: four origin roots, and the margin of the two others
+        zs = zeros_of(6, 2)
+        a, b = [z for z, tag in zs.roots if tag is not ZeroTag.ORIGIN]
+        assert [tag for _, tag in zs.roots].count(ZeroTag.ORIGIN) == 4
+        assert simplicity_margin(zs) == abs(a - b) > 0.3
 
     def test_degree_nine(self):
         assert simplicity_margin(zeros_of(9, F(1, 2))) > 1e-3
