@@ -20,8 +20,8 @@ operations, reading the moments nu_(1-n)..nu_n and nothing else.  For
 omega = p/q one integer L makes every moment it reads an integer multiple of
 q/L, so the recursion runs on integer vectors over one denominator each and
 yields integer pairs, divided out once, and the closed product is likewise
-one integer numerator over one integer denominator.  One pass serves both
-readers (``_pulled``).  ``bilinear`` pairs real
+one integer numerator over one integer denominator.  One pass serves all
+three readers (``_pulled``).  ``bilinear`` pairs real
 polynomials, each coefficient read exactly, in one integer sum; it and the
 sweep's ``orthogonality`` row each form their own moment list and product,
 and share only ``_integer_moments`` and ``_moment_pole``.
@@ -177,9 +177,10 @@ _latest = None  # (n, w, items pulled, the pass) of the latest member
 def _pulled(n: int, w: Fraction, count: int) -> list:
     """The first ``count`` items of the Levinson pass of (n, exact w), the latest one kept.
 
-    Pulled an item at a time, so both readers of a member share one pass and a
-    pole is raised at the item that reads it; a refused pass is dropped, never
-    resumed.  The kept generator serves one thread.
+    Pulled an item at a time, so every reader shares one pass (the two public
+    routes of a member, and the identity sweep's D_0..D_n_max from the pass of
+    (n_max, w)) and a pole is raised at the item that reads it; a refused pass
+    is dropped, never resumed.  The kept generator serves one thread.
     """
     global _latest
     if _latest is None or _latest[:2] != (n, w):

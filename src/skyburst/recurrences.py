@@ -14,7 +14,8 @@ per parameter, each row formed once.  The lifting and the lowering take a
 A public step builds its own tables and divides its core out once,
 coefficient by coefficient (int / int for a float omega).  The identity
 sweep calls the same cores on one ``_Sweep`` for the whole call,
-with the integer cores of the two determinants and of ``value_at_zero``,
+with the integer cores of the two determinants and of ``value_at_zero``
+(D_n through ``moments._pulled``, the pass the public routes share),
 and compares them directly: each gap is one cross-multiplied integer
 vector, and only a nonzero one becomes a ``Fraction``, so no rational
 polynomial or scalar is formed on the way.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .moments import _det_closed, _integer_moments, _levinson, _moment_pole
+from .moments import _det_closed, _integer_moments, _moment_pole, _pulled
 from .scalarfield import as_degree, as_fraction, as_integer, as_member, as_omega, as_point, as_real
 from .skypoly import (
     Polynomial,
@@ -85,26 +86,19 @@ def _add(x: list, dx: int, y: list, dy: int) -> tuple:
 
 
 class _Sweep(_Rows):
-    """The member rows and the tables read off them: the lifting and lowering sums, D_n, the moments.
+    """The member rows and the tables read off them: the lifting and lowering sums and the moments.
 
     ``table_sum`` extends one running sum over the rows of S_0, S_1, ...
-    per omega and direction.  ``det(n, w)`` is D_n as an integer pair
-    (numerator, denominator), the running products of the pivots of one
-    Levinson pass up to n_max per omega.  The pivots are pulled only as far
-    as the degrees reached and a_(n_max) never, so a moment pole is raised at
-    the degree whose matrix first holds it, as ``toeplitz_det_direct(n, w)``
-    raises it.
-    ``moments(w)`` is (L, m), one integer moment list over -n_max..n_max
-    (``_integer_moments``) with m_0 at index n_max, formed once per omega for
-    the orthogonality row.
+    per omega and direction.  ``moments(w)`` is (L, m), one integer moment
+    list over -n_max..n_max (``_integer_moments``) with m_0 at index n_max,
+    formed once per omega for the orthogonality row.
     """
 
-    __slots__ = ("_sums", "_passes", "_moments")
+    __slots__ = ("_sums", "_moments")
 
     def __init__(self, n_max: int):
         super().__init__(n_max)
         self._sums = {}  # (p, q, lift) -> running sums by degree
-        self._passes = {}  # (p, q) -> (Levinson pass, D_0..D_k as integer pairs)
         self._moments = {}  # (p, q) -> (L, m)
 
     def table_sum(self, n: int, w: Fraction, lift: bool) -> list:
@@ -141,16 +135,6 @@ class _Sweep(_Rows):
         for k, c in enumerate(self.member(n, w)[0]):
             out[k] += c
         return out
-
-    def det(self, n: int, w: Fraction) -> tuple:
-        key = (w.numerator, w.denominator)
-        if key not in self._passes:
-            self._passes[key] = _levinson(self.n_max, w), [(1, 1)]
-        levinson, dets = self._passes[key]
-        while len(dets) <= n:
-            (num, den), (pn, pd) = dets[-1], next(levinson)
-            dets.append((num * pn, den * pd))
-        return dets[n]
 
     def moments(self, w: Fraction) -> tuple:
         key = (w.numerator, w.denominator)
@@ -407,7 +391,8 @@ def _orthogonality_residual(n: int, w: Fraction, rows: _Sweep) -> Fraction:
 
 def _cauchy_residual(n: int, w: Fraction, rows: _Sweep) -> Fraction:
     closed, closed_den = _det_closed(n, w)  # first: its poles come before the moment poles
-    det, det_den = rows.det(n, w)
+    pivots = _pulled(rows.n_max, w, n)  # D_n's pivots, from the pass the public routes share
+    det, det_den = math.prod([num for num, _ in pivots]), math.prod([den for _, den in pivots])
     return _residual(([closed], closed_den), ([det], det_den))
 
 

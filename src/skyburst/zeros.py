@@ -75,8 +75,11 @@ _member_row = functools.lru_cache(maxsize=1)(_float_row)
 
 
 class ZeroTag(str, Enum):
+    """Where a root lies: on the axis (``AXIS_TOL``) in (-1, 0), (0, inf) or (-inf, -1]; off it; at 0."""
+
     NEG_UNIT = "neg_unit"
     POS_REAL = "pos_real"
+    NEG_OUTER = "neg_outer"
     COMPLEX = "complex_offaxis"
     ORIGIN = "origin"
 
@@ -102,6 +105,7 @@ class ZeroCounts:
     pos_real: int
     complex_offaxis: int
     origin: int
+    neg_outer: int
 
 
 def _on_axis(z: complex) -> bool:
@@ -115,6 +119,8 @@ def _tag_root(z: complex) -> ZeroTag:
             return ZeroTag.NEG_UNIT
         if z.real > 0:
             return ZeroTag.POS_REAL
+        if z.real <= -1:
+            return ZeroTag.NEG_OUTER
     return ZeroTag.COMPLEX
 
 
@@ -372,13 +378,15 @@ def zeros_of(n: int, omega) -> ZeroSet:
 def classify(zs: ZeroSet) -> ZeroCounts:
     """Tag counts.  For non-integer omega in (m, m+1) with m <= n-1 the family
     puts m+1 roots in (-1, 0), one positive-real root iff n-m is even, and the
-    rest off-axis; for omega > n all n roots are in (-1, 0)."""
+    rest off-axis; for omega > n all n roots are in (-1, 0).  A negative omega
+    can put real roots at or below -1 (``neg_outer``): S_1^(-13/9) at -3.25."""
     tags = [tag for _, tag in zs.roots]
     return ZeroCounts(
         neg_unit=tags.count(ZeroTag.NEG_UNIT),
         pos_real=tags.count(ZeroTag.POS_REAL),
         complex_offaxis=tags.count(ZeroTag.COMPLEX),
         origin=tags.count(ZeroTag.ORIGIN),
+        neg_outer=tags.count(ZeroTag.NEG_OUTER),
     )
 
 

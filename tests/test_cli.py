@@ -494,3 +494,26 @@ def test_process_exit_status():
 
     assert status("verify", "--n-max", "1") == 0
     assert status("coeffs", "--n", "3", "--omega", "-2") == 2
+
+
+def test_subcommands_import_no_third_party_module(tmp_path):
+    # pyproject.toml declares no dependencies, while the test environment has all four below
+    # installed: an import of one of them anywhere in src/ shows here and nowhere else
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"""
+import sys
+from skyburst.cli import main
+calls = [
+    ["coeffs", "--n", "4", "--omega", "1/3"],
+    ["verify", "--n-max", "2"],
+    ["zeros", "--n", "6", "--omega", "0.37"],
+    ["trajectory", "--n", "5", "--omega-start", "0.5", "--omega-end", "1.375"],
+    ["detn", "--n", "4", "--omega", "1/3"],
+    ["genfun", "--omega", "1/3", "--z", "0.3", "--t", "0.2"],
+]
+print([main([*argv, "--out", {str(tmp_path / "out")!r}]) for argv in calls])
+print([name for name in ("numpy", "mpmath", "sympy", "hypothesis") if name in sys.modules])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0]\n[]\n"

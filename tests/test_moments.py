@@ -19,6 +19,7 @@ from skyburst.moments import (
     toeplitz_det_closed,
     toeplitz_det_direct,
 )
+from skyburst.recurrences import run_identity_suite
 from skyburst.skypoly import Polynomial, construct
 
 F = Fraction
@@ -373,6 +374,16 @@ class TestSharedPass:
         assert det == float(exact_det) and exact_det == toeplitz_det_closed(n, w)
         assert exact_poly == construct(n, w) and poly == exact_poly.to_inexact()
         assert passes == [(n, w)]
+
+    def test_identity_sweep_leaves_its_pass_to_the_public_routes(self, passes):
+        # the sweep's cauchy_determinant row pulls D_0..D_12 from the (12, w) pass; the public
+        # routes of that member read the same pass and start none of their own
+        n, w = 12, F(-13, 9)
+        assert all(report.passed for report in run_identity_suite(n, (w,)))
+        passes.clear()
+        assert toeplitz_det_direct(n, w) == toeplitz_det_closed(n, w)
+        assert construct_determinantal(n, w) == construct(n, w)
+        assert passes == []
 
 
 def test_import_leaves_numpy_out():

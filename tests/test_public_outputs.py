@@ -123,8 +123,10 @@ def test_public_results_and_refusals_pinned():
     # fizzle_gap results moved in their last digits; and when moment formed sigma on the
     # reduced argument: only the 65 moment(k) lines at 2.0, -2.0 (float and float64) and -2.3
     # moved, the first three to signed zeros; and when step_omega_up_printed lost its variant:
-    # only the 288 step_omega_up_printed(n, n2z) lines left, and no line moved
-    assert _digest() == ("e022d23fb3a4aa8220e983c51b0ebe07451fed17402be9a84c4845b1c4de3f2d", 10620)
+    # only the 288 step_omega_up_printed(n, n2z) lines left, and no line moved; and when real
+    # roots <= -1 got their own tag: only 30 zeros_of lines moved, each from complex_offaxis to
+    # neg_outer, at omega -13/9, -7/3, -2 (Fraction and "-2"), -2.0 (float and float64), -2.3 and -3
+    assert _digest() == ("ec3ccde2e6084f0b3478bf06464a1b95494fbba23260cf986d460f8ff3cc1a9b", 10620)
 
 
 if __name__ == "__main__":

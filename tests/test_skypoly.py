@@ -55,6 +55,7 @@ class TestPolynomial:
         assert p.degree == 1
         assert Polynomial((0, 0, 0)).is_zero
         assert Polynomial(()).degree == -1
+        assert len({p, Polynomial((1, 2))}) == 1  # equal after trimming, so one hash
 
     def test_kind_mixing_rejected(self):
         with pytest.raises(TypeError):
@@ -76,6 +77,8 @@ class TestPolynomial:
         p = Polynomial((1, 2))
         q = Polynomial((0, 1))
         assert (p * q).coeffs == (0, 1, 2)
+        assert (p * Polynomial()).is_zero and (Polynomial() * q).is_zero
+        assert (-p).coeffs == (-1, -2)
         assert (p - p).is_zero
         assert p.derivative().coeffs == (2,)
         assert p.shifted(2).coeffs == (0, 0, 1, 2)

@@ -21,6 +21,7 @@ from skyburst.skypoly import Polynomial, construct
 from skyburst.zeros import (
     AXIS_TOL,
     SIMPLICITY_THRESHOLD,
+    ZeroCounts,
     ZeroTag,
     classify,
     emergence_angles,
@@ -247,12 +248,12 @@ def test_root_set_that_is_not_conjugate_symmetric_refused():
         zeros_of(40, F(71, 2))
 
 
-@pytest.mark.xfail(strict=True, reason="_tag_root has no tag for a real root <= -1; "
-                   "ROADMAP Direction 1 (exact census) brings the tag set")
 def test_real_root_below_minus_one_is_not_tagged_off_axis():
-    (z, tag), = zeros_of(1, F(-13, 9)).roots
+    zs = zeros_of(1, F(-13, 9))
+    (z, tag), = zs.roots
     assert z == -3.25
-    assert tag is not ZeroTag.COMPLEX
+    assert tag is ZeroTag.NEG_OUTER
+    assert classify(zs) == ZeroCounts(neg_unit=0, pos_real=0, complex_offaxis=0, origin=0, neg_outer=1)
 
 
 def _horner_pair(coeffs, z, dp=0j):
@@ -608,6 +609,7 @@ class TestFizzle:
     def test_linear_gap_closed_form(self):
         for w in (F(3, 2), F(10), F(1000)):
             assert fizzle_gap(1, w) == pytest.approx(1 / (1 + float(w)), abs=1e-12)
+        assert fizzle_gap(0, F(1, 2)) == 0.0  # degree 0 has no roots
 
     def test_large_parameter(self):
         assert fizzle_gap(5, 1e5) <= 1e-3
